@@ -59,7 +59,6 @@ def _load_model(args):
 def _kernel_config(args):
     return kernel.KernelConfig(
         star_regime=getattr(args, "regime", None) or "B",
-        majority_mode=getattr(args, "majority", None) or "strict",
         epsilon_presupposition=bool(getattr(args, "presupposition", False)),
         allow_most_instantiation=bool(getattr(args, "most_inst", False)),
     )
@@ -293,6 +292,9 @@ def main(argv=None):
             semantics.LexiconError, semantics.SemanticsError,
             sx.SortError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deep", file=sys.stderr)
         return 2
 
 

@@ -40,7 +40,6 @@ class ProofTree:
 @dataclass(frozen=True)
 class KernelConfig:
     star_regime: str = "B"
-    majority_mode: str = "strict"
     epsilon_presupposition: bool = False
     allow_most_instantiation: bool = False
 

@@ -11,7 +11,32 @@ which is the listing order of the model file):
               falling back to the eps policy.
 
 "most" is measure-based: measure(restriction-and-body) / measure(restriction)
-compared against the threshold, strictly or weakly per majority mode.
+compared against the threshold, strictly or weakly per majority mode.  Both
+measures (count and density) are proportional to the number of elements, so
+the ratio is hits / total, and most, many, forall* and exists* are count
+predicates of (hits, total, theta, mode): compiled.COUNT_TESTS, which the
+tree walk, the compiled code and classify_quantifier share.
+
+Evaluation policy:
+
+  truth          runs the formula's compiled code (compiled.py): the formula
+                 is compiled once into closures over bitmasks, that code is
+                 kept on the formula node and reused for every model.
+  eval_formula,  the reference tree walk (_Evaluator), which also records
+  eval_term      flags and witnesses.
+
+truth falls back to the tree walk, as a whole, for
+  - a formula with a Quant2 or PredApp node, a free variable, or a node or
+    kind the compiler does not know;
+  - a non-empty environment;
+  - a model that interprets one of the formula's predicates as a builtin,
+    lacks one of its sorts, constants, functions or predicates, or has an
+    empty domain for one of its sorts;
+  - a call that meets an App term the model leaves undefined, since the tree
+    walk's short-circuiting decides whether that raises EvalError;
+  - a formula nested too deep to compile or run.
+Both paths give the same value or raise the same error on every input
+(tests/test_compiled.py).
 """
 
 from __future__ import annotations
@@ -20,7 +45,9 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from . import compiled
 from . import syntax as sx
+from .compiled import COUNT_TESTS, as_rational
 from .syntax import (Atom, And, App, Binder, Const, Generic, GenericRestricted,
                      Implies, Not, Or, PredApp, Quant, Quant2, Signature, Var)
 
@@ -74,6 +101,9 @@ class Model:
     many_threshold: Fraction = Fraction(2, 5)
     majority_mode: str = "strict"
     star_regime: str = "B"
+    # masks and lookups derived for compiled truth; replace() starts afresh
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def domain(self, sort):
         try:
@@ -91,12 +121,6 @@ class Model:
             return tuple(args) in self.preds[name]
         except KeyError:
             raise EvalError("model does not interpret predicate %s" % name)
-
-    def sort_measure(self, sort, count):
-        m = self.measure.get(sort, ("count",))
-        if m[0] == "density":
-            return Fraction(count, m[1])
-        return Fraction(count)
 
 
 class Environment:
@@ -154,16 +178,16 @@ class _Evaluator:
         self.record = record
         self.flags = []
         self.witnesses = []
-        self._choice_cache = {}   # id(closed eps/tau term) -> element
-        self._closed = {}         # id(term) -> bool
+        # id(term) -> (term, value); holding the term keeps its id from
+        # being reused by another term while this evaluator lives
+        self._choice_cache = {}   # closed eps/tau term -> element
+        self._closed = {}         # term -> bool
 
     def _is_closed(self, t):
-        key = id(t)
-        got = self._closed.get(key)
-        if got is None:
-            got = not sx.free_vars(t)
-            self._closed[key] = got
-        return got
+        hit = self._closed.get(id(t))
+        if hit is None or hit[0] is not t:
+            hit = self._closed[id(t)] = (t, not sx.free_vars(t))
+        return hit[1]
 
     def flag(self, f):
         if f not in self.flags:
@@ -209,8 +233,10 @@ class _Evaluator:
         # them keeps nested embedded terms from going exponential
         cacheable = not self.record and t.kind in (sx.EPS, sx.TAU) \
             and self._is_closed(t)
-        if cacheable and id(t) in self._choice_cache:
-            return self._choice_cache[id(t)]
+        if cacheable:
+            hit = self._choice_cache.get(id(t))
+            if hit is not None and hit[0] is t:
+                return hit[1]
         if t.kind == sx.EPS:
             sat = self._satisfiers(t.var, t.body, env)
             chosen = sat[0] if sat else dom[0]
@@ -233,7 +259,7 @@ class _Evaluator:
         if self.record:
             self.witnesses.append((t, chosen))
         if cacheable:
-            self._choice_cache[id(t)] = chosen
+            self._choice_cache[id(t)] = (t, chosen)
         return chosen
 
     # -- formulas ---------------------------------------------------------
@@ -301,26 +327,23 @@ class _Evaluator:
             return self._star(f, env)
         raise EvalError("unknown quantifier kind %s" % f.kind)
 
-    def _ratio(self, var, restriction, body, env):
-        """measure(restriction and body) / measure(restriction), or None
-        when the restriction is empty."""
+    def _counts(self, var, restriction, body, env):
+        """(hits, total): how many of the restriction's elements satisfy
+        the body, and how many elements the restriction has."""
         elems = self._restriction_elems(var, restriction, env)
-        if not elems:
-            return None
         hits = sum(1 for e in elems
                    if self.formula(body, env.bind(var.name, e)))
-        return (self.m.sort_measure(var.sort, hits)
-                / self.m.sort_measure(var.sort, len(elems)))
+        return hits, len(elems)
 
-    def _most(self, var, restriction, body, env, mode=None, kind="most"):
-        ratio = self._ratio(var, restriction, body, env)
-        if ratio is None:
+    def _most(self, var, restriction, body, env, mode=None, kind=sx.MOST):
+        hits, total = self._counts(var, restriction, body, env)
+        if total:
+            self.flag("most-ratio %s" % Fraction(hits, total))
+        else:
             self.flag(FLAG_EMPTY_RESTRICTION)
-            return False
         theta = self.m.many_threshold if kind == "many" else self.m.most_threshold
-        mode = mode or self.m.majority_mode
-        self.flags.append("most-ratio %s" % ratio)
-        return ratio > theta if mode == "strict" else ratio >= theta
+        return COUNT_TESTS[sx.MOST](hits, total, as_rational(theta),
+                                    mode or self.m.majority_mode)
 
     def _star(self, f, env):
         if self.m.star_regime == "A":
@@ -329,17 +352,11 @@ class _Evaluator:
             plain = Quant(sx.FORALL if f.kind == sx.FORALL_STAR else sx.EXISTS,
                           f.var, f.restriction, f.body)
             return self._quant(plain, env)
-        theta = self.m.most_threshold
-        ratio = self._ratio(f.var, f.restriction, f.body, env)
-        if f.kind == sx.FORALL_STAR:
-            if ratio is None:
-                self.flag(FLAG_EMPTY_RESTRICTION)
-                return True
-            return ratio >= theta
-        if ratio is None:
+        hits, total = self._counts(f.var, f.restriction, f.body, env)
+        if not total:
             self.flag(FLAG_EMPTY_RESTRICTION)
-            return False
-        return ratio > 1 - theta
+        theta = as_rational(self.m.most_threshold)
+        return COUNT_TESTS[f.kind](hits, total, theta, None)
 
 
 def _all_subsets(dom):
@@ -364,9 +381,14 @@ def eval_formula(model, env, f):
 
 
 def truth(model, f, env=None):
-    """Truth value only, flags discarded."""
-    ev = _Evaluator(model, record=False)
-    return ev.formula(f, env or Environment())
+    """Truth value only, flags discarded.  Runs f's compiled code (see
+    the module docstring for when it falls back to the tree walk)."""
+    if env is None or not (env.vars or env.predvars or env.eta_excluded):
+        try:
+            return compiled.run(model, f)
+        except compiled.Fallback:
+            pass
+    return _Evaluator(model, record=False).formula(f, env or Environment())
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +416,9 @@ def check_square(model, a, b, existential_import=False):
     some_f = Quant(sx.EXISTS, x, ax, bx)
     if existential_import:
         all_f = And(all_f, Quant(sx.EXISTS, x, None, ax))
-    corners = {
-        "All": truth(model, all_f),
-        "Some": truth(model, some_f),
-        "No": truth(model, Not(some_f)),
-        "NotAll": truth(model, Not(all_f)),
-    }
+    some = truth(model, some_f)
+    every = truth(model, all_f)
+    corners = {"All": every, "Some": some, "No": not some, "NotAll": not every}
     relations = {
         "contradictory-A-O": corners["All"] != corners["NotAll"],
         "contradictory-E-I": corners["No"] != corners["Some"],
@@ -434,25 +453,9 @@ def _quantifier_fn(name, theta=Fraction(1, 2), mode="strict"):
         return lambda dom, a, b: bool(a & b)
     if name == "no":
         return lambda dom, a, b: not (a & b)
-    if name in ("most", "many"):
-        def most(dom, a, b):
-            if not a:
-                return False
-            r = Fraction(len(a & b), len(a))
-            return r > theta if mode == "strict" else r >= theta
-        return most
-    if name == "forall*":
-        def fstar(dom, a, b):
-            if not a:
-                return True
-            return Fraction(len(a & b), len(a)) >= theta
-        return fstar
-    if name == "exists*":
-        def estar(dom, a, b):
-            if not a:
-                return False
-            return Fraction(len(a & b), len(a)) > 1 - theta
-        return estar
+    if name in COUNT_TESTS:
+        test, theta = COUNT_TESTS[name], as_rational(theta)
+        return lambda dom, a, b: test(len(a & b), len(a), theta, mode)
     raise ValueError("unknown quantifier %r" % name)
 
 

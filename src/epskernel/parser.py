@@ -860,7 +860,10 @@ def parse_proof_script(text, sig):
                          tuple(premises), witness=sl.witness, eigen=sl.eigen,
                          line=sl.number)
 
-    return build(order[-1], frozenset())
+    try:
+        return build(order[-1], frozenset())
+    finally:
+        del build    # build's cell refers to build: free the lines without gc
 
 
 def _parse_script_line(line, sig, span, free_env=None):

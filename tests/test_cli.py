@@ -128,3 +128,14 @@ def test_selftest_seeded(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest", "--size", "2")
     assert code == 0
     assert "ok" in out
+
+
+@pytest.mark.parametrize("command", ["eval", "parse"])
+def test_deep_nesting_exit_2(capsys, tmp_path, command):
+    model = tmp_path / "m.model"
+    model.write_text("sort s = {e1, e2}\nconst a : s = e1\npred P : s = {e1}\n")
+    code, out, err = run(capsys, command, "--model", str(model),
+                         "not " * 3000 + "P(a)")
+    assert code == 2
+    assert "nested too deep" in err
+    assert out == ""

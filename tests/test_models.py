@@ -10,8 +10,8 @@ from epskernel import models, parser, transform
 from epskernel import syntax as sx
 from epskernel.models import (Environment, enumerate_models, eval_formula,
                               eval_term, truth)
-from epskernel.syntax import Atom, And, Binder, Const, Implies, Not, Quant, \
-    Signature, Var
+from epskernel.syntax import Atom, And, Binder, Const, Implies, Not, Or, \
+    Quant, Signature, Var
 
 M4 = parser.parse_model("sort s = {a,b,c,d}\npred P : s = {b,c}\npred Q : s = {}")
 SIG1 = Signature(frozenset({"s"}), {}, {}, {"P": ("s",)})
@@ -264,3 +264,31 @@ def test_iota_agrees_with_eps_when_unique():
             px = Atom("P", (x,))
             assert eval_term(m, None, Binder(sx.IOTA, x, px)).value \
                 == eval_term(m, None, Binder(sx.EPS, x, px)).value
+
+
+# -- choice cache and flags -------------------------------------------------
+
+def test_choice_cache_regression():
+    # _atom's substitute makes temporary terms; a freed one could hand its
+    # id, and with it its cached choice, to a new term
+    sig = Signature(frozenset({"s"}), {}, {},
+                    {p: ("s",) for p in ("P", "Q", "A", "B")})
+    g1 = parser.parse_formula("P(most:s(y:s. Q(eps z:s. A(z))))", sig)
+    g2 = parser.parse_formula("P(most:s(y:s. Q(eps z:s. B(z))))", sig)
+    both = Or(g1, g2)
+    for m in enumerate_models(sig, 3):
+        want = eval_formula(m, None, both).value
+        assert truth(m, both) == want
+        assert truth(m, g1) == eval_formula(m, None, g1).value
+        assert truth(m, g2) == eval_formula(m, None, g2).value
+        # the tree walk that truth() falls back to, which keeps the cache
+        assert models._Evaluator(m, record=False).formula(both, Environment()) \
+            == want
+
+
+def test_most_ratio_flag_is_recorded_once():
+    m = parser.parse_model("sort s = {a,b,c}\npred P : s = {a,b,c}")
+    f = parser.parse_formula("forall y:s. forall w:s. most x:s. P(x)",
+                             m.signature)
+    flags = eval_formula(m, None, f).flags
+    assert [fl for fl in flags if fl.startswith("most-ratio")] == ["most-ratio 1"]
