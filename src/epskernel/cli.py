@@ -9,6 +9,7 @@ formula generator seed used by selftest.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -219,7 +220,10 @@ def _add_common(p, model=False, signature=False, kernel_flags=False):
                        help="enable the experimental most instantiation rule")
 
 
+@functools.cache
 def build_arg_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     ap = argparse.ArgumentParser(
         prog="epskernel",
         description="proof checking, finite-model evaluation and semantic "
@@ -272,8 +276,6 @@ def build_arg_parser():
     p = sub.add_parser("selftest", help="run the embedded invariant suites")
     _add_common(p)
     p.add_argument("--size", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; runs sequentially")
     p.set_defaults(fn=run_selftest)
 
     return ap

@@ -281,9 +281,7 @@ class _Compiler:
         return (lambda d, env: tuple(fn(d, env) for fn in fns) in d[ek]), deps
 
     def generic_atom(self, f, scope):
-        """P(most:S) and P(many:S(y. R)) read as most/many x:S (R). P(x),
-        renaming y to x as _Evaluator._atom does, so that a free x of R is
-        captured here as it is there."""
+        """P(most:S) and P(many:S(y. R)) read as most/many y:S (R). P(y)."""
         g = f.args[0]
         if f.pred == sx.EQ:
             raise _Uncompilable
@@ -292,11 +290,8 @@ class _Compiler:
         mk = self.need("mask", f.pred, g.sort)
         restr, deps = None, 0
         if isinstance(g, GenericRestricted):
-            x = Var("x", g.sort)
-            r = sx.substitute(g.restriction, g.var, x) if g.var != x \
-                else g.restriction
-            slot, inner = self.bind(scope, "x")
-            restr, deps = self.mask(r, inner, slot, g.sort)
+            slot, inner = self.bind(scope, g.var.name)
+            restr, deps = self.mask(g.restriction, inner, slot, g.sort)
             deps &= ~(1 << slot)
         kind = "many" if g.kind == "many" else sx.MOST
         return self.decide(kind, None, dk, restr, lambda d, env: d[mk]), deps

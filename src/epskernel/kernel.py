@@ -63,17 +63,6 @@ class Verdict:
     nodes: list = field(default_factory=list)  # (line, rule, ok) in check order
 
 
-RULE_ARITY = {
-    "hyp": 0, "and-i": 2, "and-e1": 1, "and-e2": 1, "or-i1": 1, "or-i2": 1,
-    "or-e": 3, "imp-i": 1, "imp-e": 2, "not-i": 2, "not-e": 2,
-    "forall-i": 1, "forall-e": 1, "exists-i": 1, "exists-e": 2,
-    "eps-intro": 1, "tau-intro": 1, "eps-dual": 1, "tau-dual": 1,
-    "star-weaken": 1, "star-strengthen": 1,
-    "maj-refute-minority": 1, "maj-refute-disjoint": 2,
-    "most-inst": 1,
-}
-
-
 def _member(f, fs):
     return any(alpha_eq(f, g) for g in fs)
 
@@ -112,14 +101,14 @@ def _check_node(node, sig, cfg, failures, nodes):
         for e in sx.well_sorted(f, sig):
             fail("well-sorted", e)
 
-    arity = RULE_ARITY.get(node.rule)
-    if arity is None:
+    arity, checker = RULES.get(node.rule, (None, None))
+    if checker is None:
         fail("rule", "unknown rule %r" % node.rule)
     elif len(node.premises) != arity:
         fail("arity", "%s takes %d premises, got %d"
              % (node.rule, arity, len(node.premises)))
     else:
-        _CHECKERS[node.rule](node, sig, cfg, fail)
+        checker(node, sig, cfg, fail)
     nodes.append((node.line, node.rule, len(failures) == before))
 
 
@@ -331,89 +320,57 @@ def _chk_exists_e(node, sig, cfg, fail):
 
 
 def _binder_candidates(formula, kind, negated):
+    """(term, A) for each `kind` term in `formula` that reads as
+    kind x. A(x), or as kind x. not A(x) when `negated`."""
     for t in subterms(formula):
         if isinstance(t, Binder) and t.kind == kind:
-            if negated and not isinstance(t.body, Not):
+            if not negated:
+                yield t, t.body
+            elif isinstance(t.body, Not):
+                yield t, t.body.body
+
+
+def _chk_choice_witness(kind, negated, shape):
+    # eps-intro: from B(t) infer B(eps x. B(x));
+    # tau-dual: from B(t) infer B(tau x. not B(x))
+    def chk(node, sig, cfg, fail):
+        c = node.sequent.conclusion
+        prem = node.premises[0].sequent.conclusion
+        for e, body in _binder_candidates(c, kind, negated):
+            if not alpha_eq(c, substitute(body, e.var, e)):
                 continue
-            yield t
+            t = _witness(node, e.var, sig, lambda *a: None)
+            if t is not None and alpha_eq(prem, substitute(body, e.var, t)):
+                _premise_hyps_ok(node, fail)
+                return
+        if node.witness is None:
+            fail("witness", "%s needs a '[x := t]' annotation" % node.rule)
+        fail("shape", "conclusion is not %s for the premise B(t)" % shape)
+    return chk
 
 
-def _chk_eps_intro(node, sig, cfg, fail):
-    # From B(t) infer B(eps x. B(x))
-    c = node.sequent.conclusion
-    prem = node.premises[0].sequent.conclusion
-    for e in _binder_candidates(c, sx.EPS, negated=False):
-        body = e.body
-        if not alpha_eq(c, substitute(body, e.var, e)):
-            continue
-        t = _witness(node, e.var, sig, lambda *a: None)
-        if t is not None and alpha_eq(prem, substitute(body, e.var, t)):
-            _premise_hyps_ok(node, fail)
+def _chk_choice_generic(kind, negated, shape):
+    # tau-intro: from A(x), x generic, infer A(tau x. A(x));
+    # eps-dual: from A(x), x generic, infer A(eps x. not A(x))
+    def chk(node, sig, cfg, fail):
+        c = node.sequent.conclusion
+        prem = node.premises[0].sequent
+        if node.eigen is None:
+            fail("eigenvariable", "%s needs an '[eigen x]' annotation" % node.rule)
             return
-    if node.witness is None:
-        fail("witness", "eps-intro needs a '[x := t]' annotation")
-    fail("shape", "conclusion is not B(eps x. B(x)) for the premise B(t)")
-
-
-def _chk_tau_intro(node, sig, cfg, fail):
-    # From A(x), x generic, infer A(tau x. A(x))
-    c = node.sequent.conclusion
-    prem = node.premises[0].sequent
-    if node.eigen is None:
-        fail("eigenvariable", "tau-intro needs an '[eigen x]' annotation")
-        return
-    for e in _binder_candidates(c, sx.TAU, negated=False):
-        body = e.body
-        if not alpha_eq(c, substitute(body, e.var, e)):
-            continue
-        x = Var(node.eigen, e.var.sort)
-        if alpha_eq(prem.conclusion, substitute(body, e.var, x)):
-            if _name_free_in(node.eigen, prem.hypotheses) \
-                    or _name_free_in(node.eigen, node.sequent.hypotheses):
-                fail("eigenvariable", "no free occurrence of %s allowed in any "
-                     "hypothesis" % node.eigen)
-            _premise_hyps_ok(node, fail)
-            return
-    fail("shape", "conclusion is not A(tau x. A(x)) for the generic premise")
-
-
-def _chk_eps_dual(node, sig, cfg, fail):
-    # From A(x), x generic, infer A(eps x. not A(x))
-    c = node.sequent.conclusion
-    prem = node.premises[0].sequent
-    if node.eigen is None:
-        fail("eigenvariable", "eps-dual needs an '[eigen x]' annotation")
-        return
-    for e in _binder_candidates(c, sx.EPS, negated=True):
-        body = e.body.body
-        if not alpha_eq(c, substitute(body, e.var, e)):
-            continue
-        x = Var(node.eigen, e.var.sort)
-        if alpha_eq(prem.conclusion, substitute(body, e.var, x)):
-            if _name_free_in(node.eigen, prem.hypotheses) \
-                    or _name_free_in(node.eigen, node.sequent.hypotheses):
-                fail("eigenvariable", "no free occurrence of %s allowed in any "
-                     "hypothesis" % node.eigen)
-            _premise_hyps_ok(node, fail)
-            return
-    fail("shape", "conclusion is not A(eps x. not A(x)) for the generic premise")
-
-
-def _chk_tau_dual(node, sig, cfg, fail):
-    # From B(t) infer B(tau x. not B(x))
-    c = node.sequent.conclusion
-    prem = node.premises[0].sequent.conclusion
-    for e in _binder_candidates(c, sx.TAU, negated=True):
-        body = e.body.body
-        if not alpha_eq(c, substitute(body, e.var, e)):
-            continue
-        t = _witness(node, e.var, sig, lambda *a: None)
-        if t is not None and alpha_eq(prem, substitute(body, e.var, t)):
-            _premise_hyps_ok(node, fail)
-            return
-    if node.witness is None:
-        fail("witness", "tau-dual needs a '[x := t]' annotation")
-    fail("shape", "conclusion is not B(tau x. not B(x)) for the premise B(t)")
+        for e, body in _binder_candidates(c, kind, negated):
+            if not alpha_eq(c, substitute(body, e.var, e)):
+                continue
+            x = Var(node.eigen, e.var.sort)
+            if alpha_eq(prem.conclusion, substitute(body, e.var, x)):
+                if _name_free_in(node.eigen, prem.hypotheses) \
+                        or _name_free_in(node.eigen, node.sequent.hypotheses):
+                    fail("eigenvariable", "no free occurrence of %s allowed in "
+                         "any hypothesis" % node.eigen)
+                _premise_hyps_ok(node, fail)
+                return
+        fail("shape", "conclusion is not %s for the generic premise" % shape)
+    return chk
 
 
 def _same_quant_core(a, b):
@@ -423,34 +380,21 @@ def _same_quant_core(a, b):
                          Quant(sx.FORALL, b.var, b.restriction, b.body)))
 
 
-def _chk_star_weaken(node, sig, cfg, fail):
-    # regime B: forall / forall* ; regime A: forall* / forall
-    src, dst = ((sx.FORALL, sx.FORALL_STAR) if cfg.star_regime == "B"
-                else (sx.FORALL_STAR, sx.FORALL))
-    p = node.premises[0].sequent.conclusion
-    c = node.sequent.conclusion
-    if not (isinstance(p, Quant) and p.kind == src):
-        fail("regime", "under regime %s star-weaken needs a %s premise"
-             % (cfg.star_regime, src))
-        return
-    if not (isinstance(c, Quant) and c.kind == dst and _same_quant_core(p, c)):
-        fail("shape", "conclusion must be the %s form of the premise" % dst)
-    _premise_hyps_ok(node, fail)
-
-
-def _chk_star_strengthen(node, sig, cfg, fail):
-    # regime B: exists* / exists ; regime A: exists / exists*
-    src, dst = ((sx.EXISTS_STAR, sx.EXISTS) if cfg.star_regime == "B"
-                else (sx.EXISTS, sx.EXISTS_STAR))
-    p = node.premises[0].sequent.conclusion
-    c = node.sequent.conclusion
-    if not (isinstance(p, Quant) and p.kind == src):
-        fail("regime", "under regime %s star-strengthen needs a %s premise"
-             % (cfg.star_regime, src))
-        return
-    if not (isinstance(c, Quant) and c.kind == dst and _same_quant_core(p, c)):
-        fail("shape", "conclusion must be the %s form of the premise" % dst)
-    _premise_hyps_ok(node, fail)
+def _chk_star(regime_b):
+    # star-weaken, regime B: forall / forall*, regime A: forall* / forall;
+    # star-strengthen, regime B: exists* / exists, regime A: exists / exists*
+    def chk(node, sig, cfg, fail):
+        src, dst = regime_b if cfg.star_regime == "B" else regime_b[::-1]
+        p = node.premises[0].sequent.conclusion
+        c = node.sequent.conclusion
+        if not (isinstance(p, Quant) and p.kind == src):
+            fail("regime", "under regime %s %s needs a %s premise"
+                 % (cfg.star_regime, node.rule, src))
+            return
+        if not (isinstance(c, Quant) and c.kind == dst and _same_quant_core(p, c)):
+            fail("shape", "conclusion must be the %s form of the premise" % dst)
+        _premise_hyps_ok(node, fail)
+    return chk
 
 
 def _most_node(f, mode):
@@ -529,31 +473,32 @@ def _chk_most_inst(node, sig, cfg, fail):
     _premise_hyps_ok(node, fail)
 
 
-_CHECKERS = {
-    "hyp": _chk_hyp,
-    "and-i": _chk_and_i,
-    "and-e1": _chk_and_e(1),
-    "and-e2": _chk_and_e(2),
-    "or-i1": _chk_or_i(1),
-    "or-i2": _chk_or_i(2),
-    "or-e": _chk_or_e,
-    "imp-i": _chk_imp_i,
-    "imp-e": _chk_imp_e,
-    "not-i": _chk_not_i,
-    "not-e": _chk_not_e,
-    "forall-i": _chk_forall_i,
-    "forall-e": _chk_forall_e,
-    "exists-i": _chk_exists_i,
-    "exists-e": _chk_exists_e,
-    "eps-intro": _chk_eps_intro,
-    "tau-intro": _chk_tau_intro,
-    "eps-dual": _chk_eps_dual,
-    "tau-dual": _chk_tau_dual,
-    "star-weaken": _chk_star_weaken,
-    "star-strengthen": _chk_star_strengthen,
-    "maj-refute-minority": _chk_maj_minority,
-    "maj-refute-disjoint": _chk_maj_disjoint,
-    "most-inst": _chk_most_inst,
+# rule name -> (number of premises, checker)
+RULES = {
+    "hyp": (0, _chk_hyp),
+    "and-i": (2, _chk_and_i),
+    "and-e1": (1, _chk_and_e(1)),
+    "and-e2": (1, _chk_and_e(2)),
+    "or-i1": (1, _chk_or_i(1)),
+    "or-i2": (1, _chk_or_i(2)),
+    "or-e": (3, _chk_or_e),
+    "imp-i": (1, _chk_imp_i),
+    "imp-e": (2, _chk_imp_e),
+    "not-i": (2, _chk_not_i),
+    "not-e": (2, _chk_not_e),
+    "forall-i": (1, _chk_forall_i),
+    "forall-e": (1, _chk_forall_e),
+    "exists-i": (1, _chk_exists_i),
+    "exists-e": (2, _chk_exists_e),
+    "eps-intro": (1, _chk_choice_witness(sx.EPS, False, "B(eps x. B(x))")),
+    "tau-intro": (1, _chk_choice_generic(sx.TAU, False, "A(tau x. A(x))")),
+    "eps-dual": (1, _chk_choice_generic(sx.EPS, True, "A(eps x. not A(x))")),
+    "tau-dual": (1, _chk_choice_witness(sx.TAU, True, "B(tau x. not B(x))")),
+    "star-weaken": (1, _chk_star((sx.FORALL, sx.FORALL_STAR))),
+    "star-strengthen": (1, _chk_star((sx.EXISTS_STAR, sx.EXISTS))),
+    "maj-refute-minority": (1, _chk_maj_minority),
+    "maj-refute-disjoint": (2, _chk_maj_disjoint),
+    "most-inst": (1, _chk_most_inst),
 }
 
 
@@ -561,26 +506,10 @@ _CHECKERS = {
 # derived equivalences of the eps/tau operators
 
 
-def derived_equivalences(sig):
-    """For each unary predicate, the two defining equivalence pairs:
-    (P(tau x. P(x)), forall x. P(x)) and (P(eps x. P(x)), exists x. P(x))."""
-    pairs = []
-    for p, args in sorted(sig.predicates.items()):
-        if len(args) != 1:
-            continue
-        s = args[0]
-        x = Var("x", s)
-        px = Atom(p, (x,))
-        tau_t = Binder(sx.TAU, x, px)
-        eps_t = Binder(sx.EPS, x, px)
-        pairs.append((Atom(p, (tau_t,)), Quant(sx.FORALL, x, None, px)))
-        pairs.append((Atom(p, (eps_t,)), Quant(sx.EXISTS, x, None, px)))
-    return pairs
-
-
 def derived_equivalence_proofs(sig):
-    """One-directional proof trees for each equivalence pair; all of them
-    must pass check_proof."""
+    """For each unary predicate P, proof trees for both directions of
+    P(tau x. P(x)) <-> forall x. P(x) and P(eps x. P(x)) <-> exists x. P(x);
+    all of them must pass check_proof."""
     proofs = []
     for p, args in sorted(sig.predicates.items()):
         if len(args) != 1:

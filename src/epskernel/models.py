@@ -294,13 +294,11 @@ class _Evaluator:
         # quantifier in disguise: P(most:S) means "most x:S. P(x)"
         if len(f.args) == 1 and isinstance(f.args[0], (Generic, GenericRestricted)):
             g = f.args[0]
-            x = Var("x", g.sort)
-            body = Atom(f.pred, (x,))
             if isinstance(g, Generic):
-                return self._most(x, None, body, env, kind=g.kind)
-            restr = sx.substitute(g.restriction, g.var, x) if g.var != x \
-                else g.restriction
-            return self._most(x, restr, body, env, kind=g.kind)
+                x, restr = Var("x", g.sort), None
+            else:
+                x, restr = Var(g.var.name, g.sort), g.restriction
+            return self._most(x, restr, Atom(f.pred, (x,)), env, kind=g.kind)
         args = tuple(self.term(a, env) for a in f.args)
         if f.pred == sx.EQ:
             return args[0] == args[1]

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import syntax as sx
+from .kernel import RULES, ProofTree, Sequent
 from .syntax import (Atom, And, App, Binder, Const, Generic, GenericRestricted,
                      Implies, Not, Or, PredApp, Quant, Quant2, Signature, Var)
 
@@ -325,18 +326,15 @@ class _P:
         name = self.next().text
         if self.peek().text == "(" and name not in self.bound:
             self.next()
-            args = [self.term_or_formula_arg()]
+            args = [self.term()]
             while self.peek().text == ",":
                 self.next()
-                args.append(self.term_or_formula_arg())
+                args.append(self.term())
             self.expect(")")
             return App(name, tuple(args))
         if name in self.bound:
             return Var(name, self.bound[name])
         return Const(name)
-
-    def term_or_formula_arg(self):
-        return self.term()
 
 
 def parse_formula(text, sig=None, env=None):
@@ -779,17 +777,6 @@ def _parse_tuple_set(rhs, arity, lineno, raw, diags):
 # The last line is the root of the proof tree.
 
 
-RULES = {
-    "hyp", "and-i", "and-e1", "and-e2", "or-i1", "or-i2", "or-e",
-    "imp-i", "imp-e", "not-i", "not-e",
-    "forall-i", "forall-e", "exists-i", "exists-e",
-    "eps-intro", "tau-intro", "eps-dual", "tau-dual",
-    "star-weaken", "star-strengthen",
-    "maj-refute-minority", "maj-refute-disjoint",
-    "most-inst",
-}
-
-
 @dataclass(frozen=True)
 class ScriptLine:
     number: int
@@ -804,8 +791,6 @@ class ScriptLine:
 
 def parse_proof_script(text, sig):
     """Parse a proof script into a kernel.ProofTree (root = last line)."""
-    from .kernel import ProofTree, Sequent
-
     lines = {}
     order = []
     diags = []

@@ -9,7 +9,7 @@ All values are immutable; every operation here is a pure function.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 # quantifier kinds
 FORALL = "forall"
@@ -196,6 +196,92 @@ def is_formula(e):
 
 
 # ---------------------------------------------------------------------------
+# node structure
+#
+# The one place that says how each node class is put together.  _SHAPES
+# maps a class to (children, rebuild, binds, label):
+#   children(e)       e's child terms and formulas, in field order;
+#   rebuild(e, kids)  a node like e with its children replaced by `kids`;
+#   binds             BINDS_VAR when e binds the variable `e.var` in all its
+#                     children, BINDS_PREDVAR when it binds the predicate
+#                     variable `e.predvar` in its body, else None;
+#   label(e)          what alpha_eq compares besides children and bound
+#                     names, or None when there is nothing (a Var's name
+#                     is looked up in alpha_eq's scopes instead).
+
+BINDS_VAR = "var"
+BINDS_PREDVAR = "predvar"
+
+
+def _leaf(e):
+    return ()
+
+
+def _unchanged(e, kids):
+    return e
+
+
+def _args(e):
+    return e.args
+
+
+def _body(e):
+    return (e.body,)
+
+
+def _sides(e):
+    return (e.left, e.right)
+
+
+def _quant_children(e):
+    return (e.body,) if e.restriction is None else (e.restriction, e.body)
+
+
+_SHAPES = {
+    Var: (_leaf, _unchanged, None, None),
+    Const: (_leaf, _unchanged, None, lambda e: e.name),
+    Generic: (_leaf, _unchanged, None, lambda e: (e.kind, e.sort)),
+    App: (_args, lambda e, k: App(e.func, tuple(k)), None, lambda e: e.func),
+    Binder: (_body, lambda e, k: Binder(e.kind, e.var, k[0]), BINDS_VAR,
+             lambda e: (e.kind, e.var.sort)),
+    GenericRestricted: (
+        lambda e: (e.restriction,),
+        lambda e, k: GenericRestricted(e.kind, e.sort, e.var, k[0]),
+        BINDS_VAR, lambda e: (e.kind, e.sort, e.var.sort)),
+    Atom: (_args, lambda e, k: Atom(e.pred, tuple(k)), None, lambda e: e.pred),
+    PredApp: (lambda e: (e.arg,), lambda e, k: PredApp(e.predvar, k[0]), None,
+              None),
+    Not: (_body, lambda e, k: Not(k[0]), None, None),
+    And: (_sides, lambda e, k: And(*k), None, None),
+    Or: (_sides, lambda e, k: Or(*k), None, None),
+    Implies: (_sides, lambda e, k: Implies(*k), None, None),
+    Quant: (_quant_children,
+            lambda e, k: Quant(e.kind, e.var, k[0] if len(k) == 2 else None,
+                               k[-1], e.mode),
+            BINDS_VAR, lambda e: (e.kind, e.var.sort, e.mode)),
+    Quant2: (_body, lambda e, k: Quant2(e.kind, e.predvar, e.sort, k[0]),
+             BINDS_PREDVAR, lambda e: (e.kind, e.sort)),
+}
+
+
+def _shape(e):
+    try:
+        return _SHAPES[type(e)]
+    except KeyError:
+        raise TypeError("not a term or formula: %r" % (e,)) from None
+
+
+def children(e):
+    """The child terms and formulas of a node, in field order."""
+    return _shape(e)[0](e)
+
+
+def rebuild(e, kids):
+    """A node like `e` with its children replaced by `kids`."""
+    return _shape(e)[1](e, kids)
+
+
+# ---------------------------------------------------------------------------
 # signatures
 
 
@@ -224,12 +310,6 @@ class Signature:
         if self.integer_sort is not None and self.integer_sort not in self.sorts:
             errs.append("integer sort %s is not declared" % self.integer_sort)
         return errs
-
-    def with_predicate(self, name, arg_sorts):
-        preds = dict(self.predicates)
-        preds[name] = tuple(arg_sorts)
-        return Signature(self.sorts, self.constants, self.functions, preds,
-                         self.integer_sort)
 
 
 def term_sort(t, sig):
@@ -265,36 +345,15 @@ def free_vars(e):
 
 
 def _free_vars(e, bound, out):
-    if isinstance(e, Var):
+    if type(e) is Var:
         if e not in bound:
             out.add(e)
-    elif isinstance(e, (Const, Generic)):
-        pass
-    elif isinstance(e, App):
-        for a in e.args:
-            _free_vars(a, bound, out)
-    elif isinstance(e, Binder):
-        _free_vars(e.body, bound | {e.var}, out)
-    elif isinstance(e, GenericRestricted):
-        _free_vars(e.restriction, bound | {e.var}, out)
-    elif isinstance(e, Atom):
-        for a in e.args:
-            _free_vars(a, bound, out)
-    elif isinstance(e, PredApp):
-        _free_vars(e.arg, bound, out)
-    elif isinstance(e, Not):
-        _free_vars(e.body, bound, out)
-    elif isinstance(e, (And, Or, Implies)):
-        _free_vars(e.left, bound, out)
-        _free_vars(e.right, bound, out)
-    elif isinstance(e, Quant):
-        if e.restriction is not None:
-            _free_vars(e.restriction, bound | {e.var}, out)
-        _free_vars(e.body, bound | {e.var}, out)
-    elif isinstance(e, Quant2):
-        _free_vars(e.body, bound, out)
-    else:
-        raise TypeError("not a term or formula: %r" % (e,))
+        return
+    kids, _, binds, _ = _shape(e)
+    if binds is BINDS_VAR:
+        bound = bound | {e.var}
+    for k in kids(e):
+        _free_vars(k, bound, out)
 
 
 def free_predvars(e):
@@ -305,28 +364,13 @@ def free_predvars(e):
 
 
 def _free_predvars(e, bound, out):
-    if isinstance(e, PredApp):
-        if e.predvar not in bound:
-            out.add(e.predvar)
-        _free_predvars(e.arg, bound, out)
-    elif isinstance(e, (Atom, App)):
-        for a in e.args:
-            _free_predvars(a, bound, out)
-    elif isinstance(e, (Binder,)):
-        _free_predvars(e.body, bound, out)
-    elif isinstance(e, GenericRestricted):
-        _free_predvars(e.restriction, bound, out)
-    elif isinstance(e, Not):
-        _free_predvars(e.body, bound, out)
-    elif isinstance(e, (And, Or, Implies)):
-        _free_predvars(e.left, bound, out)
-        _free_predvars(e.right, bound, out)
-    elif isinstance(e, Quant):
-        if e.restriction is not None:
-            _free_predvars(e.restriction, bound, out)
-        _free_predvars(e.body, bound, out)
-    elif isinstance(e, Quant2):
-        _free_predvars(e.body, bound | {e.predvar}, out)
+    kids, _, binds, _ = _shape(e)
+    if binds is BINDS_PREDVAR:
+        bound = bound | {e.predvar}
+    elif type(e) is PredApp and e.predvar not in bound:
+        out.add(e.predvar)
+    for k in kids(e):
+        _free_predvars(k, bound, out)
 
 
 # ---------------------------------------------------------------------------
@@ -357,62 +401,29 @@ def substitute(e, v, t, sig=None):
     return _subst(e, v, t, frozenset(x.name for x in free_vars(t)))
 
 
-def _rename_bound(var, inner, v, avoid):
-    """Rename `var` in the bodies `inner` (list) when capture threatens."""
+def _rename_bound(e, v, avoid):
+    """`e` with its bound variable renamed away from `avoid`, `v` and the
+    free variables of its children, so that substituting for `v` inside
+    cannot capture."""
+    kids = children(e)
     taken = set(avoid) | {v.name}
-    for b in inner:
-        taken |= {x.name for x in free_vars(b)}
-    nv = Var(fresh_name(var.name, taken), var.sort)
-    return nv, [_subst(b, var, nv, frozenset()) for b in inner]
+    for k in kids:
+        taken |= {x.name for x in free_vars(k)}
+    nv = Var(fresh_name(e.var.name, taken), e.var.sort)
+    return rebuild(replace(e, var=nv),
+                   [_subst(k, e.var, nv, frozenset()) for k in kids])
 
 
 def _subst(e, v, t, tfree):
-    if isinstance(e, Var):
+    if type(e) is Var:
         return t if e == v else e
-    if isinstance(e, (Const, Generic)):
-        return e
-    if isinstance(e, App):
-        return App(e.func, tuple(_subst(a, v, t, tfree) for a in e.args))
-    if isinstance(e, Binder):
+    kids, make, binds, _ = _shape(e)
+    if binds is BINDS_VAR:
         if e.var == v:
             return e
-        if e.var.name in tfree and any(x == v for x in free_vars(e)):
-            nv, (body,) = _rename_bound(e.var, [e.body], v, tfree)
-            return Binder(e.kind, nv, _subst(body, v, t, tfree))
-        return Binder(e.kind, e.var, _subst(e.body, v, t, tfree))
-    if isinstance(e, GenericRestricted):
-        if e.var == v:
-            return e
-        if e.var.name in tfree and any(x == v for x in free_vars(e)):
-            nv, (r,) = _rename_bound(e.var, [e.restriction], v, tfree)
-            return GenericRestricted(e.kind, e.sort, nv, _subst(r, v, t, tfree))
-        return GenericRestricted(e.kind, e.sort, e.var, _subst(e.restriction, v, t, tfree))
-    if isinstance(e, Atom):
-        return Atom(e.pred, tuple(_subst(a, v, t, tfree) for a in e.args))
-    if isinstance(e, PredApp):
-        return PredApp(e.predvar, _subst(e.arg, v, t, tfree))
-    if isinstance(e, Not):
-        return Not(_subst(e.body, v, t, tfree))
-    if isinstance(e, And):
-        return And(_subst(e.left, v, t, tfree), _subst(e.right, v, t, tfree))
-    if isinstance(e, Or):
-        return Or(_subst(e.left, v, t, tfree), _subst(e.right, v, t, tfree))
-    if isinstance(e, Implies):
-        return Implies(_subst(e.left, v, t, tfree), _subst(e.right, v, t, tfree))
-    if isinstance(e, Quant):
-        if e.var == v:
-            return e
-        if e.var.name in tfree and any(x == v for x in free_vars(e)):
-            inner = [e.body] if e.restriction is None else [e.body, e.restriction]
-            nv, renamed = _rename_bound(e.var, inner, v, tfree)
-            body = _subst(renamed[0], v, t, tfree)
-            restr = _subst(renamed[1], v, t, tfree) if e.restriction is not None else None
-            return Quant(e.kind, nv, restr, body, e.mode)
-        restr = None if e.restriction is None else _subst(e.restriction, v, t, tfree)
-        return Quant(e.kind, e.var, restr, _subst(e.body, v, t, tfree), e.mode)
-    if isinstance(e, Quant2):
-        return Quant2(e.kind, e.predvar, e.sort, _subst(e.body, v, t, tfree))
-    raise TypeError("not a term or formula: %r" % (e,))
+        if e.var.name in tfree and v in free_vars(e):
+            e = _rename_bound(e, v, tfree)
+    return make(e, [_subst(k, v, t, tfree) for k in kids(e)])
 
 
 # ---------------------------------------------------------------------------
@@ -425,73 +436,40 @@ def alpha_eq(a, b):
     return _alpha(a, b, (), ())
 
 
-def _lookup(env, name):
-    for i, (x, _) in enumerate(env):
-        if x == name:
-            return i, env[i][1]
-    return None, None
+def _same_name(env, x, y):
+    """Whether name `x` in one tree and `y` in the other denote the same
+    variable: bound by the same binder of `env` (pairs of names, innermost
+    first), or both free and equal."""
+    for p, q in env:
+        if p == x or q == y:
+            return p == x and q == y
+    return x == y
 
 
 def _alpha(a, b, env, penv):
-    # env: tuple of (name_in_a, name_in_b) for bound individual variables,
+    # env: pairs (name in a, name in b) of bound individual variables,
     # innermost first; penv likewise for predicate variables.
-    if type(a) is not type(b):
+    t = type(a)
+    if t is not type(b):
         return False
-    if isinstance(a, Var):
-        if a.sort != b.sort:
+    if t is Var:
+        return a.sort == b.sort and _same_name(env, a.name, b.name)
+    kids, _, binds, label = _shape(a)
+    if label is not None and label(a) != label(b):
+        return False
+    if binds is BINDS_VAR:
+        env = ((a.var.name, b.var.name),) + env
+    elif binds is BINDS_PREDVAR:
+        penv = ((a.predvar, b.predvar),) + penv
+    elif t is PredApp and not _same_name(penv, a.predvar, b.predvar):
+        return False
+    ka, kb = kids(a), kids(b)
+    if len(ka) != len(kb):
+        return False
+    for x, y in zip(ka, kb):
+        if not _alpha(x, y, env, penv):
             return False
-        ia, ma = _lookup(env, a.name)
-        ib = next((i for i, (_, y) in enumerate(env) if y == b.name), None)
-        if ia is None and ib is None:
-            return a.name == b.name
-        return ia == ib and ma == b.name
-    if isinstance(a, Const):
-        return a.name == b.name
-    if isinstance(a, App):
-        return (a.func == b.func and len(a.args) == len(b.args)
-                and all(_alpha(x, y, env, penv) for x, y in zip(a.args, b.args)))
-    if isinstance(a, Binder):
-        if a.kind != b.kind or a.var.sort != b.var.sort:
-            return False
-        return _alpha(a.body, b.body, ((a.var.name, b.var.name),) + env, penv)
-    if isinstance(a, Generic):
-        return a.kind == b.kind and a.sort == b.sort
-    if isinstance(a, GenericRestricted):
-        if a.kind != b.kind or a.sort != b.sort or a.var.sort != b.var.sort:
-            return False
-        return _alpha(a.restriction, b.restriction,
-                      ((a.var.name, b.var.name),) + env, penv)
-    if isinstance(a, Atom):
-        return (a.pred == b.pred and len(a.args) == len(b.args)
-                and all(_alpha(x, y, env, penv) for x, y in zip(a.args, b.args)))
-    if isinstance(a, PredApp):
-        ia, ma = _lookup(penv, a.predvar)
-        ib = next((i for i, (_, y) in enumerate(penv) if y == b.predvar), None)
-        if ia is None and ib is None:
-            ok = a.predvar == b.predvar
-        else:
-            ok = ia == ib and ma == b.predvar
-        return ok and _alpha(a.arg, b.arg, env, penv)
-    if isinstance(a, Not):
-        return _alpha(a.body, b.body, env, penv)
-    if isinstance(a, (And, Or, Implies)):
-        return (_alpha(a.left, b.left, env, penv)
-                and _alpha(a.right, b.right, env, penv))
-    if isinstance(a, Quant):
-        if a.kind != b.kind or a.var.sort != b.var.sort or a.mode != b.mode:
-            return False
-        if (a.restriction is None) != (b.restriction is None):
-            return False
-        env2 = ((a.var.name, b.var.name),) + env
-        if a.restriction is not None:
-            if not _alpha(a.restriction, b.restriction, env2, penv):
-                return False
-        return _alpha(a.body, b.body, env2, penv)
-    if isinstance(a, Quant2):
-        if a.kind != b.kind or a.sort != b.sort:
-            return False
-        return _alpha(a.body, b.body, env, ((a.predvar, b.predvar),) + penv)
-    raise TypeError("not a term or formula: %r" % (a,))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -656,26 +634,5 @@ def subterms(e):
 def _subterms(e, out):
     if isinstance(e, Term):
         out.append(e)
-        if isinstance(e, App):
-            for a in e.args:
-                _subterms(a, out)
-        elif isinstance(e, Binder):
-            _subterms(e.body, out)
-        elif isinstance(e, GenericRestricted):
-            _subterms(e.restriction, out)
-    elif isinstance(e, (Atom,)):
-        for a in e.args:
-            _subterms(a, out)
-    elif isinstance(e, PredApp):
-        _subterms(e.arg, out)
-    elif isinstance(e, Not):
-        _subterms(e.body, out)
-    elif isinstance(e, (And, Or, Implies)):
-        _subterms(e.left, out)
-        _subterms(e.right, out)
-    elif isinstance(e, Quant):
-        if e.restriction is not None:
-            _subterms(e.restriction, out)
-        _subterms(e.body, out)
-    elif isinstance(e, Quant2):
-        _subterms(e.body, out)
+    for k in children(e):
+        _subterms(k, out)

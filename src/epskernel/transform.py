@@ -25,29 +25,31 @@ class Translation:
     tags: tuple = ()
 
 
-def _map_subformulas(f, fn):
-    """Rebuild `f` with `fn` applied bottom-up to every quantifier node."""
-    if isinstance(f, (Atom, PredApp)):
-        return f
-    if isinstance(f, Not):
-        return Not(_map_subformulas(f.body, fn))
-    if isinstance(f, And):
-        return And(_map_subformulas(f.left, fn), _map_subformulas(f.right, fn))
-    if isinstance(f, Or):
-        return Or(_map_subformulas(f.left, fn), _map_subformulas(f.right, fn))
-    if isinstance(f, Implies):
-        return Implies(_map_subformulas(f.left, fn), _map_subformulas(f.right, fn))
-    if isinstance(f, Quant):
-        restr = None if f.restriction is None else _map_subformulas(f.restriction, fn)
-        body = _map_subformulas(f.body, fn)
-        return fn(Quant(f.kind, f.var, restr, body, f.mode))
-    if isinstance(f, Quant2):
-        return Quant2(f.kind, f.predvar, f.sort, _map_subformulas(f.body, fn))
-    raise TransformError("not a formula: %r" % (f,))
+def _map_subformulas(e, fn):
+    """Rebuild `e` with `fn` applied bottom-up to every quantifier node,
+    including those inside choice-term bodies and generic restrictions."""
+    kids = sx.children(e)
+    new = [_map_subformulas(k, fn) for k in kids]
+    if any(n is not k for n, k in zip(new, kids)):
+        e = sx.rebuild(e, new)
+    return fn(e) if type(e) is Quant else e
 
 
 # ---------------------------------------------------------------------------
 # Frege restriction embedding
+
+
+def _frege_step(q):
+    """The quantifier node `q` with a restricted forall/exists rewritten to
+    its unrestricted form; its subformulas are left as they are."""
+    if q.restriction is None:
+        return q
+    if q.kind == sx.FORALL:
+        return Quant(sx.FORALL, q.var, None, Implies(q.restriction, q.body))
+    if q.kind == sx.EXISTS:
+        return Quant(sx.EXISTS, q.var, None, And(q.restriction, q.body))
+    # starred quantifiers and "most" keep their measure-relative restriction
+    return q
 
 
 def frege_embed(f):
@@ -57,17 +59,8 @@ def frege_embed(f):
     has_most = [False]
 
     def step(q):
-        if q.kind == sx.MOST:
-            has_most[0] = True
-            return q
-        if q.restriction is None:
-            return q
-        if q.kind == sx.FORALL:
-            return Quant(sx.FORALL, q.var, None, Implies(q.restriction, q.body))
-        if q.kind == sx.EXISTS:
-            return Quant(sx.EXISTS, q.var, None, And(q.restriction, q.body))
-        # starred quantifiers keep their measure-relative restriction
-        return q
+        has_most[0] = has_most[0] or q.kind == sx.MOST
+        return _frege_step(q)
 
     out = _map_subformulas(f, step)
     tags = (TAG_NOT_FREGE_REDUCIBLE,) if has_most[0] else ()
@@ -112,8 +105,7 @@ def epsilon_embed(f, use_tau=False):
     def step(q):
         if q.kind in (sx.MOST, sx.FORALL_STAR, sx.EXISTS_STAR):
             raise TransformError("cannot epsilon-embed a %s quantifier" % q.kind)
-        if q.restriction is not None:
-            q = frege_embed(q).formula
+        q = _frege_step(q)
         if q.kind == sx.EXISTS:
             return substitute(q.body, q.var, Binder(sx.EPS, q.var, q.body))
         if use_tau:
@@ -123,14 +115,15 @@ def epsilon_embed(f, use_tau=False):
     return _map_subformulas(f, step)
 
 
-def quantifier_free(f):
-    if isinstance(f, (Atom, PredApp)):
-        return True
-    if isinstance(f, Not):
-        return quantifier_free(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return quantifier_free(f.left) and quantifier_free(f.right)
-    return False
+def quantifier_free(e):
+    """No Quant or Quant2 node anywhere in `e`, choice terms included."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if type(e) in (Quant, Quant2):
+            return False
+        todo.extend(sx.children(e))
+    return True
 
 
 # ---------------------------------------------------------------------------

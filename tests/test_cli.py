@@ -139,3 +139,43 @@ def test_deep_nesting_exit_2(capsys, tmp_path, command):
     assert code == 2
     assert "nested too deep" in err
     assert out == ""
+
+
+def test_every_subcommand_runs_twice_alike(capsys, fixtures, monkeypatch):
+    monkeypatch.setenv("EPSKERNEL_SEED", "42")
+    sig = str(fixtures / "base.sig")
+    calls = [
+        ["parse", "--signature", sig, "forall x:s. P(x)"],
+        ["parse", "--signature", sig, "forall x:s ("],
+        ["check", "--signature", sig, "--proof",
+         str(fixtures / "exists-intro.proof")],
+        ["check", "--signature", sig, "--proof",
+         str(fixtures / "bad-eigenvariable.proof")],
+        ["eval", "--model", str(fixtures / "most_counterexample.model"),
+         "--witnesses", "--format", "records", "exists x:ind. student(x)"],
+        ["translate", "--signature", sig, "--mode", "epsilon",
+         "exists x:s. P(x)"],
+        ["classify", "most", "--size", "3"],
+        ["semantics", "--lexicon", str(fixtures / "fragment.lex"),
+         "a man enters . he whistles"],
+        ["selftest", "--size", "2"],
+    ]
+    for argv in calls:
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first, argv
+
+
+def test_unknown_rule_is_a_parse_error(capsys, fixtures, tmp_path):
+    proof = tmp_path / "bad-rule.proof"
+    proof.write_text("1. P(c) |- P(c) ; hyp\n2. P(c) |- P(c) ; copy(1)\n")
+    code, out, err = run(capsys, "check", "--signature",
+                         str(fixtures / "base.sig"), "--proof", str(proof))
+    assert code == 2
+    assert "unknown rule 'copy'" in err and out == ""
+
+
+def test_selftest_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["selftest", "--jobs", "2"])
+    assert e.value.code == 2
+    capsys.readouterr()

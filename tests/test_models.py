@@ -292,3 +292,23 @@ def test_most_ratio_flag_is_recorded_once():
                              m.signature)
     flags = eval_formula(m, None, f).flags
     assert [fl for fl in flags if fl.startswith("most-ratio")] == ["most-ratio 1"]
+
+
+def test_generic_restriction_keeps_its_own_variable(tmp_path, capsys):
+    # the restriction's free x must stay the outer x, as it does in the
+    # restricted-quantifier form of the same sentence
+    text = "sort s = {a,b}\npred P : s = {a,b}\npred R : s, s = {(a,b),(b,a)}"
+    m = parser.parse_model(text)
+    f = parser.parse_formula("forall x:s. P(most:s(y:s. R(x, y)))", m.signature)
+    g = parser.parse_formula("forall x:s. most z:s (R(x, z)). P(z)", m.signature)
+    assert eval_formula(m, None, g).value is True
+    res = eval_formula(m, None, f)
+    assert res.value is True and "empty-restriction" not in res.flags
+    assert truth(m, f) is True
+    path = tmp_path / "capture.model"
+    path.write_text(text, encoding="utf-8")
+    from epskernel.cli import main
+    assert main(["eval", "--model", str(path), "--expect-true",
+                 "forall x:s. P(most:s(y:s. R(x, y)))"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "forall x:s. P(most:s(y:s. R(x, y))) = true\n")

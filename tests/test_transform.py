@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -145,3 +146,24 @@ def test_nnf_star_duals():
 def test_nnf_rejects_most():
     with pytest.raises(transform.TransformError):
         transform.push_negation(fparse("not most x:s. P(x)"))
+
+
+def test_epsilon_embed_reaches_into_choice_terms():
+    f = fparse("P(eps x:s. exists y:s. Q(y))")
+    g = transform.epsilon_embed(f)
+
+    def quantifiers(e):
+        # every Quant node, found through the dataclass fields
+        if isinstance(e, tuple):
+            return sum((quantifiers(x) for x in e), [])
+        if not dataclasses.is_dataclass(e):
+            return []
+        own = [e] if isinstance(e, (Quant, Quant2)) else []
+        return own + sum((quantifiers(getattr(e, fl.name))
+                          for fl in dataclasses.fields(e)), [])
+
+    assert quantifiers(f) and not quantifiers(g)
+    assert transform.quantifier_free(g)
+    assert not transform.quantifier_free(f)
+    for m in models.enumerate_models(SIG, 3):
+        assert models.truth(m, g) == models.truth(m, f)
