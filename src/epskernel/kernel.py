@@ -81,17 +81,28 @@ def _name_free_in(name, fs):
 
 def check_proof(proof, sig, cfg=None):
     """Check a proof tree; returns a Verdict.  Checking is total: every
-    violated side condition becomes a failure record, nothing raises."""
+    violated side condition becomes a failure record, nothing raises.
+
+    Premises are checked before their conclusion.  A node object shared by
+    several conclusions, as a proof script's cited lines are, is checked
+    once."""
     cfg = cfg or KernelConfig()
     failures = []
     nodes = []
-    _check_node(proof, sig, cfg, failures, nodes)
+    done = set()     # ids of nodes seen; all stay alive through `proof`
+    todo = [(proof, False)]
+    while todo:
+        node, ready = todo.pop()
+        if ready:
+            _check_node(node, sig, cfg, failures, nodes)
+        elif id(node) not in done:
+            done.add(id(node))
+            todo.append((node, True))
+            todo.extend((p, False) for p in reversed(node.premises))
     return Verdict(not failures, failures, nodes)
 
 
 def _check_node(node, sig, cfg, failures, nodes):
-    for p in node.premises:
-        _check_node(p, sig, cfg, failures, nodes)
     before = len(failures)
 
     def fail(condition, message):

@@ -48,6 +48,7 @@ from fractions import Fraction
 from . import compiled
 from . import syntax as sx
 from .compiled import COUNT_TESTS, as_rational
+from .parser import print_term
 from .syntax import (Atom, And, App, Binder, Const, Generic, GenericRestricted,
                      Implies, Not, Or, PredApp, Quant, Quant2, Signature, Var)
 
@@ -368,14 +369,14 @@ def eval_term(model, env, t):
     """Evaluate a term; returns EvalResult with the chosen element."""
     ev = _Evaluator(model)
     val = ev.term(t, env or Environment())
-    return EvalResult(val, ev.flags, [(str(w), e) for w, e in ev.witnesses])
+    return EvalResult(val, ev.flags, [(print_term(w), e) for w, e in ev.witnesses])
 
 
 def eval_formula(model, env, f):
     """Evaluate a formula; returns EvalResult with a boolean value."""
     ev = _Evaluator(model)
     val = ev.formula(f, env or Environment())
-    return EvalResult(val, ev.flags, [(str(w), e) for w, e in ev.witnesses])
+    return EvalResult(val, ev.flags, [(print_term(w), e) for w, e in ev.witnesses])
 
 
 def truth(model, f, env=None):

@@ -23,7 +23,7 @@ not < and < or < implies; quantifiers and binders extend maximally right.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import syntax as sx
@@ -123,11 +123,11 @@ def tokenize(text):
 class _P:
     """Recursive-descent parser over a token list (newlines skipped)."""
 
-    def __init__(self, toks, sig):
+    def __init__(self, toks, sig, env=None):
         self.toks = [t for t in toks if t.kind != "nl"]
         self.i = 0
         self.sig = sig
-        self.bound = {}      # var name -> sort
+        self.bound = dict(env or {})   # var name -> sort (free, then bound)
         self.predvars = {}   # predicate-variable name -> sort
         self._shadow = None
 
@@ -150,11 +150,35 @@ class _P:
             self.fail("expected %r, found %r" % (text, t.text or "end of input"))
         return self.next()
 
+    def end(self):
+        if self.peek().kind != "eof":
+            self.fail("trailing input")
+
+    def listed(self, item):
+        """item (',' item)*"""
+        items = [item()]
+        while self.peek().text == ",":
+            self.next()
+            items.append(item())
+        return items
+
     def at_ident(self, *words):
         t = self.peek()
         return t.kind == "ident" and (not words or t.text in words)
 
     # -- formulas ---------------------------------------------------------
+
+    def sorted_formula(self):
+        """A formula, checked against the signature when there is one;
+        sort errors point at the formula's first token."""
+        first = self.peek()
+        f = self.formula()
+        errs = sx.well_sorted(f, self.sig) if self.sig is not None else []
+        if errs:
+            span = SourceSpan(first.span.start, self.toks[self.i - 1].span.end,
+                              first.span.line, first.span.column)
+            raise ParseError([Diagnostic("error", e, span) for e in errs])
+        return f
 
     def formula(self):
         t = self.peek()
@@ -326,10 +350,7 @@ class _P:
         name = self.next().text
         if self.peek().text == "(" and name not in self.bound:
             self.next()
-            args = [self.term()]
-            while self.peek().text == ",":
-                self.next()
-                args.append(self.term())
+            args = self.listed(self.term)
             self.expect(")")
             return App(name, tuple(args))
         if name in self.bound:
@@ -347,22 +368,14 @@ def parse_formula(text, sig=None, env=None):
     toks, diags = tokenize(text)
     if diags:
         raise ParseError(diags)
-    p = _P(toks, sig)
-    p._shadow = None
-    p.bound = dict(env or {})
+    p = _P(toks, sig, env)
     t = p.peek()
     if t.kind == "ident" and (t.text in BINDER_KW or
                               (t.text in GENERIC_KW and p.peek(1).text == ":")):
         result = p.term()
     else:
-        result = p.formula()
-    if p.peek().kind != "eof":
-        p.fail("trailing input")
-    if sig is not None:
-        errs = sx.well_sorted(result, sig) if sx.is_formula(result) else []
-        if errs:
-            span = SourceSpan(0, len(text), 1, 1)
-            raise ParseError([Diagnostic("error", e, span) for e in errs])
+        result = p.sorted_formula()
+    p.end()
     return result
 
 
@@ -371,12 +384,9 @@ def parse_term(text, sig=None, env=None):
     toks, diags = tokenize(text)
     if diags:
         raise ParseError(diags)
-    p = _P(toks, sig)
-    p._shadow = None
-    p.bound = dict(env or {})
+    p = _P(toks, sig, env)
     t = p.term()
-    if p.peek().kind != "eof":
-        p.fail("trailing input")
+    p.end()
     return t
 
 
@@ -550,6 +560,7 @@ def parse_model(text):
     thresholds = {}
     majority = "strict"
     diags = []
+    where = {}      # (keyword, name) -> (line number, line) of its declaration
 
     def err(msg, lineno, raw):
         diags.append(Diagnostic("error", msg, SourceSpan(0, len(raw), lineno, 1)))
@@ -570,6 +581,7 @@ def parse_model(text):
             if name in domains:
                 err("duplicate sort %s" % name, lineno, raw)
                 continue
+            where[kw, name] = (lineno, raw)
             if rhs == "int":
                 domains[name] = "int"
             else:
@@ -589,6 +601,7 @@ def parse_model(text):
             name, sortspec = (s.strip() for s in rest.split(":", 1))
             arg_sorts = tuple(s.strip() for s in sortspec.split(",") if s.strip())
             pred_sorts[name] = arg_sorts
+            where[kw, name] = (lineno, raw)
             if rhs.startswith("@"):
                 builtins[name] = rhs[1:]
                 preds[name] = None
@@ -602,6 +615,7 @@ def parse_model(text):
                 continue
             name, sort = (s.strip() for s in rest.split(":", 1))
             const_sorts[name] = sort
+            where[kw, name] = (lineno, raw)
             consts[name] = rhs
         elif kw == "fun":
             if ":" not in rest or "->" not in rest:
@@ -663,9 +677,8 @@ def parse_model(text):
             intsort = name
             m = measure.get(name)
             if m is None or m[0] != "density":
-                diags.append(Diagnostic(
-                    "error", "integer sort %s needs 'measure %s = density(N)'"
-                    % (name, name), SourceSpan(0, 0, 1, 1)))
+                err("integer sort %s needs 'measure %s = density(N)'"
+                    % (name, name), *where["sort", name])
                 continue
             final_domains[name] = list(range(1, m[1] + 1))
         else:
@@ -676,8 +689,8 @@ def parse_model(text):
     for name, arg_sorts in pred_sorts.items():
         for s in arg_sorts:
             if s not in domains:
-                diags.append(Diagnostic("error", "predicate %s over unknown sort %s"
-                                        % (name, s), SourceSpan(0, 0, 1, 1)))
+                err("predicate %s over unknown sort %s" % (name, s),
+                    *where["pred", name])
         ext = preds.get(name)
         if ext is None:
             continue
@@ -685,17 +698,15 @@ def parse_model(text):
             for e, s in zip(tup, arg_sorts):
                 if s in final_domains and domains.get(s) != "int" \
                         and e not in final_domains[s]:
-                    diags.append(Diagnostic(
-                        "error", "element %s of predicate %s not in sort %s"
-                        % (e, name, s), SourceSpan(0, 0, 1, 1)))
+                    err("element %s of predicate %s not in sort %s" % (e, name, s),
+                        *where["pred", name])
     for name, sort in const_sorts.items():
         if sort not in final_domains:
-            diags.append(Diagnostic("error", "constant %s of unknown sort %s"
-                                    % (name, sort), SourceSpan(0, 0, 1, 1)))
+            err("constant %s of unknown sort %s" % (name, sort),
+                *where["const", name])
         elif domains.get(sort) != "int" and consts[name] not in final_domains[sort]:
-            diags.append(Diagnostic("error", "constant %s = %s not in sort %s"
-                                    % (name, consts[name], sort),
-                                    SourceSpan(0, 0, 1, 1)))
+            err("constant %s = %s not in sort %s" % (name, consts[name], sort),
+                *where["const", name])
     if diags:
         raise ParseError(diags)
 
@@ -773,132 +784,107 @@ def _parse_tuple_set(rhs, arity, lineno, raw, diags):
 # ---------------------------------------------------------------------------
 # proof scripts
 #
-# Line format:   n. H1, ..., Hk |- F ; RULE(refs) [x := t | eigen x]
-# The last line is the root of the proof tree.
-
-
-@dataclass(frozen=True)
-class ScriptLine:
-    number: int
-    hypotheses: tuple
-    conclusion: object
-    rule: str
-    refs: tuple
-    witness: object = None       # (var name, Term) or None
-    eigen: object = None         # variable name or None
-    span: object = None
+#   var x : S
+#   n. H1, ..., Hk |- F ; RULE(refs) [x := t | eigen x]
+#
+# Each line becomes one ProofTree node, built once and shared by every line
+# that cites it.  References point to lower-numbered lines; the last line in
+# the file is the root.
 
 
 def parse_proof_script(text, sig):
     """Parse a proof script into a kernel.ProofTree (root = last line)."""
-    lines = {}
-    order = []
-    diags = []
-    env = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        span = SourceSpan(0, len(raw), lineno, 1)
-        vm = re.match(r"var\s+(\w+)\s*:\s*(\w+)$", stripped)
-        if vm is not None:
-            if vm.group(2) not in sig.sorts:
-                diags.append(Diagnostic("error", "unknown sort %r" % vm.group(2),
-                                        span))
-            else:
-                env[vm.group(1)] = vm.group(2)
-            continue
-        try:
-            sl = _parse_script_line(stripped, sig, span, env)
-        except ParseError as e:
-            diags.extend(Diagnostic(d.severity, d.message,
-                                    SourceSpan(d.span.start, d.span.end,
-                                               lineno, d.span.column))
-                         for d in e.diagnostics)
-            continue
-        if sl.number in lines:
-            diags.append(Diagnostic("error", "duplicate line number %d" % sl.number, span))
-            continue
-        lines[sl.number] = sl
-        order.append(sl.number)
+    toks, diags = tokenize(text)
     if diags:
         raise ParseError(diags)
-    if not order:
+    lines = {}      # number -> what _script_line read
+    env = {}        # free variables declared by `var` lines so far
+    root = None
+    row = []
+    for tok in toks:
+        if tok.kind not in ("nl", "eof"):
+            row.append(tok)
+            continue
+        if not row:
+            continue
+        p = _P(row + [Token("eof", "", tok.span)], sig, env)
+        row = []
+        try:
+            if p.at_ident("var"):
+                p.next()
+                name = p.ident("variable")
+                p.expect(":")
+                env[name] = p.sort_name()
+                p.end()
+                continue
+            num, line = _script_line(p)
+        except ParseError as e:
+            diags.extend(e.diagnostics)
+            continue
+        n = int(num.text)
+        if n in lines:
+            diags.append(Diagnostic("error", "duplicate line number %d" % n, num.span))
+            continue
+        lines[n] = line
+        root = n
+    if diags:
+        raise ParseError(diags)
+    if root is None:
         raise ParseError([Diagnostic("error", "empty proof script",
                                      SourceSpan(0, 0, 1, 1))])
 
-    def build(n, seen):
-        sl = lines[n]
-        if n in seen:
-            raise ParseError([Diagnostic("error", "circular reference at line %d" % n,
-                                         sl.span)])
+    nodes = {}
+    for n in sorted(lines):
+        hyps, concl, rule, refs, witness, eigen = lines[n]
         premises = []
-        for r in sl.refs:
-            if r not in lines:
-                raise ParseError([Diagnostic(
-                    "error", "line %d refers to undefined line %d" % (n, r), sl.span)])
-            if r >= n:
-                raise ParseError([Diagnostic(
-                    "error", "line %d refers forward to line %d" % (n, r), sl.span)])
-            premises.append(build(r, seen | {n}))
-        return ProofTree(Sequent(sl.hypotheses, sl.conclusion), sl.rule,
-                         tuple(premises), witness=sl.witness, eigen=sl.eigen,
-                         line=sl.number)
-
-    try:
-        return build(order[-1], frozenset())
-    finally:
-        del build    # build's cell refers to build: free the lines without gc
+        for tok in refs:
+            r = int(tok.text)
+            if r not in nodes:
+                how = "forward to" if r in lines else "to undefined"
+                diags.append(Diagnostic("error", "line %d refers %s line %d"
+                                        % (n, how, r), tok.span))
+            premises.append(nodes.get(r))
+        nodes[n] = ProofTree(Sequent(hyps, concl), rule, tuple(premises),
+                             witness=witness, eigen=eigen, line=n)
+    if diags:
+        raise ParseError(diags)
+    return nodes[root]
 
 
-def _parse_script_line(line, sig, span, free_env=None):
-    free_env = free_env or {}
-    m = re.match(r"(\d+)\s*\.\s*(.*)$", line)
-    if m is None:
-        raise ParseError([Diagnostic("error", "proof line must start with 'n.'", span)])
-    number = int(m.group(1))
-    rest = m.group(2)
-    if "|-" not in rest:
-        raise ParseError([Diagnostic("error", "missing '|-'", span)])
-    hyps_text, rest = rest.split("|-", 1)
-    if ";" not in rest:
-        raise ParseError([Diagnostic("error", "missing ';' before rule", span)])
-    concl_text, rule_text = rest.split(";", 1)
-
-    hyps = []
-    for part in _split_entries(hyps_text):
-        part = part.strip()
-        if part:
-            hyps.append(parse_formula(part, sig, free_env))
-    concl = parse_formula(concl_text.strip(), sig, free_env)
-
-    rule_text = rule_text.strip()
-    witness = eigen = None
-    am = re.search(r"\[(.*)\]\s*$", rule_text)
-    if am is not None:
-        ann = am.group(1).strip()
-        rule_text = rule_text[:am.start()].strip()
-        if ann.startswith("eigen "):
-            eigen = ann[len("eigen "):].strip()
-        elif ":=" in ann:
-            vname, ttext = (s.strip() for s in ann.split(":=", 1))
-            env = dict(free_env)
-            env.update({v.name: v.sort for h in (*hyps, concl)
-                        for v in sx.free_vars(h)})
-            witness = (vname, parse_term(ttext, sig, env))
-        else:
-            raise ParseError([Diagnostic("error", "bad annotation %r" % ann, span)])
-
-    rm = re.match(r"([a-z0-9*-]+)\s*(\(([^)]*)\))?\s*$", rule_text)
-    if rm is None:
-        raise ParseError([Diagnostic("error", "bad rule %r" % rule_text, span)])
-    rule = rm.group(1)
+def _script_line(p):
+    """One numbered proof line read by `p`; returns its number token and
+    (hypotheses, conclusion, rule, reference tokens, witness, eigen)."""
+    num = _line_number(p)
+    p.expect(".")
+    hyps = [] if p.peek().text == "|-" else p.listed(p.sorted_formula)
+    p.expect("|-")
+    concl = p.sorted_formula()
+    p.expect(";")
+    rule = p.ident("rule name")
     if rule not in RULES:
-        raise ParseError([Diagnostic("error", "unknown rule %r" % rule, span)])
-    refs = ()
-    if rm.group(3):
-        try:
-            refs = tuple(int(s.strip()) for s in rm.group(3).split(","))
-        except ValueError:
-            raise ParseError([Diagnostic("error", "bad premise references", span)])
-    return ScriptLine(number, tuple(hyps), concl, rule, refs, witness, eigen, span)
+        p.fail("unknown rule %r" % rule, p.toks[p.i - 1])
+    refs = []
+    if p.peek().text == "(":
+        p.next()
+        refs = p.listed(lambda: _line_number(p))
+        p.expect(")")
+    witness = eigen = None
+    if p.peek().text == "[":
+        p.next()
+        if p.at_ident("eigen") and p.peek(1).text != ":=":
+            p.next()
+            eigen = p.ident("eigenvariable")
+        else:
+            name = p.ident("witness variable")
+            p.expect(":=")
+            witness = (name, p.term())
+        p.expect("]")
+    p.end()
+    return num, (tuple(hyps), concl, rule, refs, witness, eigen)
+
+
+def _line_number(p):
+    tok = p.peek()
+    if tok.kind != "num" or not tok.text.isdigit():
+        p.fail("expected a line number, found %r" % (tok.text or "end of input"))
+    return p.next()

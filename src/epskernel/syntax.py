@@ -47,25 +47,16 @@ class Var:
     name: str
     sort: str
 
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
 class Const:
     name: str
-
-    def __str__(self):
-        return self.name
 
 
 @dataclass(frozen=True)
 class App:
     func: str
     args: tuple
-
-    def __str__(self):
-        return "%s(%s)" % (self.func, ", ".join(map(str, self.args)))
 
 
 @dataclass(frozen=True)
@@ -76,9 +67,6 @@ class Binder:
     var: Var
     body: "Formula"
 
-    def __str__(self):
-        return "%s %s:%s. %s" % (self.kind, self.var.name, self.var.sort, self.body)
-
 
 @dataclass(frozen=True)
 class Generic:
@@ -86,9 +74,6 @@ class Generic:
 
     kind: str  # "most" or "many"
     sort: str
-
-    def __str__(self):
-        return "%s:%s" % (self.kind, self.sort)
 
 
 @dataclass(frozen=True)
@@ -103,9 +88,6 @@ class GenericRestricted:
     var: Var
     restriction: "Formula"
 
-    def __str__(self):
-        return "%s:%s(%s. %s)" % (self.kind, self.sort, self.var.name, self.restriction)
-
 
 # ---------------------------------------------------------------------------
 # formulas
@@ -116,13 +98,6 @@ class Atom:
     pred: str
     args: tuple
 
-    def __str__(self):
-        if self.pred == EQ:
-            return "%s = %s" % (self.args[0], self.args[1])
-        if not self.args:
-            return self.pred
-        return "%s(%s)" % (self.pred, ", ".join(map(str, self.args)))
-
 
 @dataclass(frozen=True)
 class PredApp:
@@ -130,9 +105,6 @@ class PredApp:
 
     predvar: str
     arg: object
-
-    def __str__(self):
-        return "%s(%s)" % (self.predvar, self.arg)
 
 
 @dataclass(frozen=True)

@@ -212,12 +212,14 @@ def _wrap(pv, sort, g):
 def push_negation(f):
     """Negation-normal form over the forall/exists/forall*/exists* fragment:
     negations end up on atoms, double negations vanish, and negated
-    quantifiers flip to their duals."""
+    quantifiers flip to their duals.  Choice-term bodies and generic
+    restrictions inside atoms are normalised too."""
     return _nnf(f, False)
 
 
 def _nnf(f, neg):
     if isinstance(f, (Atom, PredApp)):
+        f = _nnf_inside(f)
         return Not(f) if neg else f
     if isinstance(f, Not):
         return _nnf(f.body, not neg)
@@ -247,3 +249,13 @@ def _nnf(f, neg):
             kind = sx.EXISTS2 if kind == sx.FORALL2 else sx.FORALL2
         return Quant2(kind, f.predvar, f.sort, _nnf(f.body, neg))
     raise TransformError("not a formula: %r" % (f,))
+
+
+def _nnf_inside(e):
+    """`e`, an atom or a term, with the formulas of its choice terms and
+    generic restrictions in negation-normal form."""
+    kids = sx.children(e)
+    new = [_nnf(k, False) if sx.is_formula(k) else _nnf_inside(k) for k in kids]
+    if any(n is not k for n, k in zip(new, kids)):
+        e = sx.rebuild(e, new)
+    return e

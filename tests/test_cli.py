@@ -179,3 +179,12 @@ def test_selftest_has_no_jobs_option(capsys):
         main(["selftest", "--jobs", "2"])
     assert e.value.code == 2
     capsys.readouterr()
+
+
+def test_witness_text_uses_the_printer(capsys, fixtures):
+    code, out, _ = run(capsys, "eval", "--model",
+                       str(fixtures / "most_counterexample.model"), "--witnesses",
+                       "student(eps x:ind. not (student(x) and goesOut(x)))")
+    assert code == 0
+    witness = "witness: eps x:ind. not (student(x) and goesOut(x)) -> d1"
+    assert witness in out.splitlines()

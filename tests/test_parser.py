@@ -157,3 +157,22 @@ def test_proof_script_reference_errors(fixtures):
         parse_proof_script("1. P(c) |- P(c) ; hyp\n1. P(c) |- P(c) ; hyp", sig)
     with pytest.raises(ParseError):
         parse_proof_script("1. P(c) |- P(c) ; no-such-rule", sig)
+
+
+def test_model_diagnostics_name_their_line():
+    text = ("sort s = {a, b}\n"
+            "\n"
+            "pred P : s = {a}\n"
+            "const c : s = zz\n"
+            "pred Q : s = {zzz}\n")
+    with pytest.raises(ParseError) as e:
+        parse_model(text)
+    assert sorted(str(d) for d in e.value.diagnostics) == [
+        "error:4:1: constant c = zz not in sort s",
+        "error:5:1: element zzz of predicate Q not in sort s"]
+    with pytest.raises(ParseError) as e:
+        parse_model("# header\nsort n = int\npred R : t = {}\nconst d : t = a\n")
+    assert sorted(str(d) for d in e.value.diagnostics) == [
+        "error:2:1: integer sort n needs 'measure n = density(N)'",
+        "error:3:1: predicate R over unknown sort t",
+        "error:4:1: constant d of unknown sort t"]

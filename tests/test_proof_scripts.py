@@ -1,0 +1,127 @@
+"""Proof scripts read as a line-indexed DAG: one node per line, each line
+checked once, and diagnostics located in the file."""
+
+import time
+
+import pytest
+
+from epskernel import kernel
+from epskernel.cli import main
+from epskernel.parser import ParseError, parse_proof_script, parse_signature
+
+
+@pytest.fixture
+def sig(fixtures):
+    return parse_signature((fixtures / "base.sig").read_text())
+
+
+def shared_script(n_lines):
+    """Lines alternate and-i(k, k) and and-e1(k+1): each line is cited
+    twice, so the expanded tree doubles every two lines."""
+    lines = ["1. P(c) |- P(c) ; hyp"]
+    for n in range(2, n_lines + 1):
+        if n % 2 == 0:
+            lines.append("%d. P(c) |- P(c) and P(c) ; and-i(%d, %d)" % (n, n - 1, n - 1))
+        else:
+            lines.append("%d. P(c) |- P(c) ; and-e1(%d)" % (n, n - 1))
+    return "\n".join(lines) + "\n"
+
+
+def chain_script(n_lines):
+    """A chain as deep as the script is long: line 2k is and-i(2k-1, 1),
+    line 2k+1 is and-e1(2k)."""
+    lines = ["1. P(c) |- P(c) ; hyp"]
+    for n in range(2, n_lines + 1):
+        if n % 2 == 0:
+            lines.append("%d. P(c) |- P(c) and P(c) ; and-i(%d, 1)" % (n, n - 1))
+        else:
+            lines.append("%d. P(c) |- P(c) ; and-e1(%d)" % (n, n - 1))
+    return "\n".join(lines) + "\n"
+
+
+def parse_error(text, sig):
+    with pytest.raises(ParseError) as e:
+        parse_proof_script(text, sig)
+    return [str(d) for d in e.value.diagnostics]
+
+
+def test_each_line_is_one_node_checked_once(sig):
+    tree = parse_proof_script(shared_script(21), sig)
+    line_20 = tree.premises[0]
+    assert line_20.premises[0] is line_20.premises[1]
+    verdict = kernel.check_proof(tree, sig)
+    assert verdict.accepted
+    assert [line for line, _, _ in verdict.nodes] == list(range(1, 22))
+
+
+def test_shared_script_checks_in_linear_time(sig):
+    start = time.perf_counter()
+    verdict = kernel.check_proof(parse_proof_script(shared_script(61), sig), sig)
+    assert verdict.accepted and len(verdict.nodes) == 61
+    assert time.perf_counter() - start < 1.0
+
+
+def test_shared_failure_is_reported_once(sig):
+    text = ("1. P(c) |- Q(c) ; hyp\n"
+            "2. P(c) |- Q(c) and Q(c) ; and-i(1, 1)\n")
+    verdict = kernel.check_proof(parse_proof_script(text, sig), sig)
+    assert [(f.line, f.condition) for f in verdict.failures] == [(1, "hyp")]
+    assert verdict.nodes == [(1, "hyp", False), (2, "and-i", True)]
+
+
+def test_deep_chain_checks_through_the_cli(capsys, fixtures, tmp_path):
+    proof = tmp_path / "chain.proof"
+    proof.write_text(chain_script(3000))
+    code = main(["check", "--signature", str(fixtures / "base.sig"),
+                 "--proof", str(proof)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(out) == 3001 and out[-1] == "accepted"
+
+
+def test_formula_error_has_file_line_and_column(sig):
+    text = "1. P(c) |- P(c) ; hyp\n2. P(c) |- Q(c) and and ; hyp\n"
+    assert parse_error(text, sig) == ["error:2:21: expected a term, found 'and'"]
+
+
+def test_script_errors_point_at_their_token(sig):
+    assert parse_error("# comment\nvar x : t\n1. P(c) |- P(c) ; hyp\n", sig) \
+        == ["error:2:9: unknown sort t"]
+    assert parse_error("1. P(c) |- P(c) ; hyp\n  1. Q(c) |- Q(c) ; hyp\n", sig) \
+        == ["error:2:3: duplicate line number 1"]
+    assert parse_error("1. P(c) |- P(c) ; hyp\n2. P(c) |- P(c) ; copy(1)\n", sig) \
+        == ["error:2:19: unknown rule 'copy'"]
+    assert parse_error("1. P(c) |- P(c) ; hyp\n2. P(c) |- P(c) ; and-e1(2)\n", sig) \
+        == ["error:2:26: line 2 refers forward to line 2"]
+    assert parse_error("1. P(c) |- P(c) ; hyp [eigen]\n", sig) \
+        == ["error:1:29: expected eigenvariable, found ']'"]
+    assert parse_error("1. P(c) |- x = c ; hyp\n", sig)[0].startswith("error:1:12: ")
+
+
+def test_undefined_reference_is_an_error_on_any_line(sig):
+    text = ("1. P(c) |- P(c) ; hyp\n"
+            "2. P(c) |- P(c) ; and-e1(7)\n"
+            "3. P(c) |- P(c) ; hyp\n")
+    assert parse_error(text, sig) == ["error:2:26: line 2 refers to undefined line 7"]
+
+
+def test_line_order_in_the_file_does_not_matter(sig):
+    ordered = ("1. P(c) |- P(c) ; hyp\n"
+               "2. P(c) |- P(c) and P(c) ; and-i(1, 1)\n"
+               "3. P(c) |- P(c) ; and-e2(2)\n")
+    shuffled = ("2. P(c) |- P(c) and P(c) ; and-i(1, 1)\n"
+                "1. P(c) |- P(c) ; hyp\n"
+                "3. P(c) |- P(c) ; and-e2(2)\n")
+    tree = parse_proof_script(ordered, sig)
+    assert parse_proof_script(shuffled, sig) == tree
+    assert tree.line == 3 and tree.premises[0].line == 2
+
+
+def test_annotations_and_free_variables(sig):
+    text = ("var x0 : s\n"
+            "1. Q(x0) |- Q(x0) ; hyp\n"
+            "2. Q(x0) |- exists y:s. Q(y) ; exists-i(1) [y := x0]\n")
+    tree = parse_proof_script(text, sig)
+    assert tree.witness[0] == "y" and tree.witness[1].name == "x0"
+    assert tree.witness[1].sort == "s"
+    assert kernel.check_proof(tree, sig).accepted

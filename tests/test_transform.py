@@ -167,3 +167,16 @@ def test_epsilon_embed_reaches_into_choice_terms():
     assert not transform.quantifier_free(f)
     for m in models.enumerate_models(SIG, 3):
         assert models.truth(m, g) == models.truth(m, f)
+
+
+def test_push_negation_reaches_into_choice_terms():
+    f = fparse("not P(eps x:s. not (P(x) and Q(x)))")
+    g = transform.push_negation(f)
+    assert parser.print_formula(g) == "not P(eps x:s. not P(x) or not Q(x))"
+    h = fparse("P(most:s(y:s. not (P(y) implies Q(y))))")
+    assert parser.print_formula(transform.push_negation(h)) \
+        == "P(most:s(y:s. P(y) and not Q(y)))"
+    for m in models.enumerate_models(SIG, 3):
+        assert models.truth(m, g) == models.truth(m, f)
+        assert models.eval_formula(m, None, transform.push_negation(h)).value \
+            == models.eval_formula(m, None, h).value
