@@ -258,9 +258,7 @@ def build_arg_parser():
 
     p = sub.add_parser("classify", help="classify a generalized quantifier")
     _add_common(p)
-    p.add_argument("quantifier",
-                   choices=["forall", "exists", "no", "most", "many",
-                            "forall*", "exists*"])
+    p.add_argument("quantifier", choices=list(models.DETERMINERS))
     p.add_argument("--size", type=int, default=3)
     p.add_argument("--theta")
     p.add_argument("--majority", choices=["strict", "weak"])

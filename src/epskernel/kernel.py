@@ -36,6 +36,48 @@ class ProofTree:
     eigen: object = None      # variable name
     line: object = None       # script line number, for reporting
 
+    # A proof script's cited lines are shared nodes.  The generated methods
+    # would recurse into premises and so cost the size of the expanded
+    # tree; these visit each pair of nodes, or each node, once.
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        done = set()     # id pairs seen; all stay alive through self, other
+        while todo:
+            x, y = todo.pop()
+            if x is y or (id(x), id(y)) in done:
+                continue
+            done.add((id(x), id(y)))
+            if not (isinstance(x, ProofTree) and y.__class__ is x.__class__):
+                if x == y:
+                    continue
+                return False
+            if (x.sequent, x.rule, x.witness, x.eigen, x.line,
+                    len(x.premises)) != (y.sequent, y.rule, y.witness,
+                                         y.eigen, y.line, len(y.premises)):
+                return False
+            todo.extend(zip(x.premises, y.premises))
+        return True
+
+    def __hash__(self):
+        hashes = {}      # id(node) -> hash; premises before their conclusion
+        todo = [(self, False)]
+        while todo:
+            node, ready = todo.pop()
+            if ready:
+                hashes[id(node)] = hash((
+                    node.sequent, node.rule, node.witness, node.eigen,
+                    node.line, tuple(hashes[id(p)] if isinstance(p, ProofTree)
+                                     else hash(p) for p in node.premises)))
+            elif id(node) not in hashes:
+                hashes[id(node)] = None
+                todo.append((node, True))
+                todo.extend((p, False) for p in node.premises
+                            if isinstance(p, ProofTree))
+        return hashes[id(self)]
+
 
 @dataclass(frozen=True)
 class KernelConfig:

@@ -179,15 +179,20 @@ class _Evaluator:
         self.record = record
         self.flags = []
         self.witnesses = []
-        # id(term) -> (term, value); holding the term keeps its id from
+        # id(term) -> (term, ...); holding the term keeps its id from
         # being reused by another term while this evaluator lives
-        self._choice_cache = {}   # closed eps/tau term -> element
+        self._choice_cache = {}   # closed eps/tau term -> element, and the
+                                  # witnesses[start:end] it appended
         self._closed = {}         # term -> bool
 
     def _is_closed(self, t):
+        """No free individual or predicate variable: t picks the same
+        element, with the same witnesses and flags, wherever it occurs in
+        one evaluation."""
         hit = self._closed.get(id(t))
         if hit is None or hit[0] is not t:
-            hit = self._closed[id(t)] = (t, not sx.free_vars(t))
+            closed = not sx.free_vars(t) and not sx.free_predvars(t)
+            hit = self._closed[id(t)] = (t, closed)
         return hit[1]
 
     def flag(self, f):
@@ -231,13 +236,17 @@ class _Evaluator:
         if not dom:
             raise EvalError("empty domain for sort %s" % t.var.sort)
         # closed eps/tau choices do not depend on the environment; caching
-        # them keeps nested embedded terms from going exponential
-        cacheable = not self.record and t.kind in (sx.EPS, sx.TAU) \
-            and self._is_closed(t)
+        # them keeps nested embedded terms from going exponential.  A hit
+        # replays the witnesses the first evaluation recorded, its own and
+        # nested ones; its flags are already set.
+        cacheable = t.kind in (sx.EPS, sx.TAU) and self._is_closed(t)
         if cacheable:
             hit = self._choice_cache.get(id(t))
             if hit is not None and hit[0] is t:
-                return hit[1]
+                _, chosen, start, end = hit
+                self.witnesses.extend(self.witnesses[start:end])
+                return chosen
+        start = len(self.witnesses)
         if t.kind == sx.EPS:
             sat = self._satisfiers(t.var, t.body, env)
             chosen = sat[0] if sat else dom[0]
@@ -260,7 +269,7 @@ class _Evaluator:
         if self.record:
             self.witnesses.append((t, chosen))
         if cacheable:
-            self._choice_cache[id(t)] = (t, chosen)
+            self._choice_cache[id(t)] = (t, chosen, start, len(self.witnesses))
         return chosen
 
     # -- formulas ---------------------------------------------------------
@@ -368,15 +377,20 @@ def _all_subsets(dom):
 def eval_term(model, env, t):
     """Evaluate a term; returns EvalResult with the chosen element."""
     ev = _Evaluator(model)
-    val = ev.term(t, env or Environment())
-    return EvalResult(val, ev.flags, [(print_term(w), e) for w, e in ev.witnesses])
+    return _result(ev, ev.term(t, env or Environment()))
 
 
 def eval_formula(model, env, f):
     """Evaluate a formula; returns EvalResult with a boolean value."""
     ev = _Evaluator(model)
-    val = ev.formula(f, env or Environment())
-    return EvalResult(val, ev.flags, [(print_term(w), e) for w, e in ev.witnesses])
+    return _result(ev, ev.formula(f, env or Environment()))
+
+
+def _result(ev, value):
+    # a copied or cached choice term is witnessed many times; print it once
+    text = {id(w): w for w, _ in ev.witnesses}
+    text = {k: print_term(w) for k, w in text.items()}
+    return EvalResult(value, ev.flags, [(text[id(w)], e) for w, e in ev.witnesses])
 
 
 def truth(model, f, env=None):
@@ -444,27 +458,30 @@ class QuantifierProfile:
     size_bound: int
 
 
-def _quantifier_fn(name, theta=Fraction(1, 2), mode="strict"):
-    """Truth function Q(domain, A, B) for a named determiner."""
-    if name == "forall":
-        return lambda dom, a, b: a <= b
-    if name == "exists":
-        return lambda dom, a, b: bool(a & b)
-    if name == "no":
-        return lambda dom, a, b: not (a & b)
-    if name in COUNT_TESTS:
-        test, theta = COUNT_TESTS[name], as_rational(theta)
-        return lambda dom, a, b: test(len(a & b), len(a), theta, mode)
-    raise ValueError("unknown quantifier %r" % name)
+# the named determiners as count predicates of (hits = |A∩B|, total = |A|,
+# theta, mode); compiled.COUNT_TESTS holds the ones that read theta
+DETERMINERS = {
+    sx.FORALL: lambda hits, total, theta, mode: hits == total,
+    sx.EXISTS: lambda hits, total, theta, mode: hits > 0,
+    "no": lambda hits, total, theta, mode: hits == 0,
+    **COUNT_TESTS,
+}
 
 
 def classify_quantifier(q, size_bound, theta=Fraction(1, 2), mode="strict"):
-    """Exhaustively classify a determiner over all (domain, A, B) with
-    |domain| <= size_bound.  `q` is a name or a callable (dom, A, B) -> bool."""
+    """Classify a determiner over all (domain, A, B) with |domain| <= size_bound.
+
+    `q` is a name in DETERMINERS, swept over van Benthem's number triangle
+    at a cost quadratic in size_bound (see _classify_on_triangle), or a
+    callable (dom, A, B) -> bool, swept over every pair of subsets of
+    every domain."""
     if size_bound < 1:
         raise ValueError("size bound must be at least 1")
-    fn = q if callable(q) else _quantifier_fn(q, theta, mode)
-    name = q if isinstance(q, str) else getattr(q, "__name__", "custom")
+    if not callable(q):
+        if q not in DETERMINERS:
+            raise ValueError("unknown quantifier %r" % q)
+        return _classify_on_triangle(q, size_bound, as_rational(theta), mode)
+    fn, name = q, getattr(q, "__name__", "custom")
 
     conservative = symmetric = intersective = True
     left_up = left_down = right_up = right_down = True
@@ -492,18 +509,53 @@ def classify_quantifier(q, size_bound, theta=Fraction(1, 2), mode="strict"):
                         if a2 <= a and not fn(dom, a2, b):
                             left_down = False
 
-    def mono(up, down):
-        if up and down:
-            return "both"
-        if up:
-            return "upward"
-        if down:
-            return "downward"
-        return "none"
-
     return QuantifierProfile(name, conservative,
-                             mono(left_up, left_down), mono(right_up, right_down),
+                             _mono(left_up, left_down), _mono(right_up, right_down),
                              symmetric, intersective, size_bound)
+
+
+def _classify_on_triangle(name, n, theta, mode):
+    """The subset sweep's profile of a named determiner Q, read off its
+    number triangle t[a][k], Q's value when a = |A| <= n and k = |A∩B|.
+
+    Every cell is the type of a pair (A, B) at size n, and the value of Q
+    on a pair depends on its cell alone.  So Q is conservative, since (A, B)
+    and (A, A∩B) share a cell; symmetric iff intersective, since a pair with
+    B inside A has Q(A, B) = t[a][k] and Q(B, A) = t[k][k]; and monotone in a
+    direction iff every one-element move in that direction from a true cell
+    to a cell reaches a true cell, since the subset sweep makes each such
+    move at size n and each move it makes is a chain of them inside the
+    triangle:
+      right up    B gains an element of A-B        (a, k) -> (a, k+1)
+      right down  B loses an element of A∩B        (a, k) -> (a, k-1)
+      left up     A gains an element of B-A        (a, k) -> (a+1, k+1)
+                  or one outside A∪B               (a, k) -> (a+1, k)
+      left down   A loses an element of A∩B        (a, k) -> (a-1, k-1)
+                  or one of A-B                    (a, k) -> (a-1, k)
+    """
+    test = DETERMINERS[name]
+    t = [[test(k, a, theta, mode) for k in range(a + 1)] for a in range(n + 1)]
+    cells = [(a, k) for a in range(n + 1) for k in range(a + 1)]
+    true = [(a, k) for a, k in cells if t[a][k]]
+    intersective = all(t[a][k] == t[k][k] for a, k in cells)
+    right_up = all(k == a or t[a][k + 1] for a, k in true)
+    right_down = all(k == 0 or t[a][k - 1] for a, k in true)
+    left_up = all(a == n or (t[a + 1][k + 1] and t[a + 1][k]) for a, k in true)
+    left_down = all((k == 0 or t[a - 1][k - 1]) and (k == a or t[a - 1][k])
+                    for a, k in true)
+    return QuantifierProfile(name, True,
+                             _mono(left_up, left_down), _mono(right_up, right_down),
+                             intersective, intersective, n)
+
+
+def _mono(up, down):
+    if up and down:
+        return "both"
+    if up:
+        return "upward"
+    if down:
+        return "downward"
+    return "none"
 
 
 # ---------------------------------------------------------------------------

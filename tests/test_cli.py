@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -106,6 +107,14 @@ def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "most", "--size", "3")
     assert code == 0
     assert "conservative: yes" in out
+
+
+def test_classify_is_polynomial_in_the_size(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", "most", "--size", "40")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert "right: upward" in out
 
 
 def test_semantics_command(capsys, fixtures):

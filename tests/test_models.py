@@ -13,6 +13,8 @@ from epskernel.models import (Environment, enumerate_models, eval_formula,
 from epskernel.syntax import Atom, And, Binder, Const, Implies, Not, Or, \
     Quant, Signature, Var
 
+from test_acceptance import _prefix_family
+
 M4 = parser.parse_model("sort s = {a,b,c,d}\npred P : s = {b,c}\npred Q : s = {}")
 SIG1 = Signature(frozenset({"s"}), {}, {}, {"P": ("s",)})
 X = Var("x", "s")
@@ -191,6 +193,48 @@ def test_classification_respects_theta():
     assert p.conservative
 
 
+THETAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+          Fraction(1))
+
+
+def assert_triangle_matches_subset_sweep(q, theta, mode):
+    test = models.DETERMINERS[q]
+
+    def fn(dom, a, b):
+        return test(len(a & b), len(a), theta, mode)
+    fn.__name__ = q
+    for size in range(1, 6):
+        assert models.classify_quantifier(q, size, theta, mode) \
+            == models.classify_quantifier(fn, size), (theta, mode, size)
+
+
+@pytest.mark.parametrize("q", list(models.DETERMINERS))
+def test_number_triangle_matches_the_subset_sweep(q):
+    for theta in THETAS:
+        for mode in ("strict", "weak"):
+            assert_triangle_matches_subset_sweep(q, theta, mode)
+
+
+@pytest.mark.parametrize("test", [
+    lambda hits, total, theta, mode: 2 * hits < total,      # fewer than half
+    lambda hits, total, theta, mode: total - hits == 1,     # all but one
+    lambda hits, total, theta, mode: hits % 2 == 1,         # an odd number
+])
+def test_number_triangle_matches_the_subset_sweep_off_the_table(
+        test, monkeypatch):
+    # count predicates whose profiles no named determiner has, so that
+    # every move of the triangle sweep decides some property
+    monkeypatch.setitem(models.DETERMINERS, "q", test)
+    assert_triangle_matches_subset_sweep("q", Fraction(1, 2), "strict")
+
+
+def test_classification_errors():
+    with pytest.raises(ValueError, match="size bound"):
+        models.classify_quantifier("most", 0)
+    with pytest.raises(ValueError, match="unknown quantifier"):
+        models.classify_quantifier("several", 3)
+
+
 # -- enumeration ------------------------------------------------------------
 
 def test_enumeration_counts():
@@ -269,7 +313,8 @@ def test_iota_agrees_with_eps_when_unique():
 # -- choice cache and flags -------------------------------------------------
 
 def test_choice_cache_regression():
-    # _atom's substitute makes temporary terms; a freed one could hand its
+    # the evaluator's caches are keyed by id(term): without the `is` check
+    # on each entry, a term freed while the evaluator lives could hand its
     # id, and with it its cached choice, to a new term
     sig = Signature(frozenset({"s"}), {}, {},
                     {p: ("s",) for p in ("P", "Q", "A", "B")})
@@ -312,3 +357,26 @@ def test_generic_restriction_keeps_its_own_variable(tmp_path, capsys):
                  "forall x:s. P(most:s(y:s. R(x, y)))"]) == 0
     assert capsys.readouterr().out.startswith(
         "forall x:s. P(most:s(y:s. R(x, y))) = true\n")
+
+
+def test_choice_cache_keeps_record_mode_output(monkeypatch):
+    # a cached closed choice replays the witnesses of its first evaluation
+    sig, family = _prefix_family()
+    embedded = [transform.epsilon_embed(f) for f in family]
+    ms = list(enumerate_models(sig, 2))
+
+    def results():
+        return [(r.value, r.flags, r.witnesses)
+                for r in (eval_formula(m, None, e) for e in embedded for m in ms)]
+
+    cached = results()
+    monkeypatch.setattr(models._Evaluator, "_is_closed", lambda self, t: False)
+    assert results() == cached
+
+
+def test_choice_under_a_predicate_variable_is_not_cached():
+    # eps x. X(x) has no free individual variable, but picks per X
+    m = parser.parse_model("sort s = {a,b}\npred P : s = {b}")
+    f = parser.parse_formula("exists2 X:s. P(eps x:s. X(x))", m.signature)
+    assert eval_formula(m, None, f).value is True
+    assert truth(m, f) is True

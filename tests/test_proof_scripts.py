@@ -125,3 +125,18 @@ def test_annotations_and_free_variables(sig):
     assert tree.witness[0] == "y" and tree.witness[1].name == "x0"
     assert tree.witness[1].sort == "s"
     assert kernel.check_proof(tree, sig).accepted
+
+
+def test_shared_trees_compare_and_hash_in_linear_time(sig):
+    # outcomes are kept as booleans: a failing assert on the trees would
+    # print them, and their repr expands every shared line
+    text = shared_script(61)
+    start = time.perf_counter()
+    a, b = parse_proof_script(text, sig), parse_proof_script(text, sig)
+    distinct, same, same_hash = a is not b, a == b, hash(a) == hash(b)
+    assert time.perf_counter() - start < 1
+    assert distinct and same and same_hash
+    changed = text.replace("31. P(c) |- P(c) ;", "31. P(c) |- Q(c) ;")
+    assert changed != text
+    differs = parse_proof_script(changed, sig) != a
+    assert differs
