@@ -40,13 +40,20 @@ def _load_signature(args):
     raise InputError("a --signature or --model file is required")
 
 
+def _threshold(text, flag):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError("bad %s value %r" % (flag, text)) from None
+
+
 def _load_model(args):
     m = parser.parse_model(_read(args.model))
     overrides = {}
     if getattr(args, "theta", None) is not None:
-        overrides["most_threshold"] = Fraction(args.theta)
+        overrides["most_threshold"] = _threshold(args.theta, "--theta")
     if getattr(args, "theta_many", None) is not None:
-        overrides["many_threshold"] = Fraction(args.theta_many)
+        overrides["many_threshold"] = _threshold(args.theta_many, "--theta-many")
     if getattr(args, "majority", None):
         overrides["majority_mode"] = args.majority
     if getattr(args, "regime", None):
@@ -146,7 +153,7 @@ def run_translate(args):
 
 
 def run_classify(args):
-    theta = Fraction(args.theta) if args.theta else Fraction(1, 2)
+    theta = _threshold(args.theta, "--theta") if args.theta else Fraction(1, 2)
     profile = models.classify_quantifier(args.quantifier, args.size,
                                          theta=theta, mode=args.majority or "strict")
     record = {"kind": "profile", "quantifier": profile.name,

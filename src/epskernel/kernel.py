@@ -38,7 +38,15 @@ class ProofTree:
 
     # A proof script's cited lines are shared nodes.  The generated methods
     # would recurse into premises and so cost the size of the expanded
-    # tree; these visit each pair of nodes, or each node, once.
+    # tree; these visit each pair of nodes, or each node, once, and the
+    # repr names premises by their line.
+
+    def __repr__(self):
+        cited = ", ".join("line %s" % p.line if isinstance(p, ProofTree)
+                          else repr(p) for p in self.premises)
+        return ("ProofTree(sequent=%r, rule=%r, premises=(%s), witness=%r, "
+                "eigen=%r, line=%r)" % (self.sequent, self.rule, cited,
+                                        self.witness, self.eigen, self.line))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -1,30 +1,37 @@
 """Concrete text syntax: formulas, signatures, models, proof scripts and
 lexicons, plus the pretty-printer.
 
-Grammar (ASCII, '#' comments to end of line):
+Formulas and proof scripts share one lexer.  A token is a (kind, text,
+offset) tuple; a diagnostic counts its line and column from the offset.
+'#' comments run to the end of the line.  A formula is operands joined by
+these operators, loosest first, which wait on an explicit stack so that
+chains of them and nested parentheses cost no recursion:
 
-    formula  := QUANT var ':' sort restr? '.' formula
-              | QUANT2 PREDVAR ':' sort '.' formula
-              | implication
-    restr    := '(' formula ')'
-    QUANT    := forall | exists | forall* | exists* | most | moststrict | mostweak
-    QUANT2   := forall2 | exists2
-    implication := disj ('implies' implication)?      # right associative
-    disj     := conj ('or' conj)*
-    conj     := neg ('and' neg)*
-    neg      := 'not' neg | primary
-    primary  := '(' formula ')' | binderterm | atom-or-equality
+    operator                          kind    associativity
+    QUANT var ':' sort restr? '.'     prefix  reaches as far right as it can
+    QUANT2 PREDVAR ':' sort '.'       prefix  reaches as far right as it can
+    implies                           infix   right
+    or                                infix   left
+    and                               infix   left
+    not                               prefix
 
-Binder terms: "eps x:S. F", "tau x:S. F", "iota x:S. F", "eta x:S. F";
-generic terms: "most:S", "many:S", "most:S(x. R)".  Precedence is
-not < and < or < implies; quantifiers and binders extend maximally right.
+    operand := '(' formula ')' | term '=' term | atom
+    restr   := '(' formula ')'
+    QUANT   := forall | exists | forall* | exists* | most | moststrict | mostweak
+    QUANT2  := forall2 | exists2
+
+Terms are read by recursive descent: binder terms "eps x:S. F" (and tau,
+iota, eta), whose body reaches as far right as it can; generic terms
+"most:S", "many:S", "most:S(x:S. R)"; variables, constants, applications.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from . import syntax as sx
 from .kernel import RULES, ProofTree, Sequent
@@ -69,176 +76,100 @@ QUANT_KW = {
 QUANT2_KW = {"forall2": sx.FORALL2, "exists2": sx.EXISTS2}
 BINDER_KW = {"eps", "tau", "iota", "eta"}
 GENERIC_KW = {"most", "many"}
-KEYWORDS = (set(QUANT_KW) | set(QUANT2_KW) | BINDER_KW | {"many"}
-            | {"not", "and", "or", "implies"})
+# word -> (precedence, associativity, node); 'not' binds tighter
+CONNECTIVES = {"implies": (1, "right", Implies), "or": (2, "left", Or),
+               "and": (3, "left", And)}
+NOT_PRECEDENCE = 4
+KEYWORDS = (set(QUANT_KW) | set(QUANT2_KW) | BINDER_KW | {"many", "not"}
+            | set(CONNECTIVES))
 
+# Stack entries are (precedence, arity, build).  A connective first applies
+# those >= its bound (its equals too if left associative); '(' is -1.
+_INFIX = {word: (prec, prec + (assoc == "right"), node)
+          for word, (prec, assoc, node) in CONNECTIVES.items()}
+_NOT = (NOT_PRECEDENCE, 1, Not)
+_GROUP = (-1, 0, None)
+
+# One match per token, skipping the blanks, newlines and comments before it
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
-  | (?P<starkw>forall\*|exists\*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_'-]*)
-  | (?P<num>\d+(\.\d+)?)
-  | (?P<arrow>->)
-  | (?P<turnstile>\|-)
-  | (?P<assign>:=)
-  | (?P<sym>[().,:;={}\[\]|])
-""", re.VERBOSE)
+    (?: [ \t\r\n]+ | \#[^\n]* )*
+    (?: (?P<ident>forall\*|exists\*|[A-Za-z_][A-Za-z0-9_'-]*)
+      | (?P<num>\d+(?:\.\d+)?)
+      | (?P<sym>->|\|-|:=|[().,:;={}\[\]|])
+      | (?P<eof>\Z)
+      | (?P<bad>.) )
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass
-class Token:
-    kind: str
-    text: str
-    span: SourceSpan
+def tokenize(text, start=0, end=None):
+    """Tokens of text[start:end], ending with one 'eof' at `end`.  Raises
+    ParseError with a diagnostic for each character that starts no token."""
+    matches = _TOKEN_RE.finditer(text, start, len(text) if end is None else end)
+    toks = [(m.lastgroup, m[m.lastindex], m.start(m.lastindex)) for m in matches]
+    if len(toks) > 1 and toks[-2][0] == "eof":
+        toks.pop()   # skipped text before the end matched as a second eof
+    diags = [Diagnostic("error", "unexpected character %r" % t[1], _span(text, t))
+             for t in toks if t[0] == "bad"]
+    if diags:
+        raise ParseError(diags)
+    return toks
 
 
-def tokenize(text):
-    """Tokenize; unknown bytes become error diagnostics, not crashes."""
-    toks, diags = [], []
-    pos, line, bol = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(pos, pos + 1, line, pos - bol + 1)
-            diags.append(Diagnostic("error", "unexpected character %r" % text[pos], span))
-            pos += 1
-            continue
-        kind = m.lastgroup
-        tok = m.group()
-        span = SourceSpan(pos, m.end(), line, pos - bol + 1)
-        if kind == "nl":
-            line += 1
-            bol = m.end()
-            toks.append(Token("nl", tok, span))
-        elif kind not in ("ws", "comment"):
-            if kind == "starkw":
-                kind = "ident"
-            toks.append(Token(kind, tok, span))
-        pos = m.end()
-    toks.append(Token("eof", "", SourceSpan(pos, pos, line, pos - bol + 1)))
-    return toks, diags
+def _span(src, first, last=None):
+    """The SourceSpan of tokens `first` to `last` (default `first`)."""
+    start, last = first[2], last or first
+    return SourceSpan(start, last[2] + len(last[1]),
+                      bisect_right(_line_starts(src), start),
+                      start - src.rfind("\n", 0, start))
+
+
+# where the lines of the text of the latest diagnostic start
+_line_starts = lru_cache(1)(lambda src: [0] + [m.end() for m in re.finditer("\n", src)])
 
 
 class _P:
-    """Recursive-descent parser over a token list (newlines skipped)."""
+    """Parser over tokens ending in eof, padded so peek(2) needs no check."""
 
-    def __init__(self, toks, sig, env=None):
-        self.toks = [t for t in toks if t.kind != "nl"]
+    def __init__(self, toks, src, sig, env=None):
+        self.toks = toks + toks[-1:] * 2
+        self.src = src
         self.i = 0
         self.sig = sig
         self.bound = dict(env or {})   # var name -> sort (free, then bound)
         self.predvars = {}   # predicate-variable name -> sort
-        self._shadow = None
 
     def peek(self, k=0):
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
-
-    def next(self):
-        t = self.peek()
-        if t.kind != "eof":
-            self.i += 1
-        return t
+        return self.toks[self.i + k]
 
     def fail(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise ParseError([Diagnostic("error", msg, tok.span)])
+        raise ParseError([Diagnostic("error", msg,
+                                     _span(self.src, tok or self.peek()))])
 
     def expect(self, text):
-        t = self.peek()
-        if t.text != text:
-            self.fail("expected %r, found %r" % (text, t.text or "end of input"))
-        return self.next()
+        found = self.toks[self.i][1]
+        if found != text:
+            self.fail("expected %r, found %r" % (text, found or "end of input"))
+        self.i += 1
 
-    def end(self):
-        if self.peek().kind != "eof":
+    def end(self, result=None):
+        """`result`, once the input is known to end here."""
+        if self.peek()[0] != "eof":
             self.fail("trailing input")
+        return result
 
     def listed(self, item):
-        """item (',' item)*"""
         items = [item()]
-        while self.peek().text == ",":
-            self.next()
+        while self.toks[self.i][1] == ",":
+            self.i += 1
             items.append(item())
         return items
 
-    def at_ident(self, *words):
-        t = self.peek()
-        return t.kind == "ident" and (not words or t.text in words)
-
-    # -- formulas ---------------------------------------------------------
-
-    def sorted_formula(self):
-        """A formula, checked against the signature when there is one;
-        sort errors point at the formula's first token."""
-        first = self.peek()
-        f = self.formula()
-        errs = sx.well_sorted(f, self.sig) if self.sig is not None else []
-        if errs:
-            span = SourceSpan(first.span.start, self.toks[self.i - 1].span.end,
-                              first.span.line, first.span.column)
-            raise ParseError([Diagnostic("error", e, span) for e in errs])
-        return f
-
-    def formula(self):
-        t = self.peek()
-        if t.kind == "ident" and t.text in QUANT_KW and self.peek(1).kind == "ident" \
-                and self.peek(2).text == ":":
-            return self.quantified()
-        if t.kind == "ident" and t.text in QUANT2_KW:
-            return self.quantified2()
-        return self.implication()
-
-    def quantified(self):
-        kw = self.next()
-        kind, mode = QUANT_KW[kw.text]
-        var = self.binding_var()
-        shadow = self._shadow
-        restr = None
-        if self.peek().text == "(":
-            self.next()
-            restr = self.formula()
-            self.expect(")")
-        self.expect(".")
-        body = self.formula()
-        self._unbind(var, shadow)
-        return Quant(kind, var, restr, body, mode)
-
-    def quantified2(self):
-        kw = self.next()
-        kind = QUANT2_KW[kw.text]
-        name = self.ident("predicate variable")
-        self.expect(":")
-        sort = self.sort_name()
-        self.expect(".")
-        shadow = self.predvars.get(name)
-        self.predvars[name] = sort
-        body = self.formula()
-        if shadow is None:
-            del self.predvars[name]
-        else:
-            self.predvars[name] = shadow
-        return Quant2(kind, name, sort, body)
-
-    def binding_var(self):
-        name = self.ident("variable")
-        self.expect(":")
-        sort = self.sort_name()
-        self._shadow = self.bound.get(name)
-        self.bound[name] = sort
-        return Var(name, sort)
-
-    def _unbind(self, var, shadow):
-        if shadow is None:
-            self.bound.pop(var.name, None)
-        else:
-            self.bound[var.name] = shadow
-
     def ident(self, what):
-        t = self.peek()
-        if t.kind != "ident":
-            self.fail("expected %s, found %r" % (what, t.text or "end of input"))
-        return self.next().text
+        kind, text, _ = self.peek()
+        if kind != "ident":
+            self.fail("expected %s, found %r" % (what, text or "end of input"))
+        self.i += 1
+        return text
 
     def sort_name(self):
         name = self.ident("sort name")
@@ -246,61 +177,117 @@ class _P:
             self.fail("unknown sort %s" % name, self.toks[self.i - 1])
         return name
 
-    def implication(self):
-        left = self.disjunction()
-        if self.at_ident("implies"):
-            self.next()
-            return Implies(left, self.implication())
-        return left
+    def binding_var(self):
+        """'x : S'; binds x in a new dict, so the old one can be restored."""
+        name = self.ident("variable")
+        self.expect(":")
+        var = Var(name, self.sort_name())
+        self.bound = {**self.bound, name: var.sort}
+        return var
 
-    def disjunction(self):
-        f = self.conjunction()
-        while self.at_ident("or"):
-            self.next()
-            f = Or(f, self.conjunction())
+    def scope(self):
+        saved = self.bound
+        var = self.binding_var()
+        self.expect(".")
+        body = self.formula()
+        self.bound = saved
+        return var, body
+
+    def sorted_formula(self):
+        """A formula, sort-checked (errors at its first token) if sig is set."""
+        first = self.peek()
+        f = self.formula()
+        try:
+            errs = [] if self.sig is None else sx.well_sorted(f, self.sig)
+        except RecursionError:
+            self.fail("input nested too deep", first)
+        if errs:
+            span = _span(self.src, first, self.toks[self.i - 1])
+            raise ParseError([Diagnostic("error", e, span) for e in errs])
         return f
 
-    def conjunction(self):
-        f = self.negation()
-        while self.at_ident("and"):
-            self.next()
-            f = And(f, self.negation())
-        return f
+    def formula(self):
+        toks, ops, vals = self.toks, [], []
+        groups = 0       # '(' on ops, not closed yet
+        start = True     # at the start of a formula, not after an operator
+        while True:
+            text = toks[self.i][1]
+            if text == "not" or text == "(":
+                self.i += 1
+                ops.append(_NOT if text == "not" else _GROUP)
+                groups += text == "("
+                start = text == "("
+                continue
+            if text in QUANT_KW or text in QUANT2_KW:
+                prefix = self.prefix(start)
+                if prefix is not None:
+                    ops.append(prefix)
+                    start = True
+                    continue
+            vals.append(self.atom())
+            while True:      # after an operand: ')'s, then a connective
+                text = toks[self.i][1]
+                if text in _INFIX:
+                    prec, bound, node = _INFIX[text]
+                    while ops and ops[-1][0] >= bound:
+                        _reduce(ops, vals)
+                    ops.append((prec, 2, node))
+                    self.i += 1
+                    start = False
+                    break
+                if groups and text == ")":
+                    while ops[-1] is not _GROUP:
+                        _reduce(ops, vals)
+                    ops.pop()
+                    groups -= 1
+                    self.i += 1
+                    continue
+                if groups:
+                    self.expect(")")
+                while ops:
+                    _reduce(ops, vals)
+                return vals[0]
 
-    def negation(self):
-        if self.at_ident("not"):
-            self.next()
-            return Not(self.negation())
-        return self.primary()
+    def prefix(self, start):
+        """The quantifier at the cursor as a stack entry of precedence 0, or
+        None before 'most:S'.  forall2/exists2 commit early only at `start`."""
+        word = self.peek()[1]
+        typed = self.peek(1)[0] == "ident" and self.peek(2)[1] == ":"
+        saved = self.bound, self.predvars
+        if word in QUANT2_KW and (typed or start):
+            self.i += 1
+            name = self.ident("predicate variable")
+            self.expect(":")
+            sort = self.sort_name()
+            self.expect(".")
+            self.predvars = {**self.predvars, name: sort}
+            node = partial(Quant2, QUANT2_KW[word], name, sort)
+        elif word in QUANT_KW and typed:
+            self.i += 1
+            var, restr = self.binding_var(), None
+            if self.peek()[1] == "(":
+                self.i += 1
+                restr = self.formula()
+                self.expect(")")
+            self.expect(".")
+            kind, mode = QUANT_KW[word]
+            node = partial(Quant, kind, var, restr, mode=mode)
+        elif word in GENERIC_KW and self.peek(1)[1] == ":":
+            return None
+        else:
+            self.fail("quantifier %r needs a typed variable" % word)
 
-    def primary(self):
-        t = self.peek()
-        if t.text == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")")
-            return f
-        if t.kind == "ident" and not self._generic_ahead():
-            if t.text in QUANT_KW and self.peek(1).kind == "ident" \
-                    and self.peek(2).text == ":":
-                return self.quantified()
-            if t.text in QUANT2_KW and self.peek(1).kind == "ident" \
-                    and self.peek(2).text == ":":
-                return self.quantified2()
-            if t.text in QUANT_KW or t.text in QUANT2_KW:
-                self.fail("quantifier %r needs a typed variable" % t.text)
+        def build(body):
+            self.bound, self.predvars = saved
+            return node(body)
+        return (0, 1, build)
+
+    def atom(self):
+        tok = self.toks[self.i]
         term = self.term()
-        if self.peek().text == "=":
-            self.next()
-            right = self.term()
-            return Atom(sx.EQ, (term, right))
-        return self._as_atom(term, t)
-
-    def _generic_ahead(self):
-        # "most:S" / "many:S" generic term, as opposed to "most x:S. ..."
-        return self.peek().text in GENERIC_KW and self.peek(1).text == ":"
-
-    def _as_atom(self, term, tok):
+        if self.peek()[1] == "=":
+            self.i += 1
+            return Atom(sx.EQ, (term, self.term()))
         if isinstance(term, App):
             if self.sig is not None and term.func in self.sig.predicates:
                 return Atom(term.func, term.args)
@@ -311,51 +298,46 @@ class _P:
             if self.sig is None:
                 return Atom(term.func, term.args)
             self.fail("unknown predicate %s" % term.func, tok)
-        if isinstance(term, Const) and self.sig is not None \
-                and term.name in self.sig.predicates:
-            return Atom(term.name, ())
-        if isinstance(term, Const) and self.sig is None:
+        if isinstance(term, Const) and (self.sig is None
+                                        or term.name in self.sig.predicates):
             return Atom(term.name, ())
         self.fail("expected a formula, found a term", tok)
 
-    # -- terms ------------------------------------------------------------
-
     def term(self):
-        t = self.peek()
-        if t.kind == "ident" and t.text in BINDER_KW and self.peek(1).kind == "ident" \
-                and self.peek(2).text == ":":
-            kw = self.next()
-            var = self.binding_var()
-            shadow = self._shadow
-            self.expect(".")
-            body = self.formula()
-            self._unbind(var, shadow)
-            return Binder(kw.text, var, body)
-        if t.kind == "ident" and t.text in GENERIC_KW and self.peek(1).text == ":":
-            self.next()
-            self.next()
-            sort = self.sort_name()
-            if self.peek().text == "(":
-                self.next()
-                var = self.binding_var()
-                shadow = self._shadow
-                self.expect(".")
-                restr = self.formula()
-                self.expect(")")
-                self._unbind(var, shadow)
-                return GenericRestricted(t.text, sort, var, restr)
-            return Generic(t.text, sort)
-        if t.kind != "ident" or t.text in KEYWORDS:
-            self.fail("expected a term, found %r" % (t.text or "end of input"))
-        name = self.next().text
-        if self.peek().text == "(" and name not in self.bound:
-            self.next()
+        kind, word, _ = self.toks[self.i]
+        if kind == "ident" and word not in KEYWORDS:
+            self.i += 1
+            if word in self.bound:
+                return Var(word, self.bound[word])
+            if self.toks[self.i][1] != "(":
+                return Const(word)
+            self.i += 1
             args = self.listed(self.term)
             self.expect(")")
-            return App(name, tuple(args))
-        if name in self.bound:
-            return Var(name, self.bound[name])
-        return Const(name)
+            return App(word, tuple(args))
+        if word in BINDER_KW and self.peek(1)[0] == "ident" \
+                and self.peek(2)[1] == ":":
+            self.i += 1
+            return Binder(word, *self.scope())
+        if word in GENERIC_KW and self.peek(1)[1] == ":":
+            self.i += 2
+            sort = self.sort_name()
+            if self.peek()[1] != "(":
+                return Generic(word, sort)
+            self.i += 1
+            var, restr = self.scope()
+            self.expect(")")
+            return GenericRestricted(word, sort, var, restr)
+        self.fail("expected a term, found %r" % (word or "end of input"))
+
+
+def _reduce(ops, vals):
+    _, arity, build = ops.pop()
+    if arity == 2:
+        right = vals.pop()
+        vals[-1] = build(vals[-1], right)
+    else:
+        vals[-1] = build(vals[-1])
 
 
 def parse_formula(text, sig=None, env=None):
@@ -365,91 +347,94 @@ def parse_formula(text, sig=None, env=None):
     `env` maps free-variable names to sorts.  Raises ParseError carrying
     located diagnostics.
     """
-    toks, diags = tokenize(text)
-    if diags:
-        raise ParseError(diags)
-    p = _P(toks, sig, env)
-    t = p.peek()
-    if t.kind == "ident" and (t.text in BINDER_KW or
-                              (t.text in GENERIC_KW and p.peek(1).text == ":")):
-        result = p.term()
-    else:
-        result = p.sorted_formula()
-    p.end()
-    return result
+    p = _P(tokenize(text), text, sig, env)
+    word = p.peek()[1]
+    term = word in BINDER_KW or (word in GENERIC_KW and p.peek(1)[1] == ":")
+    return p.end(p.term() if term else p.sorted_formula())
 
 
 def parse_term(text, sig=None, env=None):
     """Parse a term; `env` maps free-variable names to sorts."""
-    toks, diags = tokenize(text)
-    if diags:
-        raise ParseError(diags)
-    p = _P(toks, sig, env)
-    t = p.term()
-    p.end()
-    return t
+    p = _P(tokenize(text), text, sig, env)
+    return p.end(p.term())
 
 
 # ---------------------------------------------------------------------------
-# pretty printing
+# pretty printing, from an explicit stack of pieces so that deep trees print
+# too.  A piece is a string, or a (node, precedence) pair still to print;
+# the precedence of a term is None.
 
-_PREC = {"implies": 1, "or": 2, "and": 3, "not": 4, "atom": 5}
+_CONNECTIVE_OF = {node: (" %s " % word, prec, assoc)
+                  for word, (prec, assoc, node) in CONNECTIVES.items()}
 
 
 def print_formula(f):
     """Canonical text form; parse_formula(print_formula(f)) is alpha-eq to f."""
-    return _pf(f, 0)
-
-
-def _pf(f, prec):
-    if isinstance(f, Quant):
-        kw = f.kind
-        if f.kind == sx.MOST and f.mode == "strict":
-            kw = "moststrict"
-        elif f.kind == sx.MOST and f.mode == "weak":
-            kw = "mostweak"
-        restr = "" if f.restriction is None else " (%s)" % _pf(f.restriction, 0)
-        s = "%s %s:%s%s. %s" % (kw, f.var.name, f.var.sort, restr, _pf(f.body, 0))
-        return "(%s)" % s if prec > 0 else s
-    if isinstance(f, Quant2):
-        s = "%s %s:%s. %s" % (f.kind, f.predvar, f.sort, _pf(f.body, 0))
-        return "(%s)" % s if prec > 0 else s
-    if isinstance(f, Implies):
-        s = "%s implies %s" % (_pf(f.left, _PREC["implies"] + 1), _pf(f.right, _PREC["implies"]))
-        return "(%s)" % s if prec > _PREC["implies"] else s
-    if isinstance(f, Or):
-        s = "%s or %s" % (_pf(f.left, _PREC["or"]), _pf(f.right, _PREC["or"] + 1))
-        return "(%s)" % s if prec > _PREC["or"] else s
-    if isinstance(f, And):
-        s = "%s and %s" % (_pf(f.left, _PREC["and"]), _pf(f.right, _PREC["and"] + 1))
-        return "(%s)" % s if prec > _PREC["and"] else s
-    if isinstance(f, Not):
-        return "not %s" % _pf(f.body, _PREC["not"])
-    if isinstance(f, Atom):
-        if f.pred == sx.EQ:
-            s = "%s = %s" % (print_term(f.args[0]), print_term(f.args[1]))
-            return "(%s)" % s if prec > _PREC["and"] else s
-        if not f.args:
-            return f.pred
-        return "%s(%s)" % (f.pred, ", ".join(print_term(a) for a in f.args))
-    if isinstance(f, PredApp):
-        return "%s(%s)" % (f.predvar, print_term(f.arg))
-    raise TypeError("not a formula: %r" % (f,))
+    return _print(f, 0)
 
 
 def print_term(t):
+    return _print(t, None)
+
+
+def _print(e, prec):
+    out, todo = [], [(e, prec)]
+    while todo:
+        piece = todo.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        elif piece[1] is None:
+            todo.extend(reversed(_term_pieces(piece[0])))
+        else:
+            pieces, loosest = _formula_pieces(piece[0])
+            if piece[1] > loosest:
+                pieces = ["(", *pieces, ")"]
+            todo.extend(reversed(pieces))
+    return "".join(out)
+
+
+def _formula_pieces(f):
+    """f's pieces, and the highest precedence f needs no parentheses at."""
+    if type(f) in _CONNECTIVE_OF:
+        word, p, assoc = _CONNECTIVE_OF[type(f)]
+        return [(f.left, p + (assoc == "right")), word,
+                (f.right, p + (assoc == "left"))], p
+    if isinstance(f, Not):
+        return ["not ", (f.body, NOT_PRECEDENCE)], NOT_PRECEDENCE
+    if isinstance(f, Quant):
+        mode = f.mode if f.kind == sx.MOST and f.mode in ("strict", "weak") else ""
+        pieces = ["%s%s %s:%s" % (f.kind, mode, f.var.name, f.var.sort)]
+        if f.restriction is not None:
+            pieces += [" (", (f.restriction, 0), ")"]
+        return pieces + [". ", (f.body, 0)], 0
+    if isinstance(f, Quant2):
+        return ["%s %s:%s. " % (f.kind, f.predvar, f.sort), (f.body, 0)], 0
+    if isinstance(f, Atom) and f.pred == sx.EQ:
+        return [(f.args[0], None), " = ", (f.args[1], None)], NOT_PRECEDENCE - 1
+    if isinstance(f, Atom):
+        return _applied(f.pred, f.args) if f.args else [f.pred], NOT_PRECEDENCE
+    if isinstance(f, PredApp):
+        return _applied(f.predvar, (f.arg,)), NOT_PRECEDENCE
+    raise TypeError("not a formula: %r" % (f,))
+
+
+def _term_pieces(t):
     if isinstance(t, (Var, Const)):
-        return t.name
+        return [t.name]
     if isinstance(t, App):
-        return "%s(%s)" % (t.func, ", ".join(print_term(a) for a in t.args))
+        return _applied(t.func, t.args)
     if isinstance(t, Binder):
-        return "%s %s:%s. %s" % (t.kind, t.var.name, t.var.sort, _pf(t.body, 0))
+        return ["%s %s:%s. " % (t.kind, t.var.name, t.var.sort), (t.body, 0)]
     if isinstance(t, Generic):
-        return "%s:%s" % (t.kind, t.sort)
+        return ["%s:%s" % (t.kind, t.sort)]
     if isinstance(t, GenericRestricted):
-        return "%s:%s(%s:%s. %s)" % (t.kind, t.sort, t.var.name, t.var.sort,
-                                     _pf(t.restriction, 0))
+        return ["%s:%s(%s:%s. " % (t.kind, t.sort, t.var.name, t.var.sort),
+                (t.restriction, 0), ")"]
     raise TypeError("not a term: %r" % (t,))
+
+
+def _applied(name, args):
+    return [name + "(", *[p for a in args for p in (", ", (a, None))][1:], ")"]
 
 
 # ---------------------------------------------------------------------------
@@ -781,54 +766,56 @@ def _parse_tuple_set(rhs, arity, lineno, raw, diags):
     return tuples
 
 
+
+
 # ---------------------------------------------------------------------------
 # proof scripts
 #
 #   var x : S
 #   n. H1, ..., Hk |- F ; RULE(refs) [x := t | eigen x]
 #
-# Each line becomes one ProofTree node, built once and shared by every line
-# that cites it.  References point to lower-numbered lines; the last line in
-# the file is the root.
+# The script is tokenized once, a row at a time.  Each line becomes one
+# ProofTree node, built once and shared by every line that cites it.
+# References point to lower-numbered lines; the last line is the root.
 
 
 def parse_proof_script(text, sig):
     """Parse a proof script into a kernel.ProofTree (root = last line)."""
-    toks, diags = tokenize(text)
-    if diags:
-        raise ParseError(diags)
+    diags, lexed = [], []   # parse errors; unexpected characters (reported alone)
     lines = {}      # number -> what _script_line read
     env = {}        # free variables declared by `var` lines so far
-    root = None
-    row = []
-    for tok in toks:
-        if tok.kind not in ("nl", "eof"):
-            row.append(tok)
-            continue
-        if not row:
-            continue
-        p = _P(row + [Token("eof", "", tok.span)], sig, env)
-        row = []
+    read = {}       # hypothesis-list text -> formulas, see _script_line
+    root, start = None, 0
+    for row in text.split("\n"):
         try:
-            if p.at_ident("var"):
-                p.next()
-                name = p.ident("variable")
-                p.expect(":")
-                env[name] = p.sort_name()
+            toks = tokenize(text, start, start + len(row))
+        except ParseError as e:
+            lexed += e.diagnostics
+        start += len(row) + 1
+        if lexed or len(toks) == 1:
+            continue
+        p = _P(toks, text, sig, env)
+        try:
+            if p.peek()[1] == "var":
+                p.i += 1
+                var = p.binding_var()
+                env[var.name] = var.sort
+                read.clear()
                 p.end()
                 continue
-            num, line = _script_line(p)
+            num, line = _script_line(p, read)
         except ParseError as e:
             diags.extend(e.diagnostics)
             continue
-        n = int(num.text)
+        n = int(num[1])
         if n in lines:
-            diags.append(Diagnostic("error", "duplicate line number %d" % n, num.span))
+            diags.append(Diagnostic("error", "duplicate line number %d" % n,
+                                    _span(text, num)))
             continue
         lines[n] = line
         root = n
-    if diags:
-        raise ParseError(diags)
+    if lexed or diags:
+        raise ParseError(lexed or diags)
     if root is None:
         raise ParseError([Diagnostic("error", "empty proof script",
                                      SourceSpan(0, 0, 1, 1))])
@@ -838,11 +825,11 @@ def parse_proof_script(text, sig):
         hyps, concl, rule, refs, witness, eigen = lines[n]
         premises = []
         for tok in refs:
-            r = int(tok.text)
+            r = int(tok[1])
             if r not in nodes:
                 how = "forward to" if r in lines else "to undefined"
                 diags.append(Diagnostic("error", "line %d refers %s line %d"
-                                        % (n, how, r), tok.span))
+                                        % (n, how, r), _span(text, tok)))
             premises.append(nodes.get(r))
         nodes[n] = ProofTree(Sequent(hyps, concl), rule, tuple(premises),
                              witness=witness, eigen=eigen, line=n)
@@ -851,12 +838,23 @@ def parse_proof_script(text, sig):
     return nodes[root]
 
 
-def _script_line(p):
+def _script_line(p, read):
     """One numbered proof line read by `p`; returns its number token and
-    (hypotheses, conclusion, rule, reference tokens, witness, eigen)."""
+    (hypotheses, conclusion, rule, reference tokens, witness, eigen).
+    Lines repeat their hypotheses, so `read` maps the text of each list
+    read up to its '|-' to its formulas and number of tokens."""
     num = _line_number(p)
     p.expect(".")
-    hyps = [] if p.peek().text == "|-" else p.listed(p.sorted_formula)
+    start = p.peek()[2]
+    end = p.src.find("|-", start, p.toks[-1][2])
+    key = p.src[start:end] if end >= 0 else None
+    hyps, n = read.get(key, (None, 0))
+    if hyps is None:
+        i = p.i
+        hyps = [] if p.peek()[1] == "|-" else p.listed(p.sorted_formula)
+        if p.peek()[2] == end:
+            read[key] = hyps, p.i - i
+    p.i += n
     p.expect("|-")
     concl = p.sorted_formula()
     p.expect(";")
@@ -864,15 +862,15 @@ def _script_line(p):
     if rule not in RULES:
         p.fail("unknown rule %r" % rule, p.toks[p.i - 1])
     refs = []
-    if p.peek().text == "(":
-        p.next()
+    if p.peek()[1] == "(":
+        p.i += 1
         refs = p.listed(lambda: _line_number(p))
         p.expect(")")
     witness = eigen = None
-    if p.peek().text == "[":
-        p.next()
-        if p.at_ident("eigen") and p.peek(1).text != ":=":
-            p.next()
+    if p.peek()[1] == "[":
+        p.i += 1
+        if p.peek()[1] == "eigen" and p.peek(1)[1] != ":=":
+            p.i += 1
             eigen = p.ident("eigenvariable")
         else:
             name = p.ident("witness variable")
@@ -885,6 +883,7 @@ def _script_line(p):
 
 def _line_number(p):
     tok = p.peek()
-    if tok.kind != "num" or not tok.text.isdigit():
-        p.fail("expected a line number, found %r" % (tok.text or "end of input"))
-    return p.next()
+    if tok[0] != "num" or not tok[1].isdigit():
+        p.fail("expected a line number, found %r" % (tok[1] or "end of input"))
+    p.i += 1
+    return tok

@@ -197,3 +197,15 @@ def test_witness_text_uses_the_printer(capsys, fixtures):
     assert code == 0
     witness = "witness: eps x:ind. not (student(x) and goesOut(x)) -> d1"
     assert witness in out.splitlines()
+
+
+@pytest.mark.parametrize("flag", ["classify --theta", "eval --theta",
+                                  "eval --theta-many"])
+def test_zero_denominator_threshold_is_an_input_error(capsys, fixtures, flag):
+    command, option = flag.split()
+    argv = [command, option, "1/0"] + (
+        ["most"] if command == "classify" else
+        ["--model", str(fixtures / "density.model"), "most x:nat. not prime(x)"])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: bad %s value '1/0'\n" % option

@@ -140,3 +140,13 @@ def test_shared_trees_compare_and_hash_in_linear_time(sig):
     assert changed != text
     differs = parse_proof_script(changed, sig) != a
     assert differs
+
+
+def test_repr_names_premises_by_line(sig):
+    tree = parse_proof_script(shared_script(61), sig)
+    start = time.perf_counter()
+    text = repr(tree)
+    assert time.perf_counter() - start < 1
+    assert len(text) < 64 * 1024
+    assert "rule='and-e1', premises=(line 60), " in text and text.endswith("line=61)")
+    assert "premises=(line 59, line 59)" in repr(tree.premises[0])
