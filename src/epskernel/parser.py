@@ -535,7 +535,7 @@ def parse_signature(text):
 
 def parse_model(text):
     """Parse a model file; returns a models.Model. Raises ParseError."""
-    from .models import Model  # local import to avoid a cycle
+    from .models import BUILTIN_PREDS, Model  # local import to avoid a cycle
 
     domains = {}
     builtins = {}
@@ -631,9 +631,10 @@ def parse_model(text):
             if rhs == "count":
                 measure[name] = ("count",)
             elif rhs.startswith("density(") and rhs.endswith(")"):
-                try:
-                    measure[name] = ("density", int(rhs[len("density("):-1]))
-                except ValueError:
+                bound = rhs[len("density("):-1].strip()
+                if bound.isdecimal() and int(bound) > 0:
+                    measure[name] = ("density", int(bound))
+                else:
                     err("bad density bound", lineno, raw)
             else:
                 err("measure must be 'count' or 'density(N)'", lineno, raw)
@@ -665,12 +666,19 @@ def parse_model(text):
                 err("integer sort %s needs 'measure %s = density(N)'"
                     % (name, name), *where["sort", name])
                 continue
-            final_domains[name] = list(range(1, m[1] + 1))
+            final_domains[name] = range(1, m[1] + 1)
         else:
             final_domains[name] = dom
             measure.setdefault(name, ("count",))
 
     # sort checks on extensions
+    for name, builtin in builtins.items():
+        arg_sorts = pred_sorts[name]
+        if builtin not in BUILTIN_PREDS:
+            err("unknown builtin predicate @%s" % builtin, *where["pred", name])
+        elif len(arg_sorts) != 1 or domains.get(arg_sorts[0]) != "int":
+            err("builtin @%s needs one argument of an integer sort" % builtin,
+                *where["pred", name])
     for name, arg_sorts in pred_sorts.items():
         for s in arg_sorts:
             if s not in domains:

@@ -209,3 +209,22 @@ def test_zero_denominator_threshold_is_an_input_error(capsys, fixtures, flag):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: bad %s value '1/0'\n" % option
+
+
+@pytest.mark.parametrize("text, formula, diagnostic", [
+    ("sort nat = int\npred prime : nat = @prime\nmeasure nat = density(0)\n",
+     "exists x:nat. prime(x)", "error:3:1: bad density bound"),
+    ("sort nat = int\npred prime : nat = @prime\nmeasure nat = density(-5)\n",
+     "exists x:nat. prime(x)", "error:3:1: bad density bound"),
+    ("sort nat = int\npred q : nat = @square\nmeasure nat = density(10)\n",
+     "exists x:nat. q(x)", "error:2:1: unknown builtin predicate @square"),
+    ("sort s = {a, b}\npred prime : s = @prime\n", "exists x:s. prime(x)",
+     "error:2:1: builtin @prime needs one argument of an integer sort"),
+])
+def test_bad_builtin_declarations_exit_2(capsys, tmp_path, text, formula,
+                                         diagnostic):
+    model = tmp_path / "bad.model"
+    model.write_text(text)
+    code, out, err = run(capsys, "eval", "--model", str(model), formula)
+    assert code == 2 and out == ""
+    assert diagnostic in err.splitlines()

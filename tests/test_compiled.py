@@ -1,7 +1,9 @@
-"""Differential tests: compiled truth() against the _Evaluator tree walk.
+"""Differential tests: compiled truth() against the tree walk in
+eval_oracle.
 
-truth() runs a formula's compiled code; _Evaluator is the reference.  On
-every input both must give the same value or raise the same exception.
+truth() runs a formula's compiled code; eval_oracle._Evaluator is the
+reference.  On every input both must give the same value or raise the same
+exception.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ from epskernel.syntax import (Atom, And, App, Binder, Const, Generic,
                               GenericRestricted, Implies, Not, Or, PredApp,
                               Quant, Quant2, Signature, Var)
 
+import eval_oracle
 from test_acceptance import _prefix_family
 
 
@@ -32,9 +35,9 @@ def outcome(fn):
 
 
 def reference(m, f, env=None):
-    # the tree walk without recording is the one truth() falls back to;
-    # its closed-choice cache keeps the sweeps below fast
-    return outcome(lambda: models._Evaluator(m, record=False)
+    # the tree walk without recording; its closed-choice cache keeps the
+    # sweeps below fast
+    return outcome(lambda: eval_oracle._Evaluator(m, record=False)
                    .formula(f, env or Environment()))
 
 
@@ -51,7 +54,7 @@ def test_corpus_agrees_on_all_models_up_to_3():
     for f in formulas:
         assert compiled.compile_formula(f) is not None, parser.print_formula(f)
         for m in ms:
-            assert truth(m, f) == models._Evaluator(m, record=False) \
+            assert truth(m, f) == eval_oracle._Evaluator(m, record=False) \
                 .formula(f, Environment()), (parser.print_formula(f), m)
 
 
@@ -177,7 +180,7 @@ def test_random_formulas_agree(f, ms):
         assert_agrees(m, f)
 
 
-# -- the fallback list ---------------------------------------------------
+# -- routing: what the mask form leaves to the ordered form ---------------
 
 M = parser.parse_model("sort s = {a,b,c}\nconst c : s = a\n"
                        "fun f : s -> s = {a: b, c: a}\n"
@@ -186,13 +189,14 @@ X = Var("x", "s")
 
 
 def count_tree_walks(monkeypatch):
+    """Count the calls that truth() runs again in the ordered form."""
     walks = []
+    ordered = compiled.ordered
 
-    class Counting(models._Evaluator):
-        def __init__(self, *a, **k):
-            walks.append(1)
-            super().__init__(*a, **k)
-    monkeypatch.setattr(models, "_Evaluator", Counting)
+    def counting(model, node, env, mode):
+        walks.append(mode)
+        return ordered(model, node, env, mode)
+    monkeypatch.setattr(compiled, "ordered", counting)
     return walks
 
 
@@ -204,7 +208,8 @@ def test_tree_walk_only_where_needed(text, monkeypatch):
     want = models.eval_formula(M, None, f).value
     walks = count_tree_walks(monkeypatch)
     assert truth(M, f) == want
-    # a partial function sends only the calls that meet its gap to the tree
+    # a partial function sends only the calls that meet its gap to the
+    # ordered form
     assert len(walks) == (1 if "f(x)" in text else 0)
 
 
@@ -215,7 +220,7 @@ def test_tree_walk_only_where_needed(text, monkeypatch):
         Quant(sx.EXISTS, X, None, Atom("Q", (Var("y", "s"),)))),
 ])
 def test_uncompilable_formulas(f):
-    assert compiled.compile_formula(f) is None
+    assert compiled.compile_formula(f) is not None
     assert_agrees(M, f)
 
 
@@ -223,12 +228,12 @@ def test_environment_and_builtins_use_the_tree(monkeypatch):
     walks = count_tree_walks(monkeypatch)
     assert truth(M, Atom("P", (X,)), Environment().bind("x", "b"))
     assert truth(M, Atom("P", (Const("c"),)), Environment())   # empty env
-    assert len(walks) == 1
+    assert len(walks) == 0
     dens = parser.parse_model("sort nat = int\npred prime : nat = @prime\n"
                               "measure nat = density(100)")
     f = parser.parse_formula("most x:nat. not prime(x)", dens.signature)
     assert truth(dens, f)
-    assert len(walks) == 2
+    assert len(walks) == 0
 
 
 def test_partial_function_errors_match_the_tree():

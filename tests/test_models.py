@@ -13,6 +13,7 @@ from epskernel.models import (Environment, enumerate_models, eval_formula,
 from epskernel.syntax import Atom, And, Binder, Const, Implies, Not, Or, \
     Quant, Signature, Var
 
+import eval_oracle
 from test_acceptance import _prefix_family
 
 M4 = parser.parse_model("sort s = {a,b,c,d}\npred P : s = {b,c}\npred Q : s = {}")
@@ -326,8 +327,8 @@ def test_choice_cache_regression():
         assert truth(m, both) == want
         assert truth(m, g1) == eval_formula(m, None, g1).value
         assert truth(m, g2) == eval_formula(m, None, g2).value
-        # the tree walk that truth() falls back to, which keeps the cache
-        assert models._Evaluator(m, record=False).formula(both, Environment()) \
+        # the tree walk oracle, which keeps the cache
+        assert eval_oracle._Evaluator(m, record=False).formula(both, Environment()) \
             == want
 
 
@@ -365,13 +366,14 @@ def test_choice_cache_keeps_record_mode_output(monkeypatch):
     embedded = [transform.epsilon_embed(f) for f in family]
     ms = list(enumerate_models(sig, 2))
 
-    def results():
+    def results(evaluate):
         return [(r.value, r.flags, r.witnesses)
-                for r in (eval_formula(m, None, e) for e in embedded for m in ms)]
+                for r in (evaluate(m, None, e) for e in embedded for m in ms)]
 
-    cached = results()
-    monkeypatch.setattr(models._Evaluator, "_is_closed", lambda self, t: False)
-    assert results() == cached
+    cached = results(eval_formula)
+    # the tree walk oracle with its choice cache off
+    monkeypatch.setattr(eval_oracle._Evaluator, "_is_closed", lambda self, t: False)
+    assert results(eval_oracle.eval_formula) == cached
 
 
 def test_choice_under_a_predicate_variable_is_not_cached():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -176,3 +177,30 @@ def test_model_diagnostics_name_their_line():
         "error:2:1: integer sort n needs 'measure n = density(N)'",
         "error:3:1: predicate R over unknown sort t",
         "error:4:1: constant d of unknown sort t"]
+
+
+@pytest.mark.parametrize("text, diagnostic", [
+    ("sort nat = int\npred prime : nat = @prime\nmeasure nat = density(0)",
+     "error:3:1: bad density bound"),
+    ("sort nat = int\npred prime : nat = @prime\nmeasure nat = density(-5)",
+     "error:3:1: bad density bound"),
+    ("sort nat = int\npred q : nat = @square\nmeasure nat = density(10)",
+     "error:2:1: unknown builtin predicate @square"),
+    ("sort s = {a, b}\npred prime : s = @prime",
+     "error:2:1: builtin @prime needs one argument of an integer sort"),
+    ("sort nat = int\npred p : nat, nat = @even\nmeasure nat = density(10)",
+     "error:2:1: builtin @even needs one argument of an integer sort"),
+])
+def test_bad_builtin_declarations_are_located(text, diagnostic):
+    with pytest.raises(ParseError) as e:
+        parse_model(text)
+    assert diagnostic in [str(d) for d in e.value.diagnostics]
+
+
+def test_integer_sort_is_a_range():
+    # an integer sort's domain is never materialised per element
+    start = time.perf_counter()
+    m = parse_model("sort nat = int\npred prime : nat = @prime\n"
+                    "measure nat = density(100000000)")
+    assert time.perf_counter() - start < 1
+    assert m.domain("nat") == range(1, 10 ** 8 + 1)
