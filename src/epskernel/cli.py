@@ -291,12 +291,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (parser.ParseError,) as e:
+    except parser.ParseError as e:     # LexiconError too
         for d in e.diagnostics:
             print(str(d), file=sys.stderr)
         return 2
     except (InputError, models.EvalError, transform.TransformError,
-            semantics.LexiconError, semantics.SemanticsError,
+            semantics.SemanticsError,
             sx.SortError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

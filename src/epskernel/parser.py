@@ -1,9 +1,9 @@
 """Concrete text syntax: formulas, signatures, models, proof scripts and
 lexicons, plus the pretty-printer.
 
-Formulas and proof scripts share one lexer.  A token is a (kind, text,
-offset) tuple; a diagnostic counts its line and column from the offset.
-'#' comments run to the end of the line.  A formula is operands joined by
+Every file kind shares one lexer.  A token is a (kind, text, offset)
+tuple; a diagnostic counts its line and column from the offset.  '#'
+comments run to the end of the line.  A formula is operands joined by
 these operators, loosest first, which wait on an explicit stack so that
 chains of them and nested parentheses cost no recursion:
 
@@ -23,15 +23,37 @@ chains of them and nested parentheses cost no recursion:
 Terms are read by recursive descent: binder terms "eps x:S. F" (and tau,
 iota, eta), whose body reaches as far right as it can; generic terms
 "most:S", "many:S", "most:S(x:S. R)"; variables, constants, applications.
+
+Signature, model and lexicon files hold one declaration per line:
+
+    decl    := KW NAME [':' SORTS ['->' SORT]] ['=' VALUE]
+    entry   := KIND word ':' NAME ['(' SORTS ')']        (lexicons)
+    SORTS   := [SORT (',' SORT)*]
+
+    signature   sort S | intsort S | const c : S | pred P : SORTS
+                | fun f : SORTS -> S
+    model       sort S = {a, b, ...} | sort S = int
+                | pred P : SORTS = {a, (a, b), ...} | pred P : S = @prime
+                | const c : S = a | fun f : SORTS -> S = {a: b, (a, b): c}
+                | measure S = count | measure S = density(N)
+                | threshold most = 0.5 | threshold many = 2/5
+                | mode majority = strict | mode majority = weak
+    lexicon     noun word : S | pron word : S | verb word : P(S)
+                | adj word : P(S) | tverb word : R(S, S)
+
+A fault in a line's syntax is reported at its token, a check on a whole
+declaration at the declaration's first token, both as error:LINE:COLUMN.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+import string
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import itemgetter
 
 from . import syntax as sx
 from .kernel import RULES, ProofTree, Sequent
@@ -90,28 +112,46 @@ _INFIX = {word: (prec, prec + (assoc == "right"), node)
 _NOT = (NOT_PRECEDENCE, 1, Not)
 _GROUP = (-1, 0, None)
 
-# One match per token, skipping the blanks, newlines and comments before it
+# Split on this pattern, a text falls into its tokens and the blanks and
+# newlines between them.  A token's kind follows from its first character;
+# '#' starts a comment, which is dropped.
 _TOKEN_RE = re.compile(r"""
-    (?: [ \t\r\n]+ | \#[^\n]* )*
-    (?: (?P<ident>forall\*|exists\*|[A-Za-z_][A-Za-z0-9_'-]*)
-      | (?P<num>\d+(?:\.\d+)?)
-      | (?P<sym>->|\|-|:=|[().,:;={}\[\]|])
-      | (?P<eof>\Z)
-      | (?P<bad>.) )
-""", re.VERBOSE | re.DOTALL)
+    ( forall\*|exists\*|[A-Za-z_][A-Za-z0-9_'-]*    # ident
+    | \d+(?:\.\d+)?                                 # num
+    | ->|\|-|:=|[().,:;={}\[\]|]                    # sym
+    | \#[^\n]*                                      # comment
+    | [^ \t\r\n] )                                  # bad: starts no token
+""", re.VERBOSE)
+_KIND = {**dict.fromkeys(string.ascii_letters + "_", "ident"),
+         **dict.fromkeys(string.digits, "num"),
+         **dict.fromkeys("().,:;={}[]|", "sym")}
 
 
 def tokenize(text, start=0, end=None):
     """Tokens of text[start:end], ending with one 'eof' at `end`.  Raises
     ParseError with a diagnostic for each character that starts no token."""
-    matches = _TOKEN_RE.finditer(text, start, len(text) if end is None else end)
-    toks = [(m.lastgroup, m[m.lastindex], m.start(m.lastindex)) for m in matches]
-    if len(toks) > 1 and toks[-2][0] == "eof":
-        toks.pop()   # skipped text before the end matched as a second eof
+    toks = _lex(text, start, end)
     diags = [Diagnostic("error", "unexpected character %r" % t[1], _span(text, t))
              for t in toks if t[0] == "bad"]
     if diags:
         raise ParseError(diags)
+    return toks
+
+
+def _lex(text, start=0, end=None):
+    """tokenize's tokens, with each character that starts no token kept as
+    a 'bad' token."""
+    end = len(text) if end is None else end
+    parts = _TOKEN_RE.split(text[start:end])     # blanks, token, blanks, ...
+    toks, pos = [], start + len(parts[0])
+    for tok, blanks in zip(parts[1::2], parts[2::2]):
+        kind = _KIND.get(tok[0]) or (
+            "num" if tok[0].isdecimal() else "sym" if tok == "->"
+            else None if tok[0] == "#" else "bad")
+        if kind:
+            toks.append((kind, tok, pos))
+        pos += len(tok) + len(blanks)
+    toks.append(("eof", "", end))
     return toks
 
 
@@ -145,10 +185,12 @@ class _P:
         raise ParseError([Diagnostic("error", msg,
                                      _span(self.src, tok or self.peek()))])
 
+    def expected(self, what):
+        self.fail("expected %s, found %r" % (what, self.peek()[1] or "end of input"))
+
     def expect(self, text):
-        found = self.toks[self.i][1]
-        if found != text:
-            self.fail("expected %r, found %r" % (text, found or "end of input"))
+        if self.toks[self.i][1] != text:
+            self.expected(repr(text))
         self.i += 1
 
     def end(self, result=None):
@@ -167,7 +209,7 @@ class _P:
     def ident(self, what):
         kind, text, _ = self.peek()
         if kind != "ident":
-            self.fail("expected %s, found %r" % (what, text or "end of input"))
+            self.expected(what)
         self.i += 1
         return text
 
@@ -328,7 +370,7 @@ class _P:
             var, restr = self.scope()
             self.expect(")")
             return GenericRestricted(word, sort, var, restr)
-        self.fail("expected a term, found %r" % (word or "end of input"))
+        self.expected("a term")
 
 
 def _reduce(ops, vals):
@@ -383,14 +425,31 @@ def _print(e, prec):
         piece = todo.pop()
         if isinstance(piece, str):
             out.append(piece)
-        elif piece[1] is None:
-            todo.extend(reversed(_term_pieces(piece[0])))
+            continue
+        node, prec = piece
+        if prec is None:
+            pieces = _term_pieces(node)
+            if isinstance(node, Binder) and todo and todo[-1] == " = ":
+                pieces[-1:] = ["(", (node.body, 0), ")"]    # or it takes in '='
         else:
-            pieces, loosest = _formula_pieces(piece[0])
-            if piece[1] > loosest:
+            pieces, loosest = _formula_pieces(node)
+            if prec > loosest or _equality_needs_parentheses(node, todo, out):
                 pieces = ["(", *pieces, ")"]
-            todo.extend(reversed(pieces))
+        todo.extend(reversed(pieces))
     return "".join(out)
+
+
+def _equality_needs_parentheses(f, todo, out):
+    """Whether f, an equality about to be printed after `out` and before
+    `todo`, needs parentheses though precedence does not ask for them:
+    at the start of the text a term on its left would read as a bare term,
+    and before more text a choice term on its right would take that text
+    into its body."""
+    if not (isinstance(f, Atom) and f.pred == sx.EQ):
+        return False
+    if not out and isinstance(f.args[0], (Binder, Generic, GenericRestricted)):
+        return True
+    return bool(todo) and todo[-1] != ")" and isinstance(f.args[1], Binder)
 
 
 def _formula_pieces(f):
@@ -438,342 +497,291 @@ def _applied(name, args):
 
 
 # ---------------------------------------------------------------------------
-# signature files
-#
-#   sort S
-#   intsort nat            # declares nat and marks it as the integer sort
-#   const c : S
-#   fun f : S, S -> S
-#   pred P : S, T          # "pred P :" declares a nullary predicate
+# declaration files: signatures, models and lexicons, one declaration per
+# line (grammar in the module docstring).  A file is lexed once and read a
+# line at a time.  A character that starts no token stays in as a 'bad'
+# token, which values such as '@prime' and '2/5' hold.
+
+_SYMBOLS = {"const": "constant", "pred": "predicate", "fun": "function"}
+_SIGNATURE_KW = {"sort", "intsort", *_SYMBOLS}
+_MODEL_KW = {"sort", *_SYMBOLS, "measure", "threshold", "mode"}
+# lexicon entry kind -> number of argument sorts; None for a sort of its own
+_LEXICON_KINDS = {"noun": None, "pron": None, "verb": 1, "adj": 1, "tverb": 2}
+_ELEMENT = ("ident", "num")
+
+
+def _lines(text, toks, sig=None, env=None):
+    """For each line of text that holds a token, a cursor over its tokens,
+    sliced from `toks`, the text's tokens."""
+    i = 0
+    while toks[i][0] != "eof":
+        end = text.find("\n", toks[i][2])
+        end = len(text) if end < 0 else end
+        j = bisect_left(toks, end, i, key=itemgetter(2))
+        yield _P(toks[i:j] + [("eof", "", end)], text, sig, env)
+        i = j
+
+
+def _read_lines(text, read):
+    """Calls read(p) with the cursor p of each line of text; returns the
+    diagnostics of the lines it raised ParseError on."""
+    diags = []
+    for p in _lines(text, _lex(text)):
+        try:
+            read(p)
+        except ParseError as e:
+            diags += e.diagnostics
+    return diags
+
+
+def _checked(result, diags):
+    """`result`, unless there are diagnostics to raise, in text order."""
+    if diags:
+        raise ParseError(sorted(diags, key=lambda d: d.span.start))
+    return result
+
+
+def _error(src, tok, msg):
+    return Diagnostic("error", msg, _span(src, tok))
+
+
+def _natural(text):
+    """The number a numeral of decimal digits spells, else None (also when
+    it is longer than int() reads)."""
+    return int(text) if text.isdecimal() and len(text) < 4300 else None
+
+
+def _head(p, keywords):
+    """KW NAME [':' SORTS ['->' SORT]] as (first token, KW, NAME, SORTS,
+    SORT): a const takes ':' SORT, a pred ':' SORTS, a fun ':' SORTS '->'
+    SORT, and another keyword none of these."""
+    first = p.peek()
+    kw = p.ident("declaration")
+    if kw not in keywords:
+        p.fail("unknown declaration %r" % kw, first)
+    name = p.ident("name")
+    args, result = (), None
+    if kw in _SYMBOLS:
+        p.expect(":")
+        if kw != "const" and p.peek()[0] == "ident":
+            args = tuple(p.listed(p.sort_name))
+        if kw == "fun":
+            p.expect("->")
+        if kw != "pred":
+            result = p.sort_name()
+    return first, kw, name, args, result
+
+
+def _signature(heads, src, diags):
+    """The Signature of sort, intsort, const, pred and fun heads, whose last
+    intsort is its integer sort.  Adds to `diags` each name declared twice
+    and each symbol over a sort that no head declares."""
+    decls = {"sort": {}, "const": {}, "pred": {}, "fun": {}}
+    intsort = None
+    for first, kw, name, args, result in heads:
+        if kw == "intsort":
+            kw, intsort = "sort", name
+        if name in decls[kw]:
+            diags.append(_error(src, first, "duplicate %s %s"
+                                % (_SYMBOLS.get(kw, kw), name)))
+        decls[kw].setdefault(name, (first, args, result))
+    for kw, noun in _SYMBOLS.items():
+        for name, (first, args, result) in decls[kw].items():
+            for sort in (*args, result):
+                if sort is not None and sort not in decls["sort"]:
+                    diags.append(_error(src, first, "%s %s %s unknown sort %s" % (
+                        noun, name, "of" if kw == "const" else "over", sort)))
+                    break
+    return Signature(frozenset(decls["sort"]),
+                     {c: d[2] for c, d in decls["const"].items()},
+                     {f: d[1:] for f, d in decls["fun"].items()},
+                     {p: d[1] for p, d in decls["pred"].items()}, intsort)
 
 
 def parse_signature(text):
-    sorts, consts, funcs, preds = set(), {}, {}, {}
-    intsort = None
-    diags = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        span = SourceSpan(0, len(raw), lineno, 1)
-
-        def err(msg):
-            diags.append(Diagnostic("error", msg, span))
-
-        parts = line.split(None, 1)
-        kw = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
-        if kw == "sort":
-            name = rest.strip()
-            if not name:
-                err("sort needs a name")
-            elif name in sorts:
-                err("duplicate sort %s" % name)
-            else:
-                sorts.add(name)
-        elif kw == "intsort":
-            name = rest.strip()
-            sorts.add(name)
-            intsort = name
-        elif kw in ("const", "pred", "fun"):
-            if ":" not in rest:
-                err("missing ':' in %s declaration" % kw)
-                continue
-            name, sig_part = (s.strip() for s in rest.split(":", 1))
-            if kw == "const":
-                if sig_part not in sorts:
-                    err("unknown sort %s" % sig_part)
-                elif name in consts:
-                    err("duplicate constant %s" % name)
-                else:
-                    consts[name] = sig_part
-            elif kw == "pred":
-                args = tuple(s.strip() for s in sig_part.split(",") if s.strip())
-                bad = [s for s in args if s not in sorts]
-                if bad:
-                    err("unknown sort %s" % bad[0])
-                elif name in preds:
-                    err("duplicate predicate %s" % name)
-                else:
-                    preds[name] = args
-            else:
-                if "->" not in sig_part:
-                    err("function declaration needs '->'")
-                    continue
-                dom, cod = (s.strip() for s in sig_part.split("->", 1))
-                args = tuple(s.strip() for s in dom.split(",") if s.strip())
-                bad = [s for s in (*args, cod) if s not in sorts]
-                if bad:
-                    err("unknown sort %s" % bad[0])
-                elif name in funcs:
-                    err("duplicate function %s" % name)
-                else:
-                    funcs[name] = (args, cod)
-        else:
-            err("unknown declaration %r" % kw)
-    if diags:
-        raise ParseError(diags)
-    return Signature(frozenset(sorts), consts, funcs, preds, intsort)
-
-
-# ---------------------------------------------------------------------------
-# model files
-#
-#   sort S = {a, b, c}       # listing order is the total order
-#   sort nat = int           # designated integer sort; needs a density measure
-#   pred P : S = {a, b}
-#   pred R : S, S = {(a,b), (b,c)}
-#   pred prime : nat = @prime
-#   const c : S = a
-#   fun f : S -> S = {a: b, b: a}
-#   measure nat = density(10000)
-#   measure S = count
-#   threshold most = 0.5
-#   threshold many = 0.4
-#   mode majority = strict
+    """Parse a signature file (grammar in the module docstring)."""
+    heads = []
+    diags = _read_lines(
+        text, lambda p: heads.append(p.end(_head(p, _SIGNATURE_KW))))
+    return _checked(_signature(heads, text, diags), diags)
 
 
 def parse_model(text):
-    """Parse a model file; returns a models.Model. Raises ParseError."""
+    """Parse a model file (grammar in the module docstring); returns a
+    models.Model.  Raises ParseError."""
     from .models import BUILTIN_PREDS, Model  # local import to avoid a cycle
 
+    heads, values = [], {kw: {} for kw in _MODEL_KW}   # kw -> name -> (head, value)
+
+    def read(p):
+        head = _head(p, _MODEL_KW)
+        p.expect("=")
+        value = _model_value(p, head)
+        values[head[1]][head[2]] = head, value
+        if head[1] in _SIGNATURE_KW:
+            heads.append((head[0], "intsort", *head[2:]) if value == "int" else head)
+
+    diags = _read_lines(text, read)
+    sig = _signature(heads, text, diags)
+
+    def error(head, msg):
+        diags.append(_error(text, head[0], msg))
+
+    measure = {name: m for name, (_, m) in values["measure"].items()}
     domains = {}
-    builtins = {}
-    preds, consts, funcs = {}, {}, {}
-    pred_sorts, const_sorts, func_sorts = {}, {}, {}
-    measure = {}
-    thresholds = {}
-    majority = "strict"
-    diags = []
-    where = {}      # (keyword, name) -> (line number, line) of its declaration
-
-    def err(msg, lineno, raw):
-        diags.append(Diagnostic("error", msg, SourceSpan(0, len(raw), lineno, 1)))
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            err("missing '=' in model line", lineno, raw)
-            continue
-        head, rhs = (s.strip() for s in line.split("=", 1))
-        parts = head.split(None, 1)
-        kw = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
-        if kw == "sort":
-            name = rest.strip()
-            if name in domains:
-                err("duplicate sort %s" % name, lineno, raw)
-                continue
-            where[kw, name] = (lineno, raw)
-            if rhs == "int":
-                domains[name] = "int"
-            else:
-                elems = _parse_elem_set(rhs, lineno, raw, diags)
-                if elems is not None:
-                    seen = set()
-                    for e in elems:
-                        if e in seen:
-                            err("duplicate element %s in sort %s" % (e, name),
-                                lineno, raw)
-                        seen.add(e)
-                    domains[name] = list(dict.fromkeys(elems))
-        elif kw == "pred":
-            if ":" not in rest:
-                err("predicate needs ': SORTS'", lineno, raw)
-                continue
-            name, sortspec = (s.strip() for s in rest.split(":", 1))
-            arg_sorts = tuple(s.strip() for s in sortspec.split(",") if s.strip())
-            pred_sorts[name] = arg_sorts
-            where[kw, name] = (lineno, raw)
-            if rhs.startswith("@"):
-                builtins[name] = rhs[1:]
-                preds[name] = None
-            else:
-                tuples = _parse_tuple_set(rhs, len(arg_sorts), lineno, raw, diags)
-                if tuples is not None:
-                    preds[name] = set(tuples)
-        elif kw == "const":
-            if ":" not in rest:
-                err("constant needs ': SORT'", lineno, raw)
-                continue
-            name, sort = (s.strip() for s in rest.split(":", 1))
-            const_sorts[name] = sort
-            where[kw, name] = (lineno, raw)
-            consts[name] = rhs
-        elif kw == "fun":
-            if ":" not in rest or "->" not in rest:
-                err("function needs ': S -> T'", lineno, raw)
-                continue
-            name, sortspec = (s.strip() for s in rest.split(":", 1))
-            dom, cod = (s.strip() for s in sortspec.split("->", 1))
-            args = tuple(s.strip() for s in dom.split(",") if s.strip())
-            func_sorts[name] = (args, cod)
-            table = {}
-            body = rhs.strip()
-            if not (body.startswith("{") and body.endswith("}")):
-                err("function table must be '{args: result, ...}'", lineno, raw)
-                continue
-            for entry in _split_entries(body[1:-1]):
-                if not entry.strip():
-                    continue
-                if ":" not in entry:
-                    err("bad function table entry %r" % entry, lineno, raw)
-                    continue
-                k, v = entry.rsplit(":", 1)
-                k = k.strip().strip("()")
-                key = tuple(s.strip() for s in k.split(",") if s.strip())
-                table[key] = v.strip()
-            funcs[name] = table
-        elif kw == "measure":
-            name = rest.strip()
-            if rhs == "count":
-                measure[name] = ("count",)
-            elif rhs.startswith("density(") and rhs.endswith(")"):
-                bound = rhs[len("density("):-1].strip()
-                if bound.isdecimal() and int(bound) > 0:
-                    measure[name] = ("density", int(bound))
-                else:
-                    err("bad density bound", lineno, raw)
-            else:
-                err("measure must be 'count' or 'density(N)'", lineno, raw)
-        elif kw == "threshold":
-            which = rest.strip()
-            if which not in ("most", "many"):
-                err("threshold applies to 'most' or 'many'", lineno, raw)
-                continue
-            try:
-                thresholds[which] = Fraction(rhs)
-            except (ValueError, ZeroDivisionError):
-                err("bad threshold %r" % rhs, lineno, raw)
-        elif kw == "mode":
-            if rest.strip() != "majority" or rhs not in ("strict", "weak"):
-                err("mode line must be 'mode majority = strict|weak'", lineno, raw)
-            else:
-                majority = rhs
-        else:
-            err("unknown model declaration %r" % kw, lineno, raw)
-
-    # resolve integer sorts against measures
-    final_domains = {}
-    intsort = None
-    for name, dom in domains.items():
-        if dom == "int":
-            intsort = name
-            m = measure.get(name)
-            if m is None or m[0] != "density":
-                err("integer sort %s needs 'measure %s = density(N)'"
-                    % (name, name), *where["sort", name])
-                continue
-            final_domains[name] = range(1, m[1] + 1)
-        else:
-            final_domains[name] = dom
+    for name, (head, dom) in values["sort"].items():
+        if dom != "int":
+            domains[name] = dom
             measure.setdefault(name, ("count",))
-
-    # sort checks on extensions
-    for name, builtin in builtins.items():
-        arg_sorts = pred_sorts[name]
-        if builtin not in BUILTIN_PREDS:
-            err("unknown builtin predicate @%s" % builtin, *where["pred", name])
-        elif len(arg_sorts) != 1 or domains.get(arg_sorts[0]) != "int":
-            err("builtin @%s needs one argument of an integer sort" % builtin,
-                *where["pred", name])
-    for name, arg_sorts in pred_sorts.items():
-        for s in arg_sorts:
-            if s not in domains:
-                err("predicate %s over unknown sort %s" % (name, s),
-                    *where["pred", name])
-        ext = preds.get(name)
-        if ext is None:
-            continue
-        for tup in ext:
-            for e, s in zip(tup, arg_sorts):
-                if s in final_domains and domains.get(s) != "int" \
-                        and e not in final_domains[s]:
-                    err("element %s of predicate %s not in sort %s" % (e, name, s),
-                        *where["pred", name])
-    for name, sort in const_sorts.items():
-        if sort not in final_domains:
-            err("constant %s of unknown sort %s" % (name, sort),
-                *where["const", name])
-        elif domains.get(sort) != "int" and consts[name] not in final_domains[sort]:
-            err("constant %s = %s not in sort %s" % (name, consts[name], sort),
-                *where["const", name])
-    if diags:
-        raise ParseError(diags)
-
-    sig = Signature(frozenset(final_domains),
-                    dict(const_sorts),
-                    dict(func_sorts),
-                    dict(pred_sorts),
-                    intsort)
-    return Model(signature=sig,
-                 domains=final_domains,
-                 preds={n: frozenset(e) for n, e in preds.items() if e is not None},
-                 builtins=builtins,
-                 consts=consts,
-                 funcs=funcs,
-                 measure=measure,
-                 most_threshold=thresholds.get("most", Fraction(1, 2)),
-                 many_threshold=thresholds.get("many", Fraction(2, 5)),
-                 majority_mode=majority)
-
-
-def _parse_elem_set(rhs, lineno, raw, diags):
-    rhs = rhs.strip()
-    if not (rhs.startswith("{") and rhs.endswith("}")):
-        diags.append(Diagnostic("error", "expected '{...}'",
-                                SourceSpan(0, len(raw), lineno, 1)))
-        return None
-    inner = rhs[1:-1].strip()
-    if not inner:
-        return []
-    return [s.strip() for s in inner.split(",")]
-
-
-def _split_entries(s):
-    """Split on commas not inside parentheses."""
-    out, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
+        elif measure.get(name, ("count",))[0] == "density":
+            domains[name] = range(1, measure[name][1] + 1)
         else:
-            cur.append(ch)
-    out.append("".join(cur))
-    return out
+            error(head, "integer sort %s needs 'measure %s = density(N)'"
+                  % (name, name))
+    members = {s: d if isinstance(d, range) else set(d) for s, d in domains.items()}
+
+    def elements(head, what, sort, texts):
+        """texts as elements of sort, numbers in an integer sort; reports
+        `what` % x for the first x that is not one (an undeclared sort is
+        reported with the signature)."""
+        dom = members.get(sort)
+        got = [_natural(x) for x in texts] if isinstance(dom, range) else texts
+        if dom is not None:
+            bad = [x for x, e in zip(texts, got) if e is None or e not in dom]
+            if bad:
+                error(head, "%s not in sort %s" % (what % bad[0], sort))
+        return got
+
+    preds, builtins = {}, {}
+    for name, (head, ext) in values["pred"].items():
+        args = head[3]
+        if isinstance(ext, str):
+            builtins[name] = ext
+            if ext not in BUILTIN_PREDS:
+                error(head, "unknown builtin predicate @%s" % ext)
+            elif len(args) != 1 or not isinstance(members.get(args[0]), range):
+                error(head, "builtin @%s needs one argument of an integer sort"
+                      % ext)
+        elif {len(e) for e in ext} - {len(args)}:
+            error(head, "predicate %s takes %d arguments" % (name, len(args)))
+        else:       # a column of elements at a time
+            what = "element %%s of predicate %s" % name
+            preds[name] = frozenset(zip(*[elements(head, what, sort, column)
+                                          for sort, column in zip(args, zip(*ext))]))
+    consts = {name: elements(head, "constant %s = %%s" % name, head[4], [x])[0]
+              for name, (head, x) in values["const"].items()}
+    settings = {which + "_threshold": theta
+                for which, (_, theta) in values["threshold"].items()}
+    if "majority" in values["mode"]:
+        settings["majority_mode"] = values["mode"]["majority"][1]
+    return _checked(Model(
+        signature=sig, domains=domains, preds=preds, builtins=builtins,
+        consts=consts, funcs={name: {e[:-1]: e[-1] for e in table}
+                              for name, (_, table) in values["fun"].items()},
+        measure=measure, **settings), diags)
 
 
-def _parse_tuple_set(rhs, arity, lineno, raw, diags):
-    rhs = rhs.strip()
-    if not (rhs.startswith("{") and rhs.endswith("}")):
-        diags.append(Diagnostic("error", "expected '{...}'",
-                                SourceSpan(0, len(raw), lineno, 1)))
-        return None
-    inner = rhs[1:-1].strip()
-    if not inner:
-        return []
-    tuples = []
-    for entry in _split_entries(inner):
-        entry = entry.strip()
-        if entry.startswith("(") and entry.endswith(")"):
-            tup = tuple(s.strip() for s in entry[1:-1].split(","))
+def _model_value(p, head):
+    """The value after '=' of a model declaration, which ends its line:
+    "int", a builtin's name, a list of entries (element tuples), an
+    element, a measure, a threshold or a majority mode."""
+    first, kw, name = head[:3]
+    toks = p.toks[p.i:-3]           # the rest of the line; its eof comes padded
+    if kw == "sort" and len(toks) == 1 and toks[0][1] == "int":
+        return "int"
+    if kw == "pred" and toks and toks[0][1] == "@":
+        return "".join(t[1] for t in toks[1:])
+    if kw in ("sort", "pred", "fun"):
+        entries = _braced(p, kw == "fun", tuples=kw != "sort")
+        if kw == "sort" and len(set(entries)) != len(entries):
+            p.fail("duplicate element in sort %s" % name, first)
+        return [e for (e,) in entries] if kw == "sort" else entries
+    words = [t[1] for t in toks]
+    if kw == "const":
+        if not toks or toks[0][0] not in _ELEMENT:
+            p.expected("element")
+        p.i += 1
+        return p.end(words[0])
+    if kw == "measure":
+        if words == ["count"]:
+            return ("count",)
+        if words[:1] != ["density"]:
+            p.fail("measure must be 'count' or 'density(N)'", first)
+        if len(words) != 4 or words[1] + words[3] != "()" or not _natural(words[2]):
+            p.fail("bad density bound", first)
+        return ("density", _natural(words[2]))
+    if kw == "threshold":
+        if name not in ("most", "many"):
+            p.fail("threshold applies to 'most' or 'many'", first)
+        if [t[0] for t in toks] in (["num"], ["num", "bad", "num"]):
+            try:
+                return Fraction("".join(words))
+            except (ValueError, ZeroDivisionError):
+                pass
+        p.fail("bad threshold %r" % "".join(words), first)
+    if name != "majority" or words not in (["strict"], ["weak"]):
+        p.fail("mode line must be 'mode majority = strict|weak'", first)
+    return words[0]
+
+
+def _braced(p, keyed, tuples=True):
+    """The '{...}' at the cursor, which ends the line, as a list of entries:
+    'a' as ('a',); with `tuples`, '(a, b)' as ('a', 'b'); with `keyed`,
+    each entry then ': c', with c appended.  One loop over the tokens and
+    no call per element: a model's sets are most of its text."""
+    p.expect("{")
+    toks, i, entries = p.toks, p.i, []
+    while toks[i][1] != "}" or entries:
+        if tuples and toks[i][1] == "(":
+            j = i + 1
+            while toks[j][0] in _ELEMENT and toks[j + 1][1] == ",":
+                j += 2
+            if toks[j][0] not in _ELEMENT:
+                p.i = j
+                p.expected("element")
+            if toks[j + 1][1] != ")":
+                p.i = j + 1
+                p.expect(")")
+            entry, i = tuple(map(itemgetter(1), toks[i + 1:j + 1:2])), j + 2
+        elif toks[i][0] in _ELEMENT:
+            entry, i = (toks[i][1],), i + 1
         else:
-            tup = (entry,)
-        if len(tup) != arity:
-            diags.append(Diagnostic("error", "tuple %r has arity %d, expected %d"
-                                    % (entry, len(tup), arity),
-                                    SourceSpan(0, len(raw), lineno, 1)))
-            continue
-        tuples.append(tup)
-    return tuples
+            p.i = i
+            p.expected("element")
+        if keyed:
+            p.i = i
+            p.expect(":")
+            if toks[i + 1][0] not in _ELEMENT:
+                p.expected("element")
+            entry, i = entry + (toks[i + 1][1],), i + 2
+        entries.append(entry)
+        if toks[i][1] != ",":
+            break
+        i += 1
+    p.i = i
+    p.expect("}")
+    return p.end(entries)
 
 
+def lexicon_entries(text):
+    """The lines 'KIND word : NAME' and 'KIND word : NAME(SORTS)' of a
+    lexicon file as (KIND, word, NAME, SORTS) tuples, SORTS None in the
+    first form.  Raises ParseError."""
+    entries = []
+
+    def read(p):
+        first, kind, word = _head(p, _LEXICON_KINDS)[:3]
+        p.expect(":")
+        name, sorts, arity = p.ident("name"), None, _LEXICON_KINDS[kind]
+        if arity is not None:
+            p.expect("(")
+            sorts = tuple(p.listed(p.sort_name))
+            p.expect(")")
+            if len(sorts) != arity:
+                p.fail("%s takes %d argument sort(s)" % (kind, arity), first)
+        entries.append(p.end((kind, word, name, sorts)))
+
+    return _checked(entries, _read_lines(text, read))
 
 
 # ---------------------------------------------------------------------------
@@ -782,27 +790,20 @@ def _parse_tuple_set(rhs, arity, lineno, raw, diags):
 #   var x : S
 #   n. H1, ..., Hk |- F ; RULE(refs) [x := t | eigen x]
 #
-# The script is tokenized once, a row at a time.  Each line becomes one
-# ProofTree node, built once and shared by every line that cites it.
+# The script is tokenized once and read a line at a time.  Each line becomes
+# one ProofTree node, built once and shared by every line that cites it.
 # References point to lower-numbered lines; the last line is the root.
 
 
 def parse_proof_script(text, sig):
     """Parse a proof script into a kernel.ProofTree (root = last line)."""
-    diags, lexed = [], []   # parse errors; unexpected characters (reported alone)
+    diags = []
     lines = {}      # number -> what _script_line read
     env = {}        # free variables declared by `var` lines so far
     read = {}       # hypothesis-list text -> formulas, see _script_line
-    root, start = None, 0
-    for row in text.split("\n"):
-        try:
-            toks = tokenize(text, start, start + len(row))
-        except ParseError as e:
-            lexed += e.diagnostics
-        start += len(row) + 1
-        if lexed or len(toks) == 1:
-            continue
-        p = _P(toks, text, sig, env)
+    root = None
+    # unexpected characters are reported alone, by tokenize
+    for p in _lines(text, tokenize(text), sig, env):
         try:
             if p.peek()[1] == "var":
                 p.i += 1
@@ -822,8 +823,8 @@ def parse_proof_script(text, sig):
             continue
         lines[n] = line
         root = n
-    if lexed or diags:
-        raise ParseError(lexed or diags)
+    if diags:
+        raise ParseError(diags)
     if root is None:
         raise ParseError([Diagnostic("error", "empty proof script",
                                      SourceSpan(0, 0, 1, 1))])
@@ -892,6 +893,6 @@ def _script_line(p, read):
 def _line_number(p):
     tok = p.peek()
     if tok[0] != "num" or not tok[1].isdigit():
-        p.fail("expected a line number, found %r" % (tok[1] or "end of input"))
+        p.expected("a line number")
     p.i += 1
     return tok

@@ -12,8 +12,10 @@ Clauses are separated by '.'; referents persist across clause boundaries.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
+from . import parser
 from . import syntax as sx
 from .kernel import KernelConfig
 from .syntax import (Atom, And, Binder, Generic, GenericRestricted, Implies,
@@ -25,8 +27,8 @@ UNIVERSAL_DETS = {"every", "all", "each"}
 INDEFINITE_DETS = {"a", "some"}
 
 
-class LexiconError(Exception):
-    pass
+class LexiconError(parser.ParseError):
+    """A lexicon file that does not read, with located diagnostics."""
 
 
 class SemanticsError(Exception):
@@ -46,11 +48,11 @@ class Lexicon:
         try:
             return self.nouns[word]
         except KeyError:
-            raise LexiconError("unknown noun %r" % word)
+            raise SemanticsError("unknown noun %r" % word)
 
 
 def parse_lexicon(text):
-    """Lexicon file, one entry per line:
+    """Lexicon file, one entry per line (grammar in parser's docstring):
 
         noun dog : dog
         verb bite : bite(dog)
@@ -58,46 +60,26 @@ def parse_lexicon(text):
         adj grumpy : grumpy(dog)
         pron he : man
     """
-    nouns, iverbs, tverbs, adjectives, pronouns = {}, {}, {}, {}, {}
+    try:
+        entries = parser.lexicon_entries(text)
+    except parser.ParseError as e:
+        raise LexiconError(e.diagnostics) from None
+    words = defaultdict(dict)           # entry kind -> word -> name
     sorts, preds = set(), {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 2)
-        if len(parts) != 3 or ":" not in parts[2]:
-            raise LexiconError("line %d: expected 'KIND word : spec'" % lineno)
-        kind, word = parts[0], parts[1]
-        spec = parts[2].split(":", 1)[1].strip() if parts[2].startswith(":") \
-            else line.split(":", 1)[1].strip()
-        if kind == "noun":
-            nouns[word] = spec
-            sorts.add(spec)
-        elif kind in ("verb", "tverb", "adj"):
-            if "(" not in spec or not spec.endswith(")"):
-                raise LexiconError("line %d: predicate spec must be name(sorts)"
-                                   % lineno)
-            name, args = spec[:-1].split("(", 1)
-            name = name.strip()
-            arg_sorts = tuple(s.strip() for s in args.split(","))
-            want = 2 if kind == "tverb" else 1
-            if len(arg_sorts) != want:
-                raise LexiconError("line %d: %s takes %d argument sort(s)"
-                                   % (lineno, kind, want))
-            sorts.update(arg_sorts)
-            preds[name] = arg_sorts
-            {"verb": iverbs, "tverb": tverbs, "adj": adjectives}[kind][word] = name
-        elif kind == "pron":
-            pronouns[word] = spec
-            sorts.add(spec)
+    for kind, word, name, args in entries:
+        words[kind][word] = name
+        if args is None:
+            sorts.add(name)
         else:
-            raise LexiconError("line %d: unknown entry kind %r" % (lineno, kind))
+            sorts.update(args)
+            preds[name] = args
     # every noun doubles as a unary predicate over its sort, so that
     # referent terms can mention the noun (man(eta x:man. man(x)))
-    for word, sort in nouns.items():
+    for word, sort in words["noun"].items():
         preds.setdefault(word, (sort,))
     sig = Signature(frozenset(sorts), {}, {}, preds, None)
-    return Lexicon(nouns, iverbs, tverbs, adjectives, pronouns, sig)
+    return Lexicon(words["noun"], words["verb"], words["tverb"], words["adj"],
+                   words["pron"], sig)
 
 
 # ---------------------------------------------------------------------------

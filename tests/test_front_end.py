@@ -1,11 +1,12 @@
 """The operator-precedence front end against the recursive-descent reader it
 replaced (tests/parser_oracle.py): the same tokens, trees and diagnostics;
-and inputs nested 3000 deep, which the old reader could not take."""
+inputs nested 3000 deep, which the old reader could not take; and printed
+formulas, which read back as the same formula."""
 
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import parser_oracle as oracle
 from conftest import FIXTURES
@@ -15,6 +16,7 @@ from epskernel.parser import (ParseError, _span, parse_formula,
                               parse_proof_script, parse_signature, print_formula,
                               print_term, tokenize)
 from epskernel.syntax import And, Atom, Binder, Not, Quant
+from test_compiled import SIG as COMPILED_SIG, formulas as compiled_formulas
 
 DEPTH = 3000
 
@@ -221,3 +223,36 @@ def test_sort_check_too_deep_is_a_located_parse_error(fixtures):
         parse_proof_script("1. P(c) |- P(c) ; hyp\n2. P(c) |- "
                            + "not " * DEPTH + "P(c) ; hyp\n", sig)
     assert [str(d) for d in e.value.diagnostics] == ["error:2:12: input nested too deep"]
+
+
+def faithful(f):
+    """No variable of f sits under an inner binder that gives its name
+    another sort: text, which names variables, cannot tell those apart."""
+    todo = [(f, {})]
+    while todo:
+        node, scope = todo.pop()
+        if isinstance(node, sx.Var) and scope.get(node.name, node.sort) != node.sort:
+            return False
+        var = getattr(node, "var", None)
+        if var is not None:
+            scope = {**scope, var.name: var.sort}
+        todo.extend((kid, scope) for kid in sx.children(node))
+    return True
+
+
+EPS = Binder("eps", sx.Var("x", "s"), Atom("P", (sx.Var("x", "s"),)))
+TAU = Binder("tau", sx.Var("z", "t"), Atom(sx.EQ, (sx.Const("d"), sx.Const("d"))))
+
+
+@given(compiled_formulas())
+@settings(max_examples=500, deadline=None)
+# a choice term's body would take in '= c', and '... or P(c)'; a formula
+# text that starts with a term reads as a bare term
+@example(Atom(sx.EQ, (EPS, sx.Const("c"))))
+@example(sx.Or(Atom(sx.EQ, (sx.Const("d"), TAU)), Atom("P", (sx.Const("c"),))))
+@example(sx.And(Atom(sx.EQ, (sx.Generic("most", "s"), sx.Const("c"))), Atom("Z", ())))
+def test_printed_formulas_read_back(f):
+    assume(faithful(f))
+    text = print_formula(f)
+    g = parse_formula(text, COMPILED_SIG)
+    assert sx.is_formula(g) and sx.alpha_eq(f, g), text
