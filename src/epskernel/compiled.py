@@ -11,7 +11,9 @@ Environment, then a context.  A formula in the variable bound at slot k
 compiles to a mask: bit i is set when the formula holds with element i of
 that sort in slot k.  So forall is A & ~B == 0, exists A & B != 0, the
 count determiners compare popcounts, and a second-order quantifier binds
-each subset mask in turn.
+each subset mask in turn.  A choice term picks from its body's mask: eps
+and eta the lowest set bit, tau the lowest clear bit, iota the only set
+bit, and with none the sort's least element.
 
 The mask form (TRUTH), which truth runs, decides every quantifier and
 choice from whole masks.  The ordered form, which eval_formula and
@@ -294,13 +296,10 @@ class _Compiler:
         for n, slot, dk in reversed(scope):
             if n == name:
                 return slot, dk
-        free = ("predvars", name[1:]) if name[0] == _SEP else ("vars", name)
-        return self.free(free), None
-
-    def free(self, key):
+        key = ("predvars", name[1:]) if name[0] == _SEP else ("vars", name)
         if key not in self.frees:
             self.frees.append(key)
-        return -2 - self.frees.index(key)
+        return -2 - self.frees.index(key), None
 
     def records(self, e):
         """Whether the ordered form must run e element by element: it can
@@ -609,8 +608,7 @@ class _Compiler:
         slot, inner = self.bind(scope, t.var.name)
         body, deps = self.mask(t.body, inner, slot, t.var.sort)
         deps &= ~(1 << slot)
-        tau, iota, eta = (t.kind == k for k in (sx.TAU, sx.IOTA, sx.ETA))
-        ex, ordered = eta and self.free(("eta_excluded", None)), self.ordered
+        tau, iota, ordered = t.kind == sx.TAU, t.kind == sx.IOTA, self.ordered
 
         def pick(d, env):
             shape = d[dk]
@@ -623,21 +621,13 @@ class _Compiler:
                 if ordered:
                     env[-1].flag(FLAG_IOTA)
                 m = 0
-            elif eta:
-                # the least satisfier outside the excluded set, else eps's
-                fresh = m
-                for e in env[ex]:
-                    fresh &= ~shape.bits.get(e, 0)
-                m = fresh or m
             v = _low(shape, m)
             if ordered:
                 env[-1].witnesses.append((t, v))
             return v
         if not (ordered or iota):    # the mask form's eps, tau and eta
-            general = pick
             pick = (lambda d, env: _low(d[dk], d[dk].full ^ body(d, env))) if tau \
-                else (lambda d, env: general(d, env) if eta and env[ex]
-                      else _low(d[dk], body(d, env)))
+                else (lambda d, env: _low(d[dk], body(d, env)))
         if deps:
             return pick, deps
         # closed (no bound slot read): one closure for every copy of the
@@ -690,10 +680,10 @@ def compile_formula(node, mode=TRUTH):
     term, in form `mode`; cached on the node, to live and die with it."""
     c = _Compiler(mode)
     run, _ = (c.formula if sx.is_formula(node) else c.term)(node, ())
-    # a pre-bound slot is unbound until _bind, but the eta exclusion is empty
-    frees = [() if name is None else _UNSET for _, name in reversed(c.frees)]
+    # a pre-bound slot is unbound until _bind
     code = _Code((tuple(c.needs), frozenset(c.needs), run,
-                  [_UNSET] * c.depth + frees + [None], len(c.closed), tuple(c.frees)))
+                  [_UNSET] * (c.depth + len(c.frees)) + [None], len(c.closed),
+                  tuple(c.frees)))
     try:
         object.__setattr__(node, _CODE[mode], code)
     except (AttributeError, TypeError):
@@ -705,9 +695,7 @@ def _bind(frame, frees, env):
     """Pre-bind the frame's slots for free names from env; an unbound name
     stays _UNSET, and the code raises where it reads it."""
     for k, (field, name) in enumerate(frees, 2):
-        val = getattr(env, field)
-        frame[-k] = val if name is None else \
-            next((e for n, e in val if n == name), _UNSET)
+        frame[-k] = next((e for n, e in getattr(env, field) if n == name), _UNSET)
 
 
 def truth(model, f, env=None):

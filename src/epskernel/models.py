@@ -7,8 +7,7 @@ which is the listing order of the model file):
   tau  x. F   least element falsifying F; the sort's least element if none.
   iota x. F   the unique satisfier when existence and uniqueness hold,
               otherwise the least element plus an undetermination flag.
-  eta  x. F   least satisfier outside the environment's excluded set,
-              falling back to the eps policy.
+  eta  x. F   as eps.
 
 "most" is measure-based: measure(restriction-and-body) / measure(restriction)
 compared against the threshold, strictly or weakly per majority mode.  Both
@@ -61,7 +60,6 @@ class Model:
     builtins: dict = field(default_factory=dict)   # name -> builtin name
     consts: dict = field(default_factory=dict)     # name -> element
     funcs: dict = field(default_factory=dict)      # name -> {arg tuple: element}
-    measure: dict = field(default_factory=dict)    # sort -> ("count",)|("density", N)
     most_threshold: Fraction = Fraction(1, 2)
     many_threshold: Fraction = Fraction(2, 5)
     majority_mode: str = "strict"
@@ -83,25 +81,18 @@ class Model:
 class Environment:
     """Immutable evaluation environment; binding builds a new one."""
 
-    __slots__ = ("vars", "predvars", "eta_excluded")
+    __slots__ = ("vars", "predvars")
 
-    def __init__(self, vars=(), predvars=(), eta_excluded=frozenset()):
+    def __init__(self, vars=(), predvars=()):
         self.vars = vars                # ((name, element), ...)
         self.predvars = predvars        # ((name, frozenset of elements), ...)
-        self.eta_excluded = eta_excluded
 
     def bind(self, name, elem):
-        return Environment(((name, elem),) + self.vars, self.predvars,
-                           self.eta_excluded)
+        return Environment(((name, elem),) + self.vars, self.predvars)
 
     def bind_pred(self, name, subset):
         return Environment(self.vars,
-                           ((name, frozenset(subset)),) + self.predvars,
-                           self.eta_excluded)
-
-    def exclude(self, elems):
-        return Environment(self.vars, self.predvars,
-                           self.eta_excluded | frozenset(elems))
+                           ((name, frozenset(subset)),) + self.predvars)
 
 
 @dataclass

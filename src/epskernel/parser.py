@@ -127,10 +127,10 @@ _KIND = {**dict.fromkeys(string.ascii_letters + "_", "ident"),
          **dict.fromkeys("().,:;={}[]|", "sym")}
 
 
-def tokenize(text, start=0, end=None):
-    """Tokens of text[start:end], ending with one 'eof' at `end`.  Raises
-    ParseError with a diagnostic for each character that starts no token."""
-    toks = _lex(text, start, end)
+def tokenize(text):
+    """Tokens of text, ending with one 'eof' at its end.  Raises ParseError
+    with a diagnostic for each character that starts no token."""
+    toks = _lex(text)
     diags = [Diagnostic("error", "unexpected character %r" % t[1], _span(text, t))
              for t in toks if t[0] == "bad"]
     if diags:
@@ -138,12 +138,11 @@ def tokenize(text, start=0, end=None):
     return toks
 
 
-def _lex(text, start=0, end=None):
+def _lex(text):
     """tokenize's tokens, with each character that starts no token kept as
     a 'bad' token."""
-    end = len(text) if end is None else end
-    parts = _TOKEN_RE.split(text[start:end])     # blanks, token, blanks, ...
-    toks, pos = [], start + len(parts[0])
+    parts = _TOKEN_RE.split(text)                # blanks, token, blanks, ...
+    toks, pos = [], len(parts[0])
     for tok, blanks in zip(parts[1::2], parts[2::2]):
         kind = _KIND.get(tok[0]) or (
             "num" if tok[0].isdecimal() else "sym" if tok == "->"
@@ -151,7 +150,7 @@ def _lex(text, start=0, end=None):
         if kind:
             toks.append((kind, tok, pos))
         pos += len(tok) + len(blanks)
-    toks.append(("eof", "", end))
+    toks.append(("eof", "", len(text)))
     return toks
 
 
@@ -575,7 +574,7 @@ def _head(p, keywords):
 def _signature(heads, src, diags):
     """The Signature of sort, intsort, const, pred and fun heads, whose last
     intsort is its integer sort.  Adds to `diags` each name declared twice
-    and each symbol over a sort that no head declares."""
+    and, at its declaration, each fault Signature.validate finds."""
     decls = {"sort": {}, "const": {}, "pred": {}, "fun": {}}
     intsort = None
     for first, kw, name, args, result in heads:
@@ -585,17 +584,16 @@ def _signature(heads, src, diags):
             diags.append(_error(src, first, "duplicate %s %s"
                                 % (_SYMBOLS.get(kw, kw), name)))
         decls[kw].setdefault(name, (first, args, result))
-    for kw, noun in _SYMBOLS.items():
-        for name, (first, args, result) in decls[kw].items():
-            for sort in (*args, result):
-                if sort is not None and sort not in decls["sort"]:
-                    diags.append(_error(src, first, "%s %s %s unknown sort %s" % (
-                        noun, name, "of" if kw == "const" else "over", sort)))
-                    break
-    return Signature(frozenset(decls["sort"]),
-                     {c: d[2] for c, d in decls["const"].items()},
-                     {f: d[1:] for f, d in decls["fun"].items()},
-                     {p: d[1] for p, d in decls["pred"].items()}, intsort)
+    sig = Signature(frozenset(decls["sort"]),
+                    {c: d[2] for c, d in decls["const"].items()},
+                    {f: d[1:] for f, d in decls["fun"].items()},
+                    {p: d[1] for p, d in decls["pred"].items()}, intsort)
+    # each fault names its symbol's kind and name first
+    where = {(noun, name): d[0] for kw, noun in _SYMBOLS.items()
+             for name, d in decls[kw].items()}
+    diags.extend(_error(src, where[tuple(e.split()[:2])], e)
+                 for e in sig.validate())
+    return sig
 
 
 def parse_signature(text):
@@ -632,7 +630,6 @@ def parse_model(text):
     for name, (head, dom) in values["sort"].items():
         if dom != "int":
             domains[name] = dom
-            measure.setdefault(name, ("count",))
         elif measure.get(name, ("count",))[0] == "density":
             domains[name] = range(1, measure[name][1] + 1)
         else:
@@ -652,33 +649,37 @@ def parse_model(text):
                 error(head, "%s not in sort %s" % (what % bad[0], sort))
         return got
 
-    preds, builtins = {}, {}
-    for name, (head, ext) in values["pred"].items():
-        args = head[3]
-        if isinstance(ext, str):
-            builtins[name] = ext
-            if ext not in BUILTIN_PREDS:
-                error(head, "unknown builtin predicate @%s" % ext)
-            elif len(args) != 1 or not isinstance(members.get(args[0]), range):
-                error(head, "builtin @%s needs one argument of an integer sort"
-                      % ext)
-        elif {len(e) for e in ext} - {len(args)}:
-            error(head, "predicate %s takes %d arguments" % (name, len(args)))
-        else:       # a column of elements at a time
-            what = "element %%s of predicate %s" % name
-            preds[name] = frozenset(zip(*[elements(head, what, sort, column)
-                                          for sort, column in zip(args, zip(*ext))]))
+    preds, builtins, funcs = {}, {}, {}
+    for kw, noun in (("pred", "predicate"), ("fun", "function")):
+        for name, (head, table) in values[kw].items():
+            args = head[3]
+            sorts = (*args, head[4]) if kw == "fun" else args   # a fun's value last
+            if isinstance(table, str):
+                builtins[name] = table
+                if table not in BUILTIN_PREDS:
+                    error(head, "unknown builtin predicate @%s" % table)
+                elif len(args) != 1 or not isinstance(members.get(args[0]), range):
+                    error(head, "builtin @%s needs one argument of an integer sort"
+                          % table)
+            elif {len(e) for e in table} - {len(sorts)}:
+                error(head, "%s %s takes %d arguments" % (noun, name, len(args)))
+            else:       # a column of elements at a time
+                what = "element %%s of %s %s" % (noun, name)
+                rows = zip(*[elements(head, what, sort, column)
+                             for sort, column in zip(sorts, zip(*table))])
+                if kw == "pred":
+                    preds[name] = frozenset(rows)
+                else:
+                    funcs[name] = {row[:-1]: row[-1] for row in rows}
     consts = {name: elements(head, "constant %s = %%s" % name, head[4], [x])[0]
               for name, (head, x) in values["const"].items()}
     settings = {which + "_threshold": theta
                 for which, (_, theta) in values["threshold"].items()}
     if "majority" in values["mode"]:
         settings["majority_mode"] = values["mode"]["majority"][1]
-    return _checked(Model(
-        signature=sig, domains=domains, preds=preds, builtins=builtins,
-        consts=consts, funcs={name: {e[:-1]: e[-1] for e in table}
-                              for name, (_, table) in values["fun"].items()},
-        measure=measure, **settings), diags)
+    return _checked(Model(signature=sig, domains=domains, preds=preds,
+                          builtins=builtins, consts=consts, funcs=funcs,
+                          **settings), diags)
 
 
 def _model_value(p, head):

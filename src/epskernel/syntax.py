@@ -3,7 +3,9 @@ Hilbert-style binder terms (eps/tau/iota/eta), generalized quantifiers
 (forall*/exists*/most), generic "most" terms and a bounded second-order
 fragment (unary predicate variables).
 
-All values are immutable; every operation here is a pure function.
+All values are immutable; every operation here is a pure function.  The
+walks read how each node is put together from one table, _SHAPES, and one
+walk, _sort, decides the sorts of terms and formulas.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ EQ = "="
 
 
 class SortError(Exception):
-    """Raised for hard sort violations (e.g. substituting at the wrong sort)."""
+    """Raised by term_sort for a term that has no sort."""
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +159,7 @@ class Quant2:
 
 Term = (Var, Const, App, Binder, Generic, GenericRestricted)
 Formula = (Atom, PredApp, Not, And, Or, Implies, Quant, Quant2)
+_IS_TERM = {**dict.fromkeys(Term, True), **dict.fromkeys(Formula, False)}
 
 
 def is_term(e):
@@ -266,43 +269,22 @@ class Signature:
     integer_sort: object = None  # sort treated as pseudo-infinite (density)
 
     def validate(self):
-        """Return a list of declaration errors (empty list means well-formed)."""
+        """Return a list of declaration errors (empty list means well-formed):
+        each symbol over a sort that is not declared, naming the first such
+        sort, and an integer sort that is not declared."""
         errs = []
-        for c, s in self.constants.items():
-            if s not in self.sorts:
-                errs.append("constant %s has undeclared sort %s" % (c, s))
-        for f, (args, res) in self.functions.items():
-            for s in (*args, res):
-                if s not in self.sorts:
-                    errs.append("function %s uses undeclared sort %s" % (f, s))
-        for p, args in self.predicates.items():
-            for s in args:
-                if s not in self.sorts:
-                    errs.append("predicate %s uses undeclared sort %s" % (p, s))
+        consts = {c: (s,) for c, s in self.constants.items()}
+        funcs = {f: (*args, res) for f, (args, res) in self.functions.items()}
+        for noun, uses in (("constant", consts), ("predicate", self.predicates),
+                           ("function", funcs)):
+            for name, sorts in uses.items():
+                bad = [s for s in sorts if s not in self.sorts]
+                if bad:
+                    errs.append("%s %s %s unknown sort %s" % (
+                        noun, name, "of" if noun == "constant" else "over", bad[0]))
         if self.integer_sort is not None and self.integer_sort not in self.sorts:
             errs.append("integer sort %s is not declared" % self.integer_sort)
         return errs
-
-
-def term_sort(t, sig):
-    """Sort of a term under `sig`; raises SortError for unknown symbols."""
-    if isinstance(t, Var):
-        return t.sort
-    if isinstance(t, Const):
-        try:
-            return sig.constants[t.name]
-        except KeyError:
-            raise SortError("unknown constant %s" % t.name)
-    if isinstance(t, App):
-        try:
-            return sig.functions[t.func][1]
-        except KeyError:
-            raise SortError("unknown function %s" % t.func)
-    if isinstance(t, Binder):
-        return t.var.sort
-    if isinstance(t, (Generic, GenericRestricted)):
-        return t.sort
-    raise SortError("not a term: %r" % (t,))
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +342,11 @@ def fresh_name(base, taken):
             return cand
 
 
-def substitute(e, v, t, sig=None):
+def substitute(e, v, t):
     """Capture-avoiding substitution of term `t` for free variable `v`.
 
-    Works on terms and formulas.  When `sig` is given the sorts of `v`
-    and `t` must agree.
+    Works on terms and formulas.
     """
-    if sig is not None:
-        ts = term_sort(t, sig)
-        if ts != v.sort:
-            raise SortError("cannot substitute %s-term for %s-variable" % (ts, v.sort))
     return _subst(e, v, t, frozenset(x.name for x in free_vars(t)))
 
 
@@ -448,148 +425,126 @@ def _alpha(a, b, env, penv):
 # well-sortedness
 
 
-def well_sorted(e, sig, env=None, predvars=None):
+def well_sorted(e, sig):
     """Check sorts; returns a list of error strings (empty means ok).
 
     Never raises on malformed input: every problem becomes a diagnostic.
-    `env` maps in-scope variable names to sorts, `predvars` maps in-scope
-    predicate-variable names to their argument sort.
     """
     errs = []
-    if is_term(e):
-        _check_term(e, sig, dict(env or {}), dict(predvars or {}), errs)
-    else:
-        _check(e, sig, dict(env or {}), dict(predvars or {}), errs)
+    _sort(e, sig, {}, {}, errs, is_term(e))
     return errs
 
 
-def _check_term(t, sig, env, predvars, errs):
-    """Returns the term's sort, or None when it cannot be determined."""
-    if isinstance(t, Var):
-        s = env.get(t.name)
-        if s is None:
-            if t.sort not in sig.sorts:
-                errs.append("variable %s has undeclared sort %s" % (t.name, t.sort))
-            return t.sort
-        if s != t.sort:
-            errs.append("variable %s used at sort %s but bound at %s"
-                        % (t.name, t.sort, s))
-        return s
-    if isinstance(t, Const):
-        s = sig.constants.get(t.name)
-        if s is None:
-            errs.append("unknown constant %s" % t.name)
-        return s
-    if isinstance(t, App):
-        decl = sig.functions.get(t.func)
-        if decl is None:
-            errs.append("unknown function %s" % t.func)
-            for a in t.args:
-                _check_term(a, sig, env, predvars, errs)
+def term_sort(t, sig):
+    """Sort of a term under `sig`; raises SortError with the sort check's
+    first diagnostic when it has none (an unknown symbol, or not a term)."""
+    errs = []
+    sort = _sort(t, sig, {}, {}, errs, True)
+    if sort is None:
+        raise SortError(errs[0])
+    return sort
+
+
+def _sort(e, sig, env, predvars, errs, term):
+    """The sort of `e`, read as a term when `term` is set and else as a
+    formula: None when it is unknown, and for a formula.  Appends each
+    violation in `e` to `errs`.  `env` maps in-scope variable names to
+    sorts, `predvars` in-scope predicate-variable names to their argument
+    sort."""
+    t = type(e)
+    if _IS_TERM.get(t) is not term:
+        errs.append("not a %s: %r" % ("term" if term else "formula", e))
+        return None
+    if t is Atom or t is App:
+        app = t is App
+        name = e.func if app else e.pred
+        if name == EQ and not app:
+            if len(e.args) != 2:
+                errs.append("equality takes two arguments")
+                return None
+            s1 = _sort(e.args[0], sig, env, predvars, errs, True)
+            s2 = _sort(e.args[1], sig, env, predvars, errs, True)
+            if s1 is not None and s2 is not None and s1 != s2:
+                errs.append("equality between distinct sorts %s and %s" % (s1, s2))
             return None
-        args, res = decl
-        if len(args) != len(t.args):
-            errs.append("function %s expects %d arguments, got %d"
-                        % (t.func, len(args), len(t.args)))
-        for i, (a, want) in enumerate(zip(t.args, args)):
-            got = _check_term(a, sig, env, predvars, errs)
+        decl = (sig.functions if app else sig.predicates).get(name)
+        if decl is None:
+            errs.append("unknown %s %s" % ("function" if app else "predicate", name))
+            for a in e.args:
+                _sort(a, sig, env, predvars, errs, True)
+            return None
+        wants = decl[0] if app else decl
+        if len(wants) != len(e.args):
+            errs.append("%s %s expects %d arguments, got %d" % (
+                "function" if app else "predicate", name, len(wants), len(e.args)))
+        for i, (a, want) in enumerate(zip(e.args, wants), 1):
+            got = _sort(a, sig, env, predvars, errs, True)
             if got is not None and got != want:
                 errs.append("argument %d of %s has sort %s, expected %s"
-                            % (i + 1, t.func, got, want))
-        return res
-    if isinstance(t, Binder):
-        if t.var.sort not in sig.sorts:
+                            % (i, name, got, want))
+        return decl[1] if app else None
+    if t is Var:
+        s = env.get(e.name)
+        if s is None:
+            if e.sort not in sig.sorts:
+                errs.append("variable %s has undeclared sort %s" % (e.name, e.sort))
+            return e.sort
+        if s != e.sort:
+            errs.append("variable %s used at sort %s but bound at %s"
+                        % (e.name, e.sort, s))
+        return s
+    if t is Const:
+        s = sig.constants.get(e.name)
+        if s is None:
+            errs.append("unknown constant %s" % e.name)
+        return s
+    if t is PredApp:
+        want = predvars.get(e.predvar)
+        if want is None:
+            errs.append("unbound predicate variable %s" % e.predvar)
+        got = _sort(e.arg, sig, env, predvars, errs, True)
+        if want is not None and got is not None and got != want:
+            errs.append("predicate variable %s applied at sort %s, expected %s"
+                        % (e.predvar, got, want))
+        return None
+    sort = None
+    if t is Binder:
+        sort = e.var.sort
+        if sort not in sig.sorts:
             errs.append("binder variable %s has undeclared sort %s"
-                        % (t.var.name, t.var.sort))
-        inner = dict(env)
-        inner[t.var.name] = t.var.sort
-        _check(t.body, sig, inner, predvars, errs)
-        return t.var.sort
-    if isinstance(t, Generic):
-        if t.sort not in sig.sorts:
-            errs.append("generic term has undeclared sort %s" % t.sort)
-        return t.sort
-    if isinstance(t, GenericRestricted):
-        if t.sort not in sig.sorts:
-            errs.append("generic term has undeclared sort %s" % t.sort)
-        if t.var.sort != t.sort:
+                        % (e.var.name, sort))
+    elif t is Generic or t is GenericRestricted:
+        sort = e.sort
+        if sort not in sig.sorts:
+            errs.append("generic term has undeclared sort %s" % sort)
+        if t is GenericRestricted and e.var.sort != sort:
             errs.append("restriction variable %s of generic term must have sort %s"
-                        % (t.var.name, t.sort))
-        inner = dict(env)
-        inner[t.var.name] = t.var.sort
-        _check(t.restriction, sig, inner, predvars, errs)
-        extra = {x for x in free_vars(t.restriction) if x != t.var}
-        # restriction must have exactly the designated free variable
-        for x in extra:
+                        % (e.var.name, sort))
+    elif t is Quant:
+        if e.kind not in QUANT_KINDS:
+            errs.append("unknown quantifier kind %s" % e.kind)
+        if e.var.sort not in sig.sorts:
+            errs.append("quantified variable %s has undeclared sort %s"
+                        % (e.var.name, e.var.sort))
+        if e.mode not in (None, "strict", "weak"):
+            errs.append("bad majority mode %r" % (e.mode,))
+        if e.mode is not None and e.kind != MOST:
+            errs.append("majority mode on non-most quantifier")
+    elif t is Quant2 and e.sort not in sig.sorts:
+        errs.append("second-order quantifier over undeclared sort %s" % e.sort)
+    kids, _, binds, _ = _SHAPES[t]
+    inner = {**env, e.var.name: e.var.sort} if binds is BINDS_VAR else env
+    if binds is BINDS_PREDVAR:
+        predvars = {**predvars, e.predvar: e.sort}
+    for k in kids(e):
+        _sort(k, sig, inner, predvars, errs, False)
+    if t is GenericRestricted:
+        # the restriction has exactly the designated free variable
+        for x in {x for x in free_vars(e.restriction) if x != e.var}:
             if x.name not in env:
                 errs.append("restriction of generic term has stray free variable %s"
                             % x.name)
-        return t.sort
-    errs.append("not a term: %r" % (t,))
-    return None
-
-
-def _check(f, sig, env, predvars, errs):
-    if isinstance(f, Atom):
-        if f.pred == EQ:
-            if len(f.args) != 2:
-                errs.append("equality takes two arguments")
-                return
-            s1 = _check_term(f.args[0], sig, env, predvars, errs)
-            s2 = _check_term(f.args[1], sig, env, predvars, errs)
-            if s1 is not None and s2 is not None and s1 != s2:
-                errs.append("equality between distinct sorts %s and %s" % (s1, s2))
-            return
-        decl = sig.predicates.get(f.pred)
-        if decl is None:
-            errs.append("unknown predicate %s" % f.pred)
-            for a in f.args:
-                _check_term(a, sig, env, predvars, errs)
-            return
-        if len(decl) != len(f.args):
-            errs.append("predicate %s expects %d arguments, got %d"
-                        % (f.pred, len(decl), len(f.args)))
-        for i, (a, want) in enumerate(zip(f.args, decl)):
-            got = _check_term(a, sig, env, predvars, errs)
-            if got is not None and got != want:
-                errs.append("argument %d of %s has sort %s, expected %s"
-                            % (i + 1, f.pred, got, want))
-    elif isinstance(f, PredApp):
-        want = predvars.get(f.predvar)
-        if want is None:
-            errs.append("unbound predicate variable %s" % f.predvar)
-        got = _check_term(f.arg, sig, env, predvars, errs)
-        if want is not None and got is not None and got != want:
-            errs.append("predicate variable %s applied at sort %s, expected %s"
-                        % (f.predvar, got, want))
-    elif isinstance(f, Not):
-        _check(f.body, sig, env, predvars, errs)
-    elif isinstance(f, (And, Or, Implies)):
-        _check(f.left, sig, env, predvars, errs)
-        _check(f.right, sig, env, predvars, errs)
-    elif isinstance(f, Quant):
-        if f.kind not in QUANT_KINDS:
-            errs.append("unknown quantifier kind %s" % f.kind)
-        if f.var.sort not in sig.sorts:
-            errs.append("quantified variable %s has undeclared sort %s"
-                        % (f.var.name, f.var.sort))
-        if f.mode not in (None, "strict", "weak"):
-            errs.append("bad majority mode %r" % (f.mode,))
-        if f.mode is not None and f.kind != MOST:
-            errs.append("majority mode on non-most quantifier")
-        inner = dict(env)
-        inner[f.var.name] = f.var.sort
-        if f.restriction is not None:
-            _check(f.restriction, sig, inner, predvars, errs)
-        _check(f.body, sig, inner, predvars, errs)
-    elif isinstance(f, Quant2):
-        if f.sort not in sig.sorts:
-            errs.append("second-order quantifier over undeclared sort %s" % f.sort)
-        inner = dict(predvars)
-        inner[f.predvar] = f.sort
-        _check(f.body, sig, env, inner, errs)
-    else:
-        errs.append("not a formula: %r" % (f,))
+    return sort
 
 
 # ---------------------------------------------------------------------------

@@ -130,11 +130,11 @@ def quantifier_free(e):
 # individual concepts
 
 
-def concept_guard(predvar, sort, require_nonempty=True, names=("x", "y")):
+def concept_guard(predvar, sort, require_nonempty=True):
     """C(X): X holds of at most one individual, and of at least one when
     non-emptiness is required."""
-    x = Var(names[0], sort)
-    y = Var(names[1], sort)
+    x = Var("x", sort)
+    y = Var("y", sort)
     at_most_one = Quant(sx.FORALL, x, None, Quant(sx.FORALL, y, None, Implies(
         And(PredApp(predvar, x), PredApp(predvar, y)), Atom(sx.EQ, (x, y)))))
     if not require_nonempty:

@@ -269,7 +269,6 @@ def parse_model(text):
                  builtins=builtins,
                  consts=consts,
                  funcs=funcs,
-                 measure=measure,
                  most_threshold=thresholds.get("most", Fraction(1, 2)),
                  many_threshold=thresholds.get("many", Fraction(2, 5)),
                  majority_mode=majority)

@@ -104,7 +104,7 @@ class _Evaluator:
                 self.witnesses.extend(self.witnesses[start:end])
                 return chosen
         start = len(self.witnesses)
-        if t.kind == sx.EPS:
+        if t.kind in (sx.EPS, sx.ETA):
             sat = self._satisfiers(t.var, t.body, env)
             chosen = sat[0] if sat else dom[0]
         elif t.kind == sx.TAU:
@@ -117,10 +117,6 @@ class _Evaluator:
             else:
                 self.flag(FLAG_IOTA)
                 chosen = dom[0]
-        elif t.kind == sx.ETA:
-            sat = self._satisfiers(t.var, t.body, env)
-            fresh = [e for e in sat if e not in env.eta_excluded]
-            chosen = fresh[0] if fresh else (sat[0] if sat else dom[0])
         else:
             raise EvalError("unknown binder kind %s" % t.kind)
         if self.record:

@@ -182,3 +182,32 @@ def test_integer_sort_constants_are_numbers_of_the_sort(tmp_path):
             parser.parse_model(text.replace("= 7", "= " + bad))
         assert [str(d) for d in e.value.diagnostics] == [
             "error:2:1: constant c = %s not in sort nat" % bad]
+
+
+def test_function_tables_are_checked(tmp_path):
+    # each entry has one element per argument and a value, each in its
+    # sort, checked when the file is read rather than where eval meets it
+    for table, msg in [
+            ("{zz: qq, (a, b): a}", "function f takes 1 arguments"),
+            ("{a: b, zz: a}", "element zz of function f not in sort s"),
+            ("{a: qq}", "element qq of function f not in sort s")]:
+        text = "sort s = {a, b}\nfun f : s -> s = %s\nconst c : s = a\n" % table
+        with pytest.raises(parser.ParseError) as e:
+            parser.parse_model(text)
+        assert [str(d) for d in e.value.diagnostics] == ["error:2:1: " + msg]
+        assert cli(["eval", "--model", str(tmp_path / "f.model"), "f(c) = c"],
+                   tmp_path / "f.model", text) == (2, "error:2:1: %s\n" % msg)
+    # an integer sort's elements are numbers, in keys and values alike
+    text = ("sort nat = int\nmeasure nat = density(5)\nconst c : nat = 2\n"
+            "fun g : nat -> nat = {1: 2, 2: 3}\n")
+    m = parser.parse_model(text)
+    assert m.funcs == {"g": {(1,): 2, (2,): 3}}
+    for formula, value in [("g(c) = c", False), ("exists x:nat. g(x) = c", True)]:
+        f = parser.parse_formula(formula, m.signature)
+        assert models.truth(m, f) is value
+        assert models.eval_formula(m, None, f).value is value
+    for table, bad in [("{0: 1}", "0"), ("{1: 6}", "6"), ("{x: 1}", "x")]:
+        with pytest.raises(parser.ParseError) as e:
+            parser.parse_model(text.replace("{1: 2, 2: 3}", table))
+        assert [str(d) for d in e.value.diagnostics] == [
+            "error:4:1: element %s of function g not in sort nat" % bad]

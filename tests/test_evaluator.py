@@ -120,16 +120,13 @@ def test_small_models_match_the_oracle_and_the_cli(f, m):
 @given(formulas((("x", "s"),), 3, ("X",)), small_models(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_environments_match_the_oracle(f, m, data):
-    # x and X may be bound or left free; the exclusion set may hold
-    # elements of either sort
+    # x and X may be bound or left free
     env = Environment()
     if data.draw(st.booleans()):
         env = env.bind("x", data.draw(st.sampled_from(m.domains["s"])))
     if data.draw(st.booleans()):
         env = env.bind_pred("X", data.draw(
             st.lists(st.sampled_from(m.domains["s"]), unique=True)))
-    env = env.exclude(data.draw(st.lists(
-        st.sampled_from(m.domains["s"] + m.domains["t"]), unique=True)))
     agree(m, f, env)
 
 
@@ -212,10 +209,3 @@ def test_copies_of_a_choice_term_under_free_and_bound_names():
             Quant(sx.FORALL, x, None, Atom("P", (t,))))
     for elem in ("a", "b"):
         agree(m, f, Environment().bind("x", elem))
-
-
-def test_eta_reads_the_exclusion_set_in_every_form():
-    m = parser.parse_model("sort s = {a, b}\npred P : s = {a, b}\npred Q : s = {b}")
-    f = parser.parse_formula("Q(eta x:s. P(x))", m.signature)
-    assert agree(m, f, Environment().exclude({"a"}))[0] is True
-    assert agree(m, f)[0] is False

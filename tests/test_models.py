@@ -57,13 +57,12 @@ def test_iota_unique_and_undetermined():
     assert models.FLAG_IOTA in r3.flags
 
 
-def test_eta_respects_exclusion():
-    env = Environment().exclude({"b"})
-    r = eval_term(M4, env, Binder(sx.ETA, X, PX))
-    assert r.value == "c"
-    # everything excluded: eta falls back to the eps choice
-    env2 = Environment().exclude({"b", "c"})
-    assert eval_term(M4, env2, Binder(sx.ETA, X, PX)).value == "b"
+def test_eta_picks_what_eps_picks():
+    # in the ordered form and the mask form, with and without a satisfier
+    for body in (PX, Atom("Q", (X,)), Not(PX)):
+        eps, eta = (Binder(kind, X, body) for kind in (sx.EPS, sx.ETA))
+        assert eval_term(M4, None, eta).value == eval_term(M4, None, eps).value
+        assert truth(M4, Atom("P", (eta,))) == truth(M4, Atom("P", (eps,)))
 
 
 def test_evaluation_deterministic():

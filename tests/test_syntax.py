@@ -108,3 +108,9 @@ def test_signature_validate():
     bad = Signature(frozenset({"s"}), {"c": "missing"}, {}, {})
     assert bad.validate()
     assert SIG.validate() == []
+    # the wording parse_signature and parse_model report, once per symbol
+    bad = Signature(frozenset({"s"}), {"c": "s"}, {"f": (("s", "t"), "u")},
+                    {"P": ("s", "v", "w")}, "n")
+    assert bad.validate() == ["predicate P over unknown sort v",
+                              "function f over unknown sort t",
+                              "integer sort n is not declared"]
