@@ -238,10 +238,7 @@ class _P:
         """A formula, sort-checked (errors at its first token) if sig is set."""
         first = self.peek()
         f = self.formula()
-        try:
-            errs = [] if self.sig is None else sx.well_sorted(f, self.sig)
-        except RecursionError:
-            self.fail("input nested too deep", first)
+        errs = [] if self.sig is None else sx.well_sorted(f, self.sig)
         if errs:
             span = _span(self.src, first, self.toks[self.i - 1])
             raise ParseError([Diagnostic("error", e, span) for e in errs])
@@ -665,12 +662,14 @@ def parse_model(text):
                 error(head, "%s %s takes %d arguments" % (noun, name, len(args)))
             else:       # a column of elements at a time
                 what = "element %%s of %s %s" % (noun, name)
-                rows = zip(*[elements(head, what, sort, column)
-                             for sort, column in zip(sorts, zip(*table))])
+                rows = list(zip(*[elements(head, what, sort, column)
+                                  for sort, column in zip(sorts, zip(*table))]))
                 if kw == "pred":
                     preds[name] = frozenset(rows)
                 else:
-                    funcs[name] = {row[:-1]: row[-1] for row in rows}
+                    funcs[name] = table = {row[:-1]: row[-1] for row in rows}
+                    if len(table) < len(rows):
+                        error(head, "function %s lists an argument tuple twice" % name)
     consts = {name: elements(head, "constant %s = %%s" % name, head[4], [x])[0]
               for name, (head, x) in values["const"].items()}
     settings = {which + "_threshold": theta
@@ -691,7 +690,8 @@ def _model_value(p, head):
     if kw == "sort" and len(toks) == 1 and toks[0][1] == "int":
         return "int"
     if kw == "pred" and toks and toks[0][1] == "@":
-        return "".join(t[1] for t in toks[1:])
+        p.i += 1
+        return p.end(p.ident("builtin name"))
     if kw in ("sort", "pred", "fun"):
         entries = _braced(p, kw == "fun", tuples=kw != "sort")
         if kw == "sort" and len(set(entries)) != len(entries):

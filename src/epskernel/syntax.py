@@ -4,14 +4,17 @@ Hilbert-style binder terms (eps/tau/iota/eta), generalized quantifiers
 fragment (unary predicate variables).
 
 All values are immutable; every operation here is a pure function.  The
-walks read how each node is put together from one table, _SHAPES, and one
-walk, _sort, decides the sorts of terms and formulas.
+walks read how each node is put together from one table, _SHAPES, keep
+their pending nodes on an explicit stack, and return at any depth.  One
+rewrite, _rewrite, serves substitution and the translations, and one walk,
+_sort, decides the sorts of terms and formulas.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from operator import is_not
 
 # quantifier kinds
 FORALL = "forall"
@@ -237,6 +240,7 @@ _SHAPES = {
     Quant2: (_body, lambda e, k: Quant2(e.kind, e.predvar, e.sort, k[0]),
              BINDS_PREDVAR, lambda e: (e.kind, e.sort)),
 }
+_VAR_BINDERS = {t for t, shape in _SHAPES.items() if shape[2] is BINDS_VAR}
 
 
 def _shape(e):
@@ -249,11 +253,6 @@ def _shape(e):
 def children(e):
     """The child terms and formulas of a node, in field order."""
     return _shape(e)[0](e)
-
-
-def rebuild(e, kids):
-    """A node like `e` with its children replaced by `kids`."""
-    return _shape(e)[1](e, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -288,47 +287,83 @@ class Signature:
 
 
 # ---------------------------------------------------------------------------
-# free variables
+# walks: children go on the stack in reverse, so nodes come off in preorder
+
+
+def _preorder(e):
+    """The nodes of `e`, in preorder."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        yield e
+        todo += reversed(_shape(e)[0](e))
 
 
 def free_vars(e):
     """Set of free variables (as Var values) of a term or formula."""
-    out = set()
-    _free_vars(e, frozenset(), out)
+    out, todo = set(), [(e, ())]
+    while todo:
+        e, bound = todo.pop()
+        if type(e) is Var:
+            if e not in bound:
+                out.add(e)
+            continue
+        kids, _, binds, _ = _shape(e)
+        if binds is BINDS_VAR and e.var not in bound:
+            bound = (e.var, *bound)
+        kids = kids(e)
+        i = len(kids)
+        while i:
+            i -= 1
+            todo.append((kids[i], bound))
     return out
-
-
-def _free_vars(e, bound, out):
-    if type(e) is Var:
-        if e not in bound:
-            out.add(e)
-        return
-    kids, _, binds, _ = _shape(e)
-    if binds is BINDS_VAR:
-        bound = bound | {e.var}
-    for k in kids(e):
-        _free_vars(k, bound, out)
 
 
 def free_predvars(e):
     """Free predicate-variable names of a formula."""
-    out = set()
-    _free_predvars(e, frozenset(), out)
+    out, todo = set(), [(e, frozenset())]
+    while todo:
+        e, bound = todo.pop()
+        kids, _, binds, _ = _shape(e)
+        if binds is BINDS_PREDVAR:
+            bound = bound | {e.predvar}
+        elif type(e) is PredApp and e.predvar not in bound:
+            out.add(e.predvar)
+        todo += [(k, bound) for k in reversed(kids(e))]
     return out
 
 
-def _free_predvars(e, bound, out):
-    kids, _, binds, _ = _shape(e)
-    if binds is BINDS_PREDVAR:
-        bound = bound | {e.predvar}
-    elif type(e) is PredApp and e.predvar not in bound:
-        out.add(e.predvar)
-    for k in kids(e):
-        _free_predvars(k, bound, out)
+def subterms(e):
+    """All subterms of a term or formula (terms only), preorder."""
+    return [x for x in _preorder(e) if isinstance(x, Term)]
 
 
-# ---------------------------------------------------------------------------
-# substitution
+_REBUILD = object()     # on _rewrite's stack with (node, kids, leave, new kids, into)
+
+
+def _rewrite(e, enter):
+    """`e` rewritten bottom-up.  `enter(node)`, called parents first, gives
+    (new, leave): with `leave` False the result is `new`, else it is `new`
+    rebuilt from its rewritten children, passed through `leave` if set."""
+    root = []
+    todo = [(e, root)]
+    while todo:
+        e, into = todo.pop()        # `into` collects the results of e's parent
+        if e is _REBUILD:
+            e, kids, leave, new, into = into
+            if any(map(is_not, new, kids)):
+                e = _SHAPES[type(e)][1](e, new)
+        else:
+            e, leave = enter(e)
+            kids = leave is not False and _shape(e)[0](e)
+            if kids:
+                new = []
+                todo.append((_REBUILD, (e, kids, leave, new, into)))
+                for k in reversed(kids):
+                    todo.append((k, new))
+                continue
+        into.append(e if not leave else leave(e))
+    return root[0]
 
 
 def fresh_name(base, taken):
@@ -345,80 +380,71 @@ def fresh_name(base, taken):
 def substitute(e, v, t):
     """Capture-avoiding substitution of term `t` for free variable `v`.
 
-    Works on terms and formulas.
-    """
-    return _subst(e, v, t, frozenset(x.name for x in free_vars(t)))
+    Works on terms and formulas."""
+    return _rewrite(e, _substituting(v, t, {x.name for x in free_vars(t)}))
 
 
-def _rename_bound(e, v, avoid):
-    """`e` with its bound variable renamed away from `avoid`, `v` and the
-    free variables of its children, so that substituting for `v` inside
-    cannot capture."""
-    kids = children(e)
-    taken = set(avoid) | {v.name}
-    for k in kids:
-        taken |= {x.name for x in free_vars(k)}
-    nv = Var(fresh_name(e.var.name, taken), e.var.sort)
-    return rebuild(replace(e, var=nv),
-                   [_subst(k, e.var, nv, frozenset()) for k in kids])
+def _substituting(v, t, tfree):
+    """_rewrite's `enter` for `t` in place of `v`.  A binder that would
+    capture a name of `tfree` has its variable renamed first."""
 
+    def enter(e):
+        if type(e) is Var:
+            return (t if e == v else e), False
+        if type(e) in _VAR_BINDERS:
+            if e.var == v:
+                return e, False
+            if e.var.name in tfree and v in free_vars(e):
+                taken = {*tfree, v.name}.union(*[{x.name for x in free_vars(k)}
+                                                 for k in children(e)])
+                nv = Var(fresh_name(e.var.name, taken), e.var.sort)
+                e = _SHAPES[type(e)][1](replace(e, var=nv), [
+                    _rewrite(k, _substituting(e.var, nv, ())) for k in children(e)])
+        return e, None
 
-def _subst(e, v, t, tfree):
-    if type(e) is Var:
-        return t if e == v else e
-    kids, make, binds, _ = _shape(e)
-    if binds is BINDS_VAR:
-        if e.var == v:
-            return e
-        if e.var.name in tfree and v in free_vars(e):
-            e = _rename_bound(e, v, tfree)
-    return make(e, [_subst(k, v, t, tfree) for k in kids(e)])
-
-
-# ---------------------------------------------------------------------------
-# alpha equivalence
+    return enter
 
 
 def alpha_eq(a, b):
     """Equality up to consistent renaming of bound variables (individual
-    and predicate variables, including binder-term bound variables)."""
-    return _alpha(a, b, (), ())
+    and predicate variables, including binder-term bound variables).  `env`
+    and `penv` pair the names bound in a and b, innermost first."""
+    todo = [(a, b, (), ())]
+    while todo:
+        a, b, env, penv = todo.pop()
+        t = type(a)
+        if t is not type(b):
+            return False
+        if t is Var:
+            if a.sort != b.sort or not _same_name(env, a.name, b.name):
+                return False
+            continue
+        kids, _, binds, label = _shape(a)
+        if label is not None and label(a) != label(b):
+            return False
+        if binds is BINDS_VAR:
+            env = ((a.var.name, b.var.name),) + env
+        elif binds is BINDS_PREDVAR:
+            penv = ((a.predvar, b.predvar),) + penv
+        elif t is PredApp and not _same_name(penv, a.predvar, b.predvar):
+            return False
+        ka, kb = kids(a), kids(b)
+        i = len(ka)
+        if i != len(kb):
+            return False
+        while i:
+            i -= 1
+            todo.append((ka[i], kb[i], env, penv))
+    return True
 
 
 def _same_name(env, x, y):
     """Whether name `x` in one tree and `y` in the other denote the same
-    variable: bound by the same binder of `env` (pairs of names, innermost
-    first), or both free and equal."""
+    variable: bound by the same pair of `env`, or both free and equal."""
     for p, q in env:
         if p == x or q == y:
             return p == x and q == y
     return x == y
-
-
-def _alpha(a, b, env, penv):
-    # env: pairs (name in a, name in b) of bound individual variables,
-    # innermost first; penv likewise for predicate variables.
-    t = type(a)
-    if t is not type(b):
-        return False
-    if t is Var:
-        return a.sort == b.sort and _same_name(env, a.name, b.name)
-    kids, _, binds, label = _shape(a)
-    if label is not None and label(a) != label(b):
-        return False
-    if binds is BINDS_VAR:
-        env = ((a.var.name, b.var.name),) + env
-    elif binds is BINDS_PREDVAR:
-        penv = ((a.predvar, b.predvar),) + penv
-    elif t is PredApp and not _same_name(penv, a.predvar, b.predvar):
-        return False
-    ka, kb = kids(a), kids(b)
-    if len(ka) != len(kb):
-        return False
-    for x, y in zip(ka, kb):
-        if not _alpha(x, y, env, penv):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -430,136 +456,143 @@ def well_sorted(e, sig):
 
     Never raises on malformed input: every problem becomes a diagnostic.
     """
-    errs = []
-    _sort(e, sig, {}, {}, errs, is_term(e))
-    return errs
+    return _sort(e, sig, is_term(e))[1]
 
 
 def term_sort(t, sig):
     """Sort of a term under `sig`; raises SortError with the sort check's
     first diagnostic when it has none (an unknown symbol, or not a term)."""
-    errs = []
-    sort = _sort(t, sig, {}, {}, errs, True)
+    sort, errs = _sort(t, sig, True)
     if sort is None:
         raise SortError(errs[0])
     return sort
 
 
-def _sort(e, sig, env, predvars, errs, term):
-    """The sort of `e`, read as a term when `term` is set and else as a
-    formula: None when it is unknown, and for a formula.  Appends each
-    violation in `e` to `errs`.  `env` maps in-scope variable names to
-    sorts, `predvars` in-scope predicate-variable names to their argument
-    sort."""
-    t = type(e)
-    if _IS_TERM.get(t) is not term:
-        errs.append("not a %s: %r" % ("term" if term else "formula", e))
-        return None
-    if t is Atom or t is App:
-        app = t is App
-        name = e.func if app else e.pred
-        if name == EQ and not app:
-            if len(e.args) != 2:
-                errs.append("equality takes two arguments")
-                return None
-            s1 = _sort(e.args[0], sig, env, predvars, errs, True)
-            s2 = _sort(e.args[1], sig, env, predvars, errs, True)
-            if s1 is not None and s2 is not None and s1 != s2:
-                errs.append("equality between distinct sorts %s and %s" % (s1, s2))
-            return None
-        decl = (sig.functions if app else sig.predicates).get(name)
-        if decl is None:
-            errs.append("unknown %s %s" % ("function" if app else "predicate", name))
-            for a in e.args:
-                _sort(a, sig, env, predvars, errs, True)
-            return None
-        wants = decl[0] if app else decl
-        if len(wants) != len(e.args):
-            errs.append("%s %s expects %d arguments, got %d" % (
-                "function" if app else "predicate", name, len(wants), len(e.args)))
-        for i, (a, want) in enumerate(zip(e.args, wants), 1):
-            got = _sort(a, sig, env, predvars, errs, True)
-            if got is not None and got != want:
-                errs.append("argument %d of %s has sort %s, expected %s"
-                            % (i, name, got, want))
-        return decl[1] if app else None
-    if t is Var:
-        s = env.get(e.name)
-        if s is None:
-            if e.sort not in sig.sorts:
-                errs.append("variable %s has undeclared sort %s" % (e.name, e.sort))
-            return e.sort
-        if s != e.sort:
-            errs.append("variable %s used at sort %s but bound at %s"
-                        % (e.name, e.sort, s))
-        return s
-    if t is Const:
-        s = sig.constants.get(e.name)
-        if s is None:
-            errs.append("unknown constant %s" % e.name)
-        return s
-    if t is PredApp:
-        want = predvars.get(e.predvar)
-        if want is None:
-            errs.append("unbound predicate variable %s" % e.predvar)
-        got = _sort(e.arg, sig, env, predvars, errs, True)
-        if want is not None and got is not None and got != want:
-            errs.append("predicate variable %s applied at sort %s, expected %s"
-                        % (e.predvar, got, want))
-        return None
-    sort = None
-    if t is Binder:
-        sort = e.var.sort
-        if sort not in sig.sorts:
-            errs.append("binder variable %s has undeclared sort %s"
-                        % (e.var.name, sort))
-    elif t is Generic or t is GenericRestricted:
-        sort = e.sort
-        if sort not in sig.sorts:
-            errs.append("generic term has undeclared sort %s" % sort)
-        if t is GenericRestricted and e.var.sort != sort:
-            errs.append("restriction variable %s of generic term must have sort %s"
-                        % (e.var.name, sort))
-    elif t is Quant:
-        if e.kind not in QUANT_KINDS:
-            errs.append("unknown quantifier kind %s" % e.kind)
-        if e.var.sort not in sig.sorts:
-            errs.append("quantified variable %s has undeclared sort %s"
-                        % (e.var.name, e.var.sort))
-        if e.mode not in (None, "strict", "weak"):
-            errs.append("bad majority mode %r" % (e.mode,))
-        if e.mode is not None and e.kind != MOST:
-            errs.append("majority mode on non-most quantifier")
-    elif t is Quant2 and e.sort not in sig.sorts:
-        errs.append("second-order quantifier over undeclared sort %s" % e.sort)
-    kids, _, binds, _ = _SHAPES[t]
-    inner = {**env, e.var.name: e.var.sort} if binds is BINDS_VAR else env
-    if binds is BINDS_PREDVAR:
-        predvars = {**predvars, e.predvar: e.sort}
-    for k in kids(e):
-        _sort(k, sig, inner, predvars, errs, False)
-    if t is GenericRestricted:
-        # the restriction has exactly the designated free variable
-        for x in {x for x in free_vars(e.restriction) if x != e.var}:
-            if x.name not in env:
-                errs.append("restriction of generic term has stray free variable %s"
-                            % x.name)
-    return sort
+_SORTED, _EQ_RIGHT = object(), object()         # marks on _sort's stack
+_ARG_SORT = "argument %(i)d of %(name)s has sort %(got)s, expected %(want)s"
+_PREDVAR_SORT = ("predicate variable %(name)s applied at sort %(got)s, "
+                 "expected %(want)s")
+_EQ_SORTS = "equality between distinct sorts %(want)s and %(got)s"
 
 
-# ---------------------------------------------------------------------------
-# misc helpers used across modules
-
-
-def subterms(e):
-    """All subterms of a term or formula (terms only), preorder."""
-    out = []
-    _subterms(e, out)
-    return out
-
-
-def _subterms(e, out):
-    if isinstance(e, Term):
-        out.append(e)
-    for k in children(e):
-        _subterms(k, out)
+def _sort(e, sig, term):
+    """(sort, errors) of `e` read as a term if `term`, else as a formula
+    (sort None), errors in the order a recursive walk finds them.  The stack
+    holds (node, env, predvars, want): the sorts of bound variables and of
+    predicate variables' arguments, and False for a formula, True for a term,
+    or (sort, message, i, name) for a term of that sort.  Checks that follow
+    a subtree wait below it: (_SORTED, sort, stray, want) ends a term whose
+    sort is read or fails its `want`, or a generic term with `stray` (node,
+    env) whose stray variables are reported; (_EQ_RIGHT, env, predvars,
+    right) makes the left side's sort the `want` of an equality's right."""
+    errs, got, todo = [], None, [(e, {}, {}, term)]
+    while todo:
+        e, env, predvars, want = todo.pop()
+        t = type(e)
+        if _IS_TERM.get(t) is not (want is not False):  # a mark, or misplaced
+            if e is _EQ_RIGHT:
+                todo.append((want, env, predvars,
+                             got is None or (got, _EQ_SORTS, 0, "")))
+                continue
+            if e is not _SORTED:
+                errs.append("not a %s: %r" % ("term" if want else "formula", e))
+                got = None
+                continue
+            got = env
+            if predvars is not None:
+                g, env = predvars
+                errs += ["restriction of generic term has stray free variable %s"
+                         % x.name for x in {x for x in free_vars(g.restriction)
+                                            if x != g.var} if x.name not in env]
+        elif t is Atom or t is App:
+            app, args = t is App, e.args
+            name, noun = (e.func, "function") if app else (e.pred, "predicate")
+            if name == EQ and not app:
+                if len(args) != 2:
+                    errs.append("equality takes two arguments")
+                else:
+                    todo += ((_EQ_RIGHT, env, predvars, args[1]),
+                             (args[0], env, predvars, True))
+                continue
+            decl = (sig.functions if app else sig.predicates).get(name)
+            if app:
+                todo.append((_SORTED, None if decl is None else decl[1], None, want))
+            if decl is None:
+                errs.append("unknown %s %s" % (noun, name))
+                todo += [(a, env, predvars, True) for a in reversed(args)]
+                continue
+            wants = decl[0] if app else decl
+            if len(wants) != len(args):
+                errs.append("%s %s expects %d arguments, got %d"
+                            % (noun, name, len(wants), len(args)))
+            i = min(len(wants), len(args))
+            while i:
+                todo.append((args[i - 1], env, predvars,
+                             (wants[i - 1], _ARG_SORT, i, name)))
+                i -= 1
+            continue
+        elif t is Var:
+            got = env.get(e.name)
+            if got is None:
+                got = e.sort
+                if got not in sig.sorts:
+                    errs.append("variable %s has undeclared sort %s" % (e.name, got))
+            elif got != e.sort:
+                errs.append("variable %s used at sort %s but bound at %s"
+                            % (e.name, e.sort, got))
+        elif t is Const:
+            got = sig.constants.get(e.name)
+            if got is None:
+                errs.append("unknown constant %s" % e.name)
+        elif t is PredApp:
+            s = predvars.get(e.predvar)
+            if s is None:
+                errs.append("unbound predicate variable %s" % e.predvar)
+            todo.append((e.arg, env, predvars,
+                         s is None or (s, _PREDVAR_SORT, 0, e.predvar)))
+            continue
+        elif t is Not:
+            todo.append((e.body, env, predvars, False))
+            continue
+        elif t is And or t is Or or t is Implies:
+            todo.append((e.right, env, predvars, False))
+            todo.append((e.left, env, predvars, False))
+            continue
+        else:
+            kids, _, binds, _ = _SHAPES[t]
+            if t is Binder or t is Generic or t is GenericRestricted:
+                sort = e.var.sort if t is Binder else e.sort
+                if sort not in sig.sorts:
+                    errs.append("binder variable %s has undeclared sort %s"
+                                % (e.var.name, sort) if t is Binder else
+                                "generic term has undeclared sort %s" % sort)
+                if t is GenericRestricted and e.var.sort != sort:
+                    errs.append("restriction variable %s of generic term must have "
+                                "sort %s" % (e.var.name, sort))
+                stray = (e, env) if t is GenericRestricted else None
+                if stray or want is True or sort is not None and sort != want[0]:
+                    todo.append((_SORTED, sort, stray, want))
+            elif t is Quant:
+                if e.kind not in QUANT_KINDS:
+                    errs.append("unknown quantifier kind %s" % e.kind)
+                if e.var.sort not in sig.sorts:
+                    errs.append("quantified variable %s has undeclared sort %s"
+                                % (e.var.name, e.var.sort))
+                if e.mode not in (None, "strict", "weak"):
+                    errs.append("bad majority mode %r" % (e.mode,))
+                if e.mode is not None and e.kind != MOST:
+                    errs.append("majority mode on non-most quantifier")
+            elif t is Quant2 and e.sort not in sig.sorts:
+                errs.append("second-order quantifier over undeclared sort %s"
+                            % e.sort)
+            if binds is BINDS_VAR:
+                env = {**env, e.var.name: e.var.sort}
+            elif binds is BINDS_PREDVAR:
+                predvars = {**predvars, e.predvar: e.sort}
+            for k in reversed(kids(e)):
+                todo.append((k, env, predvars, False))
+            continue
+        if want is not True and got is not None and got != want[0]:
+            errs.append(want[1] % {"got": got, "want": want[0], "i": want[2],
+                                   "name": want[3]})
+    return got, errs

@@ -1,6 +1,7 @@
 """Formula translations: Frege embedding of restricted quantifiers, the
 epsilon embedding that eliminates forall/exists in favour of choice terms,
-individual-concept lifting/lowering, and negation pushing."""
+individual-concept lifting/lowering, and negation pushing.  Each is one
+syntax._rewrite, so it returns on formulas of any depth."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ from dataclasses import dataclass
 
 from . import syntax as sx
 from .syntax import (Atom, And, Binder, Implies, Not, Or, PredApp, Quant,
-                     Quant2, Var, alpha_eq, free_predvars, free_vars,
-                     fresh_name, substitute)
+                     Quant2, Var, _preorder, _rewrite, alpha_eq,
+                     free_predvars, free_vars, fresh_name, substitute)
 
 
 class TransformError(Exception):
@@ -28,11 +29,7 @@ class Translation:
 def _map_subformulas(e, fn):
     """Rebuild `e` with `fn` applied bottom-up to every quantifier node,
     including those inside choice-term bodies and generic restrictions."""
-    kids = sx.children(e)
-    new = [_map_subformulas(k, fn) for k in kids]
-    if any(n is not k for n, k in zip(new, kids)):
-        e = sx.rebuild(e, new)
-    return fn(e) if type(e) is Quant else e
+    return _rewrite(e, lambda n: (n, fn if type(n) is Quant else None))
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +53,9 @@ def frege_embed(f):
     """Rewrite restricted forall/exists to the unrestricted implication and
     conjunction forms.  "most" is left untouched; its presence is reported
     through the not-frege-reducible tag."""
-    has_most = [False]
-
-    def step(q):
-        has_most[0] = has_most[0] or q.kind == sx.MOST
-        return _frege_step(q)
-
-    out = _map_subformulas(f, step)
-    tags = (TAG_NOT_FREGE_REDUCIBLE,) if has_most[0] else ()
-    return Translation(out, tags)
+    out = _map_subformulas(f, _frege_step)
+    most = any(type(q) is Quant and q.kind == sx.MOST for q in _preorder(f))
+    return Translation(out, (TAG_NOT_FREGE_REDUCIBLE,) if most else ())
 
 
 def frege_unembed(f):
@@ -72,14 +63,10 @@ def frege_unembed(f):
     atomic guard M over the bound variable, become restricted forms."""
 
     def step(q):
-        if q.restriction is not None:
-            return q
-        if q.kind == sx.FORALL and isinstance(q.body, Implies) \
+        shape = {sx.FORALL: Implies, sx.EXISTS: And}.get(q.kind)
+        if q.restriction is None and isinstance(q.body, shape or ()) \
                 and _atomic_guard(q.body.left, q.var):
-            return Quant(sx.FORALL, q.var, q.body.left, q.body.right)
-        if q.kind == sx.EXISTS and isinstance(q.body, And) \
-                and _atomic_guard(q.body.left, q.var):
-            return Quant(sx.EXISTS, q.var, q.body.left, q.body.right)
+            return Quant(q.kind, q.var, q.body.left, q.body.right)
         return q
 
     return Translation(_map_subformulas(f, step))
@@ -117,13 +104,7 @@ def epsilon_embed(f, use_tau=False):
 
 def quantifier_free(e):
     """No Quant or Quant2 node anywhere in `e`, choice terms included."""
-    todo = [e]
-    while todo:
-        e = todo.pop()
-        if type(e) in (Quant, Quant2):
-            return False
-        todo.extend(sx.children(e))
-    return True
+    return not any(type(n) in (Quant, Quant2) for n in _preorder(e))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +114,7 @@ def quantifier_free(e):
 def concept_guard(predvar, sort, require_nonempty=True):
     """C(X): X holds of at most one individual, and of at least one when
     non-emptiness is required."""
-    x = Var("x", sort)
-    y = Var("y", sort)
+    x, y = Var("x", sort), Var("y", sort)
     at_most_one = Quant(sx.FORALL, x, None, Quant(sx.FORALL, y, None, Implies(
         And(PredApp(predvar, x), PredApp(predvar, y)), Atom(sx.EQ, (x, y)))))
     if not require_nonempty:
@@ -180,8 +160,7 @@ def lower_from_concepts(f, require_nonempty=True):
     guard_loose = concept_guard(pv, sort, False)
 
     def match_guard(g):
-        return alpha_eq(_wrap(pv, sort, g), _wrap(pv, sort, guard)) \
-            or alpha_eq(_wrap(pv, sort, g), _wrap(pv, sort, guard_loose))
+        return alpha_eq(g, guard) or alpha_eq(g, guard_loose)
 
     if f.kind == sx.FORALL2 and isinstance(f.body, Implies) \
             and match_guard(f.body.left):
@@ -200,11 +179,6 @@ def lower_from_concepts(f, require_nonempty=True):
     return Quant(outer_kind, x, None, inner)
 
 
-def _wrap(pv, sort, g):
-    # compare guards up to the predicate-variable name
-    return Quant2(sx.FORALL2, pv, sort, g)
-
-
 # ---------------------------------------------------------------------------
 # negation pushing
 
@@ -214,48 +188,45 @@ def push_negation(f):
     negations end up on atoms, double negations vanish, and negated
     quantifiers flip to their duals.  Choice-term bodies and generic
     restrictions inside atoms are normalised too."""
-    return _nnf(f, False)
+    return _rewrite(_formula_slot(f), _negation_step)
 
 
-def _nnf(f, neg):
-    if isinstance(f, (Atom, PredApp)):
-        f = _nnf_inside(f)
-        return Not(f) if neg else f
-    if isinstance(f, Not):
-        return _nnf(f.body, not neg)
-    if isinstance(f, And):
-        if neg:
-            return Or(_nnf(f.left, True), _nnf(f.right, True))
-        return And(_nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Or):
-        if neg:
-            return And(_nnf(f.left, True), _nnf(f.right, True))
-        return Or(_nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Implies):
-        if neg:
-            return And(_nnf(f.left, False), _nnf(f.right, True))
-        return Or(_nnf(f.left, True), _nnf(f.right, False))
-    if isinstance(f, Quant):
-        dual = {sx.FORALL: sx.EXISTS, sx.EXISTS: sx.FORALL,
-                sx.FORALL_STAR: sx.EXISTS_STAR, sx.EXISTS_STAR: sx.FORALL_STAR}
-        if f.kind not in dual:
-            raise TransformError("cannot push negation through %s" % f.kind)
-        kind = dual[f.kind] if neg else f.kind
-        restr = None if f.restriction is None else _nnf(f.restriction, False)
-        return Quant(kind, f.var, restr, _nnf(f.body, neg))
-    if isinstance(f, Quant2):
-        kind = f.kind
-        if neg:
-            kind = sx.EXISTS2 if kind == sx.FORALL2 else sx.FORALL2
-        return Quant2(kind, f.predvar, f.sort, _nnf(f.body, neg))
-    raise TransformError("not a formula: %r" % (f,))
+_DUALS = {sx.FORALL: sx.EXISTS, sx.EXISTS: sx.FORALL,
+          sx.FORALL_STAR: sx.EXISTS_STAR, sx.EXISTS_STAR: sx.FORALL_STAR}
 
 
-def _nnf_inside(e):
-    """`e`, an atom or a term, with the formulas of its choice terms and
-    generic restrictions in negation-normal form."""
-    kids = sx.children(e)
-    new = [_nnf(k, False) if sx.is_formula(k) else _nnf_inside(k) for k in kids]
-    if any(n is not k for n, k in zip(new, kids)):
-        e = sx.rebuild(e, new)
-    return e
+def _formula_slot(x):
+    """`x` where a formula belongs: a non-formula comes wrapped in a double
+    negation, which the step at it strips and rejects."""
+    return x if sx.is_formula(x) else Not(Not(x))
+
+
+def _negation_step(f):
+    """One step of push_negation at `f`, as _rewrite's `enter`: strip pairs
+    of nots, then dualise one connective or quantifier, moving a negation
+    onto its parts, or leave a negated atom wrapped.  Atoms and terms stay
+    as they are, so the step reaches their choice terms' formulas in turn."""
+    g, neg = f, False
+    while type(g) is Not:
+        g, neg = g.body, not neg
+    t = type(g)
+    if t is Implies:                    # a implies b is (not a) or b
+        g, t = Or(Not(g.left), g.right), Or
+    if t is And or t is Or:
+        if neg:
+            return (Or if t is And else And)(Not(g.left), Not(g.right)), None
+        return t(_formula_slot(g.left), _formula_slot(g.right)), None
+    if t is Quant and g.kind not in _DUALS:
+        raise TransformError("cannot push negation through %s" % g.kind)
+    if t is Quant or t is Quant2:
+        body = Not(g.body) if neg else _formula_slot(g.body)
+        if t is Quant2:
+            kind = sx.EXISTS2 if g.kind == sx.FORALL2 else sx.FORALL2
+            return Quant2(kind if neg else g.kind, g.predvar, g.sort, body), None
+        r = None if g.restriction is None else _formula_slot(g.restriction)
+        return Quant(_DUALS[g.kind] if neg else g.kind, g.var, r, body), None
+    if t is Atom or t is PredApp:
+        return (Not(g) if neg else g), None
+    if g is not f:
+        raise TransformError("not a formula: %r" % (g,))
+    return g, None

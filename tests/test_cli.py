@@ -139,7 +139,8 @@ def test_selftest_seeded(capsys, monkeypatch):
     assert "ok" in out
 
 
-@pytest.mark.parametrize("command", ["eval", "parse"])
+# evaluation runs compiled closures, which nest as deep as the formula
+@pytest.mark.parametrize("command", ["eval"])
 def test_deep_nesting_exit_2(capsys, tmp_path, command):
     model = tmp_path / "m.model"
     model.write_text("sort s = {e1, e2}\nconst a : s = e1\npred P : s = {e1}\n")
@@ -148,6 +149,18 @@ def test_deep_nesting_exit_2(capsys, tmp_path, command):
     assert code == 2
     assert "nested too deep" in err
     assert out == ""
+
+
+def test_deep_formulas_parse_translate_and_print_back(capsys, fixtures):
+    deep = "not " * 3000 + "P(c)"
+    sig = str(fixtures / "base.sig")
+    assert run(capsys, "parse", "--signature", sig, deep) == (0, deep + "\n", "")
+    assert run(capsys, "translate", "--signature", sig, "--mode", "nnf", deep) \
+        == (0, "P(c)\n", "")
+    prefix = "forall x:s. " * 3000 + "P(x)"
+    code, out, _ = run(capsys, "translate", "--signature", sig, "--mode", "frege",
+                       prefix)
+    assert (code, out) == (0, prefix + "\n")
 
 
 def test_every_subcommand_runs_twice_alike(capsys, fixtures, monkeypatch):

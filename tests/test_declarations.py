@@ -165,6 +165,20 @@ def test_readers_and_cli_return_or_reject_any_text(tmp_path_factory, kind, data)
         assert code in (0, 1, 2)
 
 
+def test_builtin_name_is_one_identifier(tmp_path):
+    # a builtin's name was every token after '@' joined, so a byte the
+    # lexer rejects went raw into a message and split it over two lines
+    for value, col, msg in [("@\x0brime", 21, "expected builtin name, found '\\x0b'"),
+                            ("@prime x", 27, "trailing input"),
+                            ("@", 21, "expected builtin name, found 'end of input'")]:
+        text = (FIXTURES / "density.model").read_text().replace("@prime", value)
+        with pytest.raises(parser.ParseError) as e:
+            parser.parse_model(text)
+        assert [str(d) for d in e.value.diagnostics] == ["error:2:%d: %s" % (col, msg)]
+        assert cli(["eval", "--model", str(tmp_path / "d.model"), "prime(2)"],
+                   tmp_path / "d.model", text) == (2, "error:2:%d: %s\n" % (col, msg))
+
+
 def test_integer_sort_constants_are_numbers_of_the_sort(tmp_path):
     text = ("sort nat = int\nconst c : nat = 7\npred prime : nat = @prime\n"
             "measure nat = density(10)\n")
@@ -190,7 +204,8 @@ def test_function_tables_are_checked(tmp_path):
     for table, msg in [
             ("{zz: qq, (a, b): a}", "function f takes 1 arguments"),
             ("{a: b, zz: a}", "element zz of function f not in sort s"),
-            ("{a: qq}", "element qq of function f not in sort s")]:
+            ("{a: qq}", "element qq of function f not in sort s"),
+            ("{a: b, b: a, a: a}", "function f lists an argument tuple twice")]:
         text = "sort s = {a, b}\nfun f : s -> s = %s\nconst c : s = a\n" % table
         with pytest.raises(parser.ParseError) as e:
             parser.parse_model(text)

@@ -12,6 +12,7 @@ import parser_oracle as oracle
 from conftest import FIXTURES
 from epskernel import generators as gen
 from epskernel import syntax as sx
+from epskernel.kernel import check_proof
 from epskernel.parser import (ParseError, _span, parse_formula,
                               parse_proof_script, parse_signature, print_formula,
                               print_term, tokenize)
@@ -214,15 +215,19 @@ def test_binder_body_prints_as_a_term_at_depth():
     assert print_term(t) == text
 
 
-def test_sort_check_too_deep_is_a_located_parse_error(fixtures):
+def test_deep_formulas_are_sort_checked(fixtures):
+    # the sort check walks an explicit stack, so a formula as deep as the
+    # parser reads is checked, and its faults are reported where it starts
     sig = parse_signature((fixtures / "base.sig").read_text())
+    text = "not " * DEPTH + "P(c)"
+    assert print_formula(parse_formula(text, sig)) == text
     with pytest.raises(ParseError) as e:
-        parse_formula("not " * DEPTH + "P(c)", sig)
-    assert [str(d) for d in e.value.diagnostics] == ["error:1:1: input nested too deep"]
-    with pytest.raises(ParseError) as e:
-        parse_proof_script("1. P(c) |- P(c) ; hyp\n2. P(c) |- "
-                           + "not " * DEPTH + "P(c) ; hyp\n", sig)
-    assert [str(d) for d in e.value.diagnostics] == ["error:2:12: input nested too deep"]
+        parse_formula("not " * DEPTH + "P(zz)", sig)
+    assert [str(d) for d in e.value.diagnostics] == ["error:1:1: unknown constant zz"]
+    proof = parse_proof_script("1. P(c) |- P(c) ; hyp\n2. %s |- %s ; hyp\n"
+                               % (text, text), sig)
+    assert print_formula(proof.sequent.conclusion) == text
+    assert check_proof(proof, sig).accepted
 
 
 def faithful(f):
