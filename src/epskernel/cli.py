@@ -33,9 +33,9 @@ class InputError(Exception):
 
 
 def _load_signature(args):
-    if getattr(args, "signature", None):
+    if args.signature:
         return parser.parse_signature(_read(args.signature))
-    if getattr(args, "model", None):
+    if args.model:
         return parser.parse_model(_read(args.model)).signature
     raise InputError("a --signature or --model file is required")
 
@@ -50,26 +50,18 @@ def _threshold(text, flag):
 def _load_model(args):
     m = parser.parse_model(_read(args.model))
     overrides = {}
-    if getattr(args, "theta", None) is not None:
+    if args.theta is not None:
         overrides["most_threshold"] = _threshold(args.theta, "--theta")
-    if getattr(args, "theta_many", None) is not None:
+    if args.theta_many is not None:
         overrides["many_threshold"] = _threshold(args.theta_many, "--theta-many")
-    if getattr(args, "majority", None):
+    if args.majority:
         overrides["majority_mode"] = args.majority
-    if getattr(args, "regime", None):
+    if args.regime:
         overrides["star_regime"] = args.regime
     if overrides:
         from dataclasses import replace
         m = replace(m, **overrides)
     return m
-
-
-def _kernel_config(args):
-    return kernel.KernelConfig(
-        star_regime=getattr(args, "regime", None) or "B",
-        epsilon_presupposition=bool(getattr(args, "presupposition", False)),
-        allow_most_instantiation=bool(getattr(args, "most_inst", False)),
-    )
 
 
 def _emit(args, record, text):
@@ -94,7 +86,9 @@ def run_parse(args):
 def run_check(args):
     sig = _load_signature(args)
     proof = parser.parse_proof_script(_read(args.proof), sig)
-    verdict = kernel.check_proof(proof, sig, _kernel_config(args))
+    cfg = kernel.KernelConfig(star_regime=args.regime or "B",
+                              allow_most_instantiation=args.most_inst)
+    verdict = kernel.check_proof(proof, sig, cfg)
     for line, rule, ok in verdict.nodes:
         _emit(args, {"kind": "node", "line": line, "rule": rule, "ok": ok},
               "line %s: %s: %s" % (line, rule, "ok" if ok else "FAIL"))
@@ -178,7 +172,7 @@ def run_semantics(args):
     lex = semantics.parse_lexicon(_read(args.lexicon))
     clauses = semantics.parse_fragment(args.sentence, lex)
     formula, state = semantics.build_logical_form(
-        clauses, lex, cfg=_kernel_config(args))
+        clauses, lex, presuppose=args.presupposition)
     text = parser.print_formula(formula)
     record = {"kind": "semantics", "formula": text,
               "presuppositions": [parser.print_formula(p)
@@ -197,8 +191,7 @@ def run_semantics(args):
 def run_selftest(args):
     seed = int(os.environ.get("EPSKERNEL_SEED", "20260825"))
     rng = random.Random(seed)
-    failures = generators.run_selftest(rng, size=args.size,
-                                       report=lambda line: print(line))
+    failures = generators.run_selftest(rng, size=args.size)
     return 0 if not failures else 1
 
 
@@ -206,25 +199,16 @@ def run_selftest(args):
 # argument parsing
 
 
-def _add_common(p, model=False, signature=False, kernel_flags=False):
+def _add_common(p, signature=False):
     p.add_argument("--format", choices=["text", "records"], default="text")
     if signature:
         p.add_argument("--signature", help="signature file")
         p.add_argument("--model", help="model file (signature is derived)")
-    if model:
-        p.add_argument("--theta", help="threshold for 'most' (e.g. 0.5)")
-        p.add_argument("--theta-many", dest="theta_many",
-                       help="threshold for 'many'")
-    if kernel_flags or model:
-        p.add_argument("--regime", choices=["A", "B"],
-                       help="entailment regime for forall*/exists*")
-        p.add_argument("--majority", choices=["strict", "weak"],
-                       help="majority reading of 'most'")
-    if kernel_flags:
-        p.add_argument("--presupposition", action="store_true",
-                       help="assert the restriction of description terms")
-        p.add_argument("--most-inst", dest="most_inst", action="store_true",
-                       help="enable the experimental most instantiation rule")
+
+
+def _add_regime(p):
+    p.add_argument("--regime", choices=["A", "B"],
+                   help="entailment regime for forall*/exists*")
 
 
 @functools.cache
@@ -243,12 +227,21 @@ def build_arg_parser():
     p.set_defaults(fn=run_parse)
 
     p = sub.add_parser("check", help="check a proof script")
-    _add_common(p, signature=True, kernel_flags=True)
+    _add_common(p, signature=True)
+    _add_regime(p)
+    p.add_argument("--most-inst", dest="most_inst", action="store_true",
+                   help="enable the experimental most instantiation rule")
     p.add_argument("--proof", required=True, help="proof script file")
     p.set_defaults(fn=run_check)
 
     p = sub.add_parser("eval", help="evaluate a formula in a model")
-    _add_common(p, model=True)
+    _add_common(p)
+    p.add_argument("--theta", help="threshold for 'most' (e.g. 0.5)")
+    p.add_argument("--theta-many", dest="theta_many",
+                   help="threshold for 'many'")
+    _add_regime(p)
+    p.add_argument("--majority", choices=["strict", "weak"],
+                   help="majority reading of 'most'")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--witnesses", action="store_true",
                    help="show the element chosen by each binder term")
@@ -273,13 +266,14 @@ def build_arg_parser():
 
     p = sub.add_parser("semantics", help="translate a controlled-English "
                                          "fragment to a logical form")
-    _add_common(p, kernel_flags=True)
+    _add_common(p)
+    p.add_argument("--presupposition", action="store_true",
+                   help="assert the restriction of description terms")
     p.add_argument("--lexicon", required=True, help="lexicon file")
     p.add_argument("sentence")
     p.set_defaults(fn=run_semantics)
 
     p = sub.add_parser("selftest", help="run the embedded invariant suites")
-    _add_common(p)
     p.add_argument("--size", type=int, default=3)
     p.set_defaults(fn=run_selftest)
 

@@ -108,13 +108,13 @@ def _hyp(gamma, f, line):
     return ProofTree(Sequent(tuple(gamma), f), "hyp", line=line)
 
 
-def proof_corpus(rng, n=220, sig=SIG_UNARY):
+def proof_corpus(rng, n=220):
     """`n` proof trees, all of which must be accepted by check_proof under
     the default kernel configuration."""
     out = []
     i = 0
     while len(out) < n:
-        out.append(_PROOF_TEMPLATES[i % len(_PROOF_TEMPLATES)](rng, sig))
+        out.append(_PROOF_TEMPLATES[i % len(_PROOF_TEMPLATES)](rng, SIG_UNARY))
         i += 1
     return out
 
@@ -417,14 +417,15 @@ def mutate_eigenvariable(proof):
 # selftest
 
 
-def run_selftest(rng, size=3, report=print):
-    """Embedded invariant suites over generated formulas and models.
-    Returns a list of failure descriptions (empty = all green)."""
+def run_selftest(rng, size=3):
+    """Embedded invariant suites over generated formulas and models; prints
+    one line per suite and returns a list of failure descriptions (empty =
+    all green)."""
     failures = []
 
     def suite(name, ok, detail=""):
-        report("%-40s %s%s" % (name, "ok" if ok else "FAIL",
-                               " (%s)" % detail if detail else ""))
+        print("%-40s %s%s" % (name, "ok" if ok else "FAIL",
+                              " (%s)" % detail if detail else ""))
         if not ok:
             failures.append(name + (": " + detail if detail else ""))
 

@@ -21,11 +21,6 @@ class Sequent:
     hypotheses: tuple
     conclusion: object
 
-    def __str__(self):
-        from .parser import print_formula
-        hyps = ", ".join(print_formula(h) for h in self.hypotheses)
-        return "%s |- %s" % (hyps, print_formula(self.conclusion))
-
 
 @dataclass(frozen=True)
 class ProofTree:
@@ -90,7 +85,6 @@ class ProofTree:
 @dataclass(frozen=True)
 class KernelConfig:
     star_regime: str = "B"
-    epsilon_presupposition: bool = False
     allow_most_instantiation: bool = False
 
 

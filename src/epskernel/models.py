@@ -307,11 +307,10 @@ def count_models(sig, max_size):
     return total
 
 
-def enumerate_models(sig, max_size, budget=2_000_000, **config):
+def enumerate_models(sig, max_size, budget=2_000_000):
     """Yield every model of `sig` with per-sort domains of size 1..max_size,
     in a fixed deterministic order.  Raises EnumerationBound when the
-    estimated count exceeds `budget`.  Extra keyword arguments become
-    model configuration (thresholds, majority mode, star regime)."""
+    estimated count exceeds `budget`."""
     if sig.integer_sort is not None:
         raise EvalError("cannot enumerate models of a density signature")
     estimate = count_models(sig, max_size)
@@ -342,4 +341,4 @@ def enumerate_models(sig, max_size, budget=2_000_000, **config):
             cext = dict(zip(consts, choice[len(preds):len(preds) + len(consts)]))
             fext = dict(zip(funcs, choice[len(preds) + len(consts):]))
             yield Model(signature=sig, domains=domains, preds=pext,
-                        consts=cext, funcs=fext, **config)
+                        consts=cext, funcs=fext)

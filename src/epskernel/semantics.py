@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 from . import parser
 from . import syntax as sx
-from .kernel import KernelConfig
 from .syntax import (Atom, And, Binder, Generic, GenericRestricted, Implies,
                      Not, Quant, Signature, Var, substitute)
 
@@ -234,16 +233,16 @@ def resolve_pronoun(state, sort_constraint=None):
 # logical-form construction
 
 
-def build_logical_form(clauses, lex, state=None, cfg=None):
+def build_logical_form(clauses, lex, state=None, presuppose=False):
     """Build one conjoined formula for a clause sequence; returns the
-    formula together with the final discourse state."""
+    formula together with the final discourse state.  With `presuppose`,
+    each indefinite's description is asserted of its choice term."""
     state = state or DiscourseState()
-    cfg = cfg or KernelConfig()
     if isinstance(clauses, Clause):
         clauses = [clauses]
     formula = None
     for clause in clauses:
-        cf, state = _build_clause(clause, lex, state, cfg)
+        cf, state = _build_clause(clause, lex, state, presuppose)
         formula = cf if formula is None else And(formula, cf)
     state = replace(state, formula=formula)
     return formula, state
@@ -262,13 +261,13 @@ def _restriction_formula(np, lex, var):
     return f
 
 
-def _build_clause(clause, lex, state, cfg):
+def _build_clause(clause, lex, state, presuppose):
     # the verb phrase as a function of the subject term
     if clause.verb in lex.tverbs:
         if clause.obj is None:
             raise SemanticsError("transitive verb %r needs an object" % clause.verb)
         pred = lex.tverbs[clause.verb]
-        obj_term, state, extra = _np_term(clause.obj, lex, state, cfg,
+        obj_term, state, extra = _np_term(clause.obj, lex, state, presuppose,
                                           position="object")
         def vp(t):
             return Atom(pred, (t, obj_term))
@@ -285,7 +284,7 @@ def _build_clause(clause, lex, state, cfg):
         term, state = resolve_pronoun(state, lex.pronouns.get(subj.word))
         f = vp(term)
     else:
-        f, state, subj_extra = _quantified_subject(subj, lex, state, cfg, vp)
+        f, state, subj_extra = _quantified_subject(subj, lex, state, presuppose, vp)
         extra = extra + subj_extra
     for conj in extra:
         f = And(f, conj)
@@ -300,7 +299,7 @@ def _noun_body(np, lex, var):
     return body
 
 
-def _np_term(np, lex, state, cfg, position):
+def _np_term(np, lex, state, presuppose, position):
     """Referential noun phrase (a/some/the/most/many) as an individual term.
     Returns (term, new state, extra assertable conjuncts)."""
     if isinstance(np, PronounPhrase):
@@ -311,7 +310,7 @@ def _np_term(np, lex, state, cfg, position):
     if np.det in INDEFINITE_DETS:
         term = Binder(sx.ETA, x, _noun_body(np, lex, x))
         state = state.push(term, sort, np.noun)
-        extra = [Atom(np.noun, (term,))] if cfg.epsilon_presupposition else []
+        extra = [Atom(np.noun, (term,))] if presuppose else []
         return term, state, extra
     if np.det == "the":
         for i, (term, s, _) in enumerate(state.referents):
@@ -332,7 +331,7 @@ def _np_term(np, lex, state, cfg, position):
                          % (np.det, position))
 
 
-def _quantified_subject(np, lex, state, cfg, vp):
+def _quantified_subject(np, lex, state, presuppose, vp):
     """Subject noun phrase applied to the verb phrase."""
     sort = lex.sort_of_noun(np.noun)
     x = Var("x", sort)
@@ -348,5 +347,5 @@ def _quantified_subject(np, lex, state, cfg, vp):
         if np.det == "not-every":
             return Not(tau_form), state, []
         return tau_form, state, []
-    term, state, extra = _np_term(np, lex, state, cfg, position="subject")
+    term, state, extra = _np_term(np, lex, state, presuppose, position="subject")
     return vp(term), state, extra

@@ -386,7 +386,8 @@ def substitute(e, v, t):
 
 def _substituting(v, t, tfree):
     """_rewrite's `enter` for `t` in place of `v`.  A binder that would
-    capture a name of `tfree` has its variable renamed first."""
+    capture a name of `tfree` has its variable renamed first, by a
+    substitution that in turn renames any inner binder of the new name."""
 
     def enter(e):
         if type(e) is Var:
@@ -399,7 +400,8 @@ def _substituting(v, t, tfree):
                                                  for k in children(e)])
                 nv = Var(fresh_name(e.var.name, taken), e.var.sort)
                 e = _SHAPES[type(e)][1](replace(e, var=nv), [
-                    _rewrite(k, _substituting(e.var, nv, ())) for k in children(e)])
+                    _rewrite(k, _substituting(e.var, nv, {nv.name}))
+                    for k in children(e)])
         return e, None
 
     return enter
@@ -408,8 +410,9 @@ def _substituting(v, t, tfree):
 def alpha_eq(a, b):
     """Equality up to consistent renaming of bound variables (individual
     and predicate variables, including binder-term bound variables).  `env`
-    and `penv` pair the names bound in a and b, innermost first."""
-    todo = [(a, b, (), ())]
+    and `penv` pair the names bound in a and b as linked triples
+    `(name in a, name in b, outer)`, innermost first; None is empty."""
+    todo = [(a, b, None, None)]
     while todo:
         a, b, env, penv = todo.pop()
         t = type(a)
@@ -423,9 +426,9 @@ def alpha_eq(a, b):
         if label is not None and label(a) != label(b):
             return False
         if binds is BINDS_VAR:
-            env = ((a.var.name, b.var.name),) + env
+            env = (a.var.name, b.var.name, env)
         elif binds is BINDS_PREDVAR:
-            penv = ((a.predvar, b.predvar),) + penv
+            penv = (a.predvar, b.predvar, penv)
         elif t is PredApp and not _same_name(penv, a.predvar, b.predvar):
             return False
         ka, kb = kids(a), kids(b)
@@ -440,8 +443,9 @@ def alpha_eq(a, b):
 
 def _same_name(env, x, y):
     """Whether name `x` in one tree and `y` in the other denote the same
-    variable: bound by the same pair of `env`, or both free and equal."""
-    for p, q in env:
+    variable: bound by the same triple of `env`, or both free and equal."""
+    while env is not None:
+        p, q, env = env
         if p == x or q == y:
             return p == x and q == y
     return x == y

@@ -5,6 +5,7 @@ syntax._rewrite, so it returns on formulas of any depth."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import syntax as sx
@@ -128,15 +129,17 @@ def lift_to_concepts(f, require_nonempty=True):
 
         forall x. P  ->  forall2 X. (C(X) implies exists x. (X(x) and P))
         exists x. P  ->  exists2 X. (C(X) and exists x. (X(x) and P))
-    """
-    used = set(free_predvars(f))
+
+    The concept variables are X, X1, X2, ... in turn, skipping those free
+    in `f`."""
+    used = free_predvars(f)
+    names = ("X%d" % i if i else "X" for i in itertools.count())
 
     def step(q):
         if q.kind not in (sx.FORALL, sx.EXISTS) or q.restriction is not None:
             raise TransformError("concept lifting applies to unrestricted "
                                  "forall/exists only")
-        pv = fresh_name("X", used)
-        used.add(pv)
+        pv = next(n for n in names if n not in used)
         member = Quant(sx.EXISTS, q.var, None, And(PredApp(pv, q.var), q.body))
         guard = concept_guard(pv, q.var.sort, require_nonempty)
         if q.kind == sx.FORALL:

@@ -203,6 +203,48 @@ def test_selftest_has_no_jobs_option(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--signature", "base.sig", "--proof", "eps-intro.proof",
+     "--majority", "weak"],
+    ["check", "--signature", "base.sig", "--proof", "eps-intro.proof",
+     "--presupposition"],
+    ["semantics", "--lexicon", "fragment.lex", "--regime", "A", "a man enters"],
+    ["semantics", "--lexicon", "fragment.lex", "--majority", "weak",
+     "a man enters"],
+    ["semantics", "--lexicon", "fragment.lex", "--most-inst", "a man enters"],
+    ["selftest", "--format", "records"],
+], ids=["check --majority", "check --presupposition", "semantics --regime",
+        "semantics --majority", "semantics --most-inst", "selftest --format"])
+def test_options_no_command_reads_are_gone(capsys, fixtures, argv):
+    argv = [str(fixtures / a) if a.endswith((".sig", ".proof", ".lex")) else a
+            for a in argv]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_semantics_presupposition_asserts_the_indefinite(capsys, fixtures):
+    code, out, _ = run(capsys, "semantics", "--lexicon",
+                       str(fixtures / "fragment.lex"), "--presupposition",
+                       "a man enters")
+    assert code == 0
+    assert out.splitlines()[0] == ("enter(eta x:man. man(x)) and "
+                                   "man(eta x:man. man(x))")
+
+
+def test_check_rejects_a_capturing_instance(capsys, fixtures, tmp_path):
+    code, out, _ = run(capsys, "check", "--signature", str(fixtures / "base.sig"),
+                       "--proof", str(fixtures / "capture.proof"))
+    assert code == 1 and out.splitlines()[-1] == "rejected"
+    ok = tmp_path / "instance.proof"
+    ok.write_text((fixtures / "capture.proof").read_text().replace(
+        "exists x1:s. not x1 = x1", "exists x2:s. not x1 = x2"))
+    code, out, _ = run(capsys, "check", "--signature", str(fixtures / "base.sig"),
+                       "--proof", str(ok))
+    assert code == 0 and out.splitlines()[-1] == "accepted"
+
+
 def test_witness_text_uses_the_printer(capsys, fixtures):
     code, out, _ = run(capsys, "eval", "--model",
                        str(fixtures / "most_counterexample.model"), "--witnesses",

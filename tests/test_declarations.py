@@ -138,28 +138,59 @@ def mutated(draw_data, text):
     return data.decode("utf-8", errors="replace")
 
 
-@given(st.sampled_from(["sig", "model", "lex"]), st.data())
+BASE = FIXTURES / "base.sig"
+BASE_SIG = parser.parse_signature(BASE.read_text())
+# formulas, terms and scripts are read against base.sig
+TEXT_READERS = {"formula": lambda text: parser.parse_formula(text, BASE_SIG),
+                "term": lambda text: parser.parse_term(text, BASE_SIG),
+                "script": lambda text: parser.parse_proof_script(text, BASE_SIG)}
+TEXT_SEEDS = {"formula": ["forall x:s (P(x)). Q(x) implies not P(c)",
+                          "most x:s. P(x) or exists* y:s. c = y"],
+              "term": ["c", "eps x:s. P(x) and Q(x)", "tau y:s. not Q(y)"],
+              "script": [(FIXTURES / name).read_text() for name in
+                         ("eps-intro.proof", "exists-intro.proof",
+                          "bad-eigenvariable.proof")]}
+
+
+def read_or_diagnose(read, text):
+    """The diagnostics `read` rejects `text` with; None if it reads it."""
+    try:
+        read(text)
+    except (parser.ParseError, LexiconError) as e:
+        return e.diagnostics
+    return None
+
+
+@given(st.sampled_from(["sig", "model", "lex", "formula", "term", "script"]),
+       st.data())
 @settings(max_examples=300, deadline=None)
 def test_readers_and_cli_return_or_reject_any_text(tmp_path_factory, kind, data):
     if data.draw(st.booleans()):
         text = data.draw(st.text(max_size=60))
+    elif kind in TEXT_SEEDS:
+        text = mutated(data, data.draw(st.sampled_from(TEXT_SEEDS[kind])))
     else:
         fixtures = [t for k, t in fixture_texts() if k == kind]
         text = mutated(data, data.draw(st.sampled_from(fixtures)))
-    read = READERS[kind][0]
-    try:
-        read(text)
-        rejected = False
-    except (parser.ParseError, LexiconError) as e:
-        rejected = True
-        assert e.diagnostics and all(LOCATED.match(str(d)) for d in e.diagnostics)
+    read = TEXT_READERS.get(kind) or READERS[kind][0]
+    diagnostics = read_or_diagnose(read, text)
+    if diagnostics is not None:
+        assert diagnostics and all(LOCATED.match(str(d)) and str(d).isprintable()
+                                   for d in diagnostics)
+    if kind == "term":      # parse reads a bare term as parse_formula does
+        diagnostics = read_or_diagnose(TEXT_READERS["formula"], text)
     path = tmp_path_factory.mktemp("fuzz") / ("input." + kind)
     argv = {"sig": ["parse", "--signature", str(path), "P(c)"],
             "model": ["eval", "--model", str(path), "c = c"],
-            "lex": ["semantics", "--lexicon", str(path), "a dog bites"]}[kind]
+            "lex": ["semantics", "--lexicon", str(path), "a dog bites"],
+            "formula": ["parse", "--signature", str(BASE), "--", text],
+            "term": ["parse", "--signature", str(BASE), "--", text],
+            "script": ["check", "--signature", str(BASE), "--proof", str(path)],
+            }[kind]
     code, err = cli(argv, path, text)
     assert "Traceback" not in err
-    if rejected:
+    assert all(line.isprintable() for line in err.splitlines()), err
+    if diagnostics is not None:
         assert code == 2 and err and all(map(LOCATED.match, err.splitlines())), err
     else:
         assert code in (0, 1, 2)

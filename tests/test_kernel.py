@@ -1,9 +1,12 @@
+import ast
+import dataclasses
+import pathlib
 import random
 
 import pytest
 
 from epskernel import generators as gen
-from epskernel import kernel, parser
+from epskernel import kernel, parser, semantics
 from epskernel import syntax as sx
 from epskernel.kernel import KernelConfig, ProofTree, Sequent, check_proof
 from epskernel.syntax import Atom, And, Binder, Const, Implies, Not, Quant, Var
@@ -35,6 +38,33 @@ def test_fixture_scripts(fixtures):
     v = check_script("bad-eigenvariable.proof", fixtures)
     assert not v.accepted
     assert any(f.condition == "eigenvariable" for f in v.failures)
+
+
+def test_forall_e_instance_that_captures_is_rejected(fixtures):
+    # the conclusion is false in every model: renaming the binder x to x1
+    # for y := x must rename the inner x1 too, not capture it
+    assert not check_script("capture.proof", fixtures).accepted
+    sig = parser.parse_signature((fixtures / "base.sig").read_text())
+    text = (fixtures / "capture.proof").read_text().replace(
+        "exists x1:s. not x1 = x1", "exists x2:s. not x1 = x2")
+    assert check_proof(parser.parse_proof_script(text, sig), sig).accepted
+
+
+def package_imports(module):
+    """The epskernel modules that `module` imports, anywhere in its source."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module} if node.module else {a.name for a in node.names}
+    return out
+
+
+def test_kernel_carries_only_its_rules_settings_and_imports_only_syntax():
+    assert [f.name for f in dataclasses.fields(KernelConfig)] == [
+        "star_regime", "allow_most_instantiation"]
+    assert package_imports(kernel) == {"syntax"}
+    assert "kernel" not in package_imports(semantics)
 
 
 def test_hyp_requires_membership():

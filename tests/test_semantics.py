@@ -2,7 +2,6 @@ import pytest
 
 from epskernel import models, parser, semantics
 from epskernel import syntax as sx
-from epskernel.kernel import KernelConfig
 from epskernel.semantics import (DiscourseState, LexiconError, SemanticsError,
                                  build_logical_form, parse_fragment,
                                  parse_lexicon, resolve_pronoun)
@@ -28,9 +27,9 @@ def lex():
     return parse_lexicon(LEX_TEXT)
 
 
-def form(sentence, lex, cfg=None):
+def form(sentence, lex, presuppose=False):
     clauses = parse_fragment(sentence, lex)
-    return build_logical_form(clauses, lex, cfg=cfg)
+    return build_logical_form(clauses, lex, presuppose=presuppose)
 
 
 def test_lexicon_parsing(lex):
@@ -121,8 +120,7 @@ def test_definite_without_antecedent_uses_eps(lex):
 
 
 def test_epsilon_presupposition_flag(lex):
-    cfg = KernelConfig(epsilon_presupposition=True)
-    f, _ = form("a man enters", lex, cfg)
+    f, _ = form("a man enters", lex, presuppose=True)
     assert isinstance(f, And)
     assert f.right.pred == "man"
 

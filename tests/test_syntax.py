@@ -79,6 +79,22 @@ def test_substitute_avoids_capture_in_binder_terms():
     assert v in free_vars(g)
 
 
+def test_substitute_renames_the_inner_binders_a_renaming_would_meet():
+    # forall x. Q(y) and (exists x1. not x = x1) with y := x renames the
+    # binder x to x1, and so must rename the inner x1 in turn
+    x, x1, x2, y = (Var(n, "s") for n in ("x", "x1", "x2", "y"))
+
+    def f(b, q, inner, left, right):
+        eq = Atom(sx.EQ, (left, right))
+        return Quant(sx.FORALL, b, None,
+                     And(Atom("Q", (q,)), Quant(sx.EXISTS, inner, None, Not(eq))))
+
+    g = substitute(f(x, y, x1, x, x1), y, x)
+    assert alpha_eq(g, f(x1, x, x2, x1, x2))
+    assert not alpha_eq(g, f(x1, x, x1, x1, x1))
+    assert free_vars(g) == {x}
+
+
 def test_fresh_name():
     assert fresh_name("x", {"x", "x1"}) not in {"x", "x1"}
     assert fresh_name("y", set()) == "y"

@@ -7,7 +7,9 @@ variables, subterms, capture-avoiding substitution, alpha equivalence,
 the bottom-up map behind the translations, the translations on it, and
 negation pushing.  Their values and exceptions are the reference; they
 recurse once per level of nesting.  rebuild, which syntax.py no longer
-has, is defined here as it was.
+has, is defined here as it was.  One mend was made in both places:
+_rename_bound renames an inner binder of the new name in turn, so that
+renaming cannot capture.
 """
 
 from __future__ import annotations
@@ -74,14 +76,15 @@ def substitute(e, v, t):
 def _rename_bound(e, v, avoid):
     """`e` with its bound variable renamed away from `avoid`, `v` and the
     free variables of its children, so that substituting for `v` inside
-    cannot capture."""
+    cannot capture.  The renaming renames in turn any inner binder of the
+    new name."""
     kids = children(e)
     taken = set(avoid) | {v.name}
     for k in kids:
         taken |= {x.name for x in free_vars(k)}
     nv = Var(fresh_name(e.var.name, taken), e.var.sort)
     return rebuild(replace(e, var=nv),
-                   [_subst(k, e.var, nv, frozenset()) for k in kids])
+                   [_subst(k, e.var, nv, frozenset({nv.name})) for k in kids])
 
 
 def _subst(e, v, t, tfree):
