@@ -1,29 +1,34 @@
-"""The evaluator: a formula or term is compiled once into closures over
-bitmasks, then run on model after model.
+"""The evaluator: a formula or term is compiled once, then run on model
+after model.
 
-compile_formula turns a node into closures run(d, env), cached on the node.
-`d` holds what the code reads from a model under string keys (its
-`needs`): the _Shape of a sort's domain, a predicate's extension, the mask
-of a unary predicate (a sieve or a slice for a builtin), the rows, columns
-or diagonal of a binary one, constants, function tables and the settings.
-`env` is a frame: bound variables by depth, slots pre-bound from the
-Environment, then a context.  A formula in the variable bound at slot k
-compiles to a mask: bit i is set when the formula holds with element i of
-that sort in slot k.  So forall is A & ~B == 0, exists A & B != 0, the
-count determiners compare popcounts, and a second-order quantifier binds
-each subset mask in turn.  A choice term picks from its body's mask: eps
-and eta the lowest set bit, tau the lowest clear bit, iota the only set
-bit, and with none the sort's least element.
+compile_formula compiles a node and caches the code on the node.  `d` holds
+what the code reads from a model under string keys (its `needs`): the
+_Shape of a sort's domain, a predicate's extension, the mask of a unary
+predicate (a sieve or a slice for a builtin), the rows, columns or diagonal
+of a binary one, constants, function tables and the settings.
 
-The mask form (TRUTH), which truth runs, decides every quantifier and
-choice from whole masks.  The ordered form, which eval_formula and
-eval_term run, keeps the order of the semantics and records flags and
-witnesses as it goes (_Rec); it still runs a subformula with nothing to
-record (no choice or generic term, no count quantifier) as masks (RECORD),
-and STRICT orders everything.  Whatever the mask form or RECORD raises (a
-partial function's gap, a missing symbol, an empty domain, an unbound
-variable) they may have met where the semantics would not look, so the
-call runs again in STRICT, which raises EvalError where the semantics does.
+The mask form (TRUTH), which truth runs, is compiled once into generated
+source, shared per shape (_Emitter): one flat Python function per formula,
+one local per node.  A formula in the variable bound at slot k is a mask:
+bit i is set when the formula holds with element i of that sort in slot k.
+So forall is A & ~B == 0, exists A & B != 0, the count determiners compare
+popcounts, and a second-order quantifier tries each subset mask in turn.  A
+choice term picks from its body's mask: eps and eta the lowest set bit, tau
+the lowest clear bit, iota the only set bit, and with none the sort's least
+element.  The source names no symbol (the needs keys come in as a tuple),
+so formulas equal up to the names of their symbols share one code object.
+
+The ordered form, which eval_formula and eval_term run, is closures
+run(d, env) over a frame `env`: bound variables by depth, slots pre-bound
+from the Environment, then a _Rec.  It keeps the order of the semantics and
+records flags and witnesses as it goes; it takes the mask of a quantifier
+body, restriction or choice body with nothing to record (no choice or
+generic term, no count quantifier) from that subformula's generated code
+(RECORD), and STRICT orders everything.  Whatever the mask form or RECORD
+raises (a partial function's gap, a missing symbol, an empty domain, an
+unbound variable) they may have met where the semantics would not look, so
+the call runs again in STRICT, which raises EvalError where the semantics
+does.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from fractions import Fraction
 from numbers import Rational
 from types import SimpleNamespace
@@ -107,13 +113,26 @@ _SEP = "\x1f"
 TRUTH, RECORD, STRICT = "truth", "record", "strict"
 
 
-class _Shape:
-    """A domain's elements, element -> mask of its positions (`bits`) and
-    the mask of all positions (`full`).  A listed domain's bits are a dict,
-    shared by every model with the same element list; an integer range
-    keeps no per-element table at all."""
+class _Pairs:
+    """The (element, bit) pairs of an integer range, made as they are read."""
 
-    __slots__ = ("elems", "bits", "full")
+    __slots__ = ("elems",)
+
+    def __init__(self, elems):
+        self.elems = elems
+
+    def __iter__(self):
+        return zip(self.elems, map((1).__lshift__, range(len(self.elems))))
+
+
+class _Shape:
+    """A domain's elements, element -> mask of its positions (`bits`), the
+    (element, bit of its position) pairs in order (`pairs`) and the mask of
+    all positions (`full`).  A listed domain's tables are shared by every
+    model with the same element list; an integer range keeps no
+    per-element table at all."""
+
+    __slots__ = ("elems", "bits", "full", "pairs")
 
     def __init__(self, elems):
         self.elems = elems
@@ -122,10 +141,12 @@ class _Shape:
             # an int's bit is its position's, by arithmetic
             self.bits = SimpleNamespace(get=lambda e, default=None: (
                 1 << elems.index(e) if type(e) is int and e in elems else default))
+            self.pairs = _Pairs(elems)
         else:
             self.bits = {}
             for i, e in enumerate(elems):
                 self.bits[e] = self.bits.get(e, 0) | 1 << i
+            self.pairs = tuple((e, 1 << i) for i, e in enumerate(elems))
 
 
 _shape = functools.lru_cache(maxsize=256)(_Shape)
@@ -265,14 +286,487 @@ def _is_generic_atom(f):
     return len(f.args) == 1 and isinstance(f.args[0], (Generic, GenericRestricted))
 
 
+def _generic_quant(f):
+    """P(most:S) and P(many:S(y. R)) read as most/many y:S (R). P(y)."""
+    g = f.args[0]
+    x = Var(g.var.name if isinstance(g, GenericRestricted) else "x", g.sort)
+    return Quant("many" if g.kind == "many" else sx.MOST, x,
+                 getattr(g, "restriction", None), Atom(f.pred, (x,)))
+
+
+# ---------------------------------------------------------------------------
+# the mask form as generated source
+
+
+def _fail():
+    raise EvalError("left to the ordered form")
+
+
+_COUNT_NAMES = {kind: "_count%d" % i for i, kind in enumerate(COUNT_TESTS)}
+_GLOBALS = {"_U": _UNSET, "_fail": _fail, "_subsets": _subsets,
+            **{name: COUNT_TESTS[kind] for kind, name in _COUNT_NAMES.items()}}
+# distinct shapes whose compiled code is kept; a shape past the bound is
+# compiled again when it comes back
+CODE_CACHE = 512
+
+
+@functools.lru_cache(maxsize=CODE_CACHE)
+def _load(source):
+    """The entry function `_run` of generated source, compiled once per
+    source text."""
+    ns = dict(_GLOBALS)
+    exec(compile(source, "<mask form>", "exec"), ns)
+    return ns["_run"]
+
+
+_OUTER = 1          # deps bit of a name read from env
+
+
+def _bit(slot):
+    """deps bit of bound slot `slot`."""
+    return 2 << slot
+
+
+class _Region:
+    """One generated function: the entry, an element or subset loop over
+    `slot` (its element or subset is the local `var`), a short-circuit's
+    right operand or a choice term being written.  Its lines are (local or
+    None, text, locals read); the locals it reads and does not define are
+    its parameters.  A line moves out of a loop whose slot it does not
+    read, but not past `stop`, the nearest region without a slot."""
+
+    __slots__ = ("slot", "var", "lines", "reads", "depth", "stop")
+
+    def __init__(self, parent, slot=None, var=None):
+        self.slot, self.var, self.lines, self.reads = slot, var, [], {}
+        self.depth = parent.depth + 1 if parent else 0
+        self.stop = self if slot is None else parent.stop
+
+
+class _Emitter:
+    """Writes a node's mask form out as Python source and compiles it.
+
+    Each node gets one local, written in the outermost region whose loops
+    bind every slot it reads.  Needs, the shapes' attributes and names read
+    from env are read once, at the entry, as is a closed choice term.  An
+    element loop, a subset loop and the right operand of a short-circuit
+    are functions of their own, so the source nests boundedly at any depth;
+    a short-circuit whose value its function returns instead returns early
+    when its left operand settles it, so a right-nested chain is one
+    function.
+    The walk keeps its pending work on one stack (todo) and the locals of
+    finished nodes on another (vals)."""
+
+    def __init__(self, c):
+        self.c = c              # the _Compiler: needs, slots and free names
+        self.keys = {}          # need key -> its index in K
+        self.entry = {}         # need, attribute or env index -> entry local
+        self.home, self.deps = {}, {}   # local -> region, slots read
+        self.defs = []          # source of each helper function
+        self.closed = {}        # closed choice term -> its local
+        self.loops = {}         # inner slot -> the loop region binding it
+        self.outer = 0          # outer slots read, -1 with a free name
+        self.count = 0
+        self.root = _Region(None)
+        self.todo, self.vals = [], []
+
+    def emit(self, node, scope, slot=None, sort=None):
+        """(run(d, env), deps) of node, its mask over inner `slot` when
+        given: the slots of `scope` below it are outer, read from env."""
+        self.base = slot if slot is not None else scope[-1][1] + 1 if scope else 0
+        if slot is not None:
+            self.mask(node, scope, slot, sort, self.root)
+        elif sx.is_formula(node):
+            self.formula(node, scope, self.root, True)
+        else:
+            self.term(node, scope, self.root)
+        todo = self.todo
+        while todo:
+            fn, *args = todo.pop()
+            fn(*args)
+        out, = self.vals
+        source = "\n".join(self.defs + ["def _run(d, env, K):"] + [
+            "    " + (t if v is None else "%s = %s" % (v, t))
+            for v, t, _ in self.root.lines] + ["    return " + out, ""])
+        run = _load(source)
+        return types.FunctionType(run.__code__, run.__globals__, "_run",
+                                  (tuple(self.keys),)), self.outer
+
+    # -- locals and regions -----------------------------------------------
+
+    def new(self, prefix="v"):
+        self.count += 1
+        return "%s%d" % (prefix, self.count)
+
+    def target(self, reg, bits):
+        """The outermost region from reg out whose loops bind every slot in
+        bits: the loop of the last of them."""
+        slots = bits >> 1
+        if slots:
+            loop = self.loops[slots.bit_length() - 1]
+            if loop.depth > reg.stop.depth:
+                return loop
+        return reg.stop
+
+    def place(self, reg, v, text, reads):
+        reg = self.target(reg, self.deps[v])
+        reg.lines.append((v, text, reads))
+        reg.reads.update(dict.fromkeys(reads))
+        self.home[v] = reg
+
+    def put(self, reg, text, reads):
+        """A new local holding text, whose locals are `reads`."""
+        v = self.new()
+        self.deps[v] = functools.reduce(int.__or__,
+                                        map(self.deps.__getitem__, reads), 0)
+        self.place(reg, v, text, reads)
+        return v
+
+    def op(self, reg, template, *reads):
+        return self.put(reg, template % reads, reads)
+
+    def combine(self, reg, template, n, *pre):
+        self.vals.append(self.op(reg, template, *pre, *self.pop(n)))
+
+    def pop(self, n):
+        out = self.vals[len(self.vals) - n:]
+        del self.vals[len(self.vals) - n:]
+        return out
+
+    def loop_region(self, reg, slot, prefix):
+        loop = self.loops[slot] = _Region(reg, slot, self.new(prefix))
+        self.home[loop.var], self.deps[loop.var] = loop, _bit(slot)
+        return loop
+
+    def close(self, reg, head, tail):
+        """Write region reg out as a function: (its call, its parameters)."""
+        params = [v for v in reg.reads if self.home[v] is not reg]
+        name = "_f%d" % len(self.defs)
+        pad = "        " if head else "    "
+        self.defs.append("\n".join(
+            ["def %s(%s):" % (name, ", ".join(params))] + head +
+            [pad + (t if v is None else "%s = %s" % (v, t))
+             for v, t, _ in reg.lines] + tail))
+        return "%s(%s)" % (name, ", ".join(params)), params
+
+    # -- what the entry reads once ----------------------------------------
+
+    def need(self, *parts):
+        key = self.c.need(*parts)
+        self.keys.setdefault(key, len(self.keys))
+        return key
+
+    def at_entry(self, key, text, bits=0):
+        v = self.entry.get(key)
+        if v is None:
+            v = self.entry[key] = self.new("n")
+            self.root.lines.append((v, text, ()))
+            self.home[v], self.deps[v] = self.root, bits
+        return v
+
+    def value(self, key, attr=""):
+        """d[key] of a need, or its attribute or item `attr`."""
+        if attr:
+            return self.at_entry((key, attr), self.value(key) + attr)
+        return self.at_entry(key, "d[K[%d]]" % self.keys[key])
+
+    def name(self, scope, name):
+        """(local, domain key) of a variable or predicate variable: an inner
+        slot's element or subset, else what env holds at its frame index
+        (a free name's raises when unbound)."""
+        slot, dk = self.c.lookup(scope, name)
+        if slot >= self.base:
+            return self.loops[slot].var, dk
+        if slot not in self.entry:
+            self.outer |= -1 if slot < 0 else 1 << slot
+            v = self.at_entry(slot, "env[%d]" % slot, _OUTER)
+            if slot < 0:
+                self.root.lines.append((None, "if %s is _U: _fail()" % v, ()))
+        return self.entry[slot], dk
+
+    # -- formulas as booleans ---------------------------------------------
+
+    def formula(self, f, scope, reg, tail=False):
+        """Push the local of f's value; `tail` when that value is what reg,
+        the entry or a right operand's function, returns."""
+        t, todo = type(f), self.todo
+        if t is Atom and _is_generic_atom(f):
+            self.quant(_generic_quant(f), scope, reg)
+        elif t is Atom:
+            todo.append((self.atom, f, reg))
+            self.terms(f.args, scope, reg)
+        elif t is Not:
+            todo.append((self.combine, reg, "not %s", 1))
+            todo.append((self.formula, f.body, scope, reg))
+        elif (t is And or t is Or or t is Implies) and tail:
+            # return early when the left operand settles it, else go on
+            # with the right in place: a right-nested chain stays flat
+            todo.append((self.formula, f.right, scope, reg, True))
+            todo.append((self.guard, f, reg))
+            todo.append((self.formula, f.left, scope, reg))
+        elif t is And or t is Or or t is Implies:
+            todo.append((self.right, f, scope, reg))
+            todo.append((self.formula, f.left, scope, reg))
+        elif t is Quant and f.kind in sx.QUANT_KINDS:
+            self.quant(f, scope, reg)
+        elif t is Quant2:
+            dk = self.need("dom", f.sort)
+            slot, inner = self.c.bind(scope, _SEP + f.predvar, dk)
+            loop = self.loop_region(reg, slot, "s")
+            todo.append((self.subsets, f, dk, reg, loop))
+            todo.append((self.formula, f.body, inner, loop))
+        elif t is PredApp:
+            todo.append((self.predapp, f, scope, reg))
+            todo.append((self.term, f.arg, scope, reg))
+        else:       # a node the semantics rejects when it reaches it
+            self.vals.append(self.put(reg, "_fail()", ()))
+
+    def atom(self, f, reg):
+        args = self.pop(len(f.args))
+        if f.pred != sx.EQ:
+            ext = self.value(self.need("ext", f.pred))
+            v = self.op(reg, "(" + "%s, " * len(args) + ") in %s", *args, ext)
+        elif len(args) == 2:
+            v = self.op(reg, "%s == %s", *args)
+        else:
+            v = self.put(reg, "_fail()", ())
+        self.vals.append(v)
+
+    def guard(self, f, reg):
+        left = self.vals.pop()
+        reg.lines.append((None, ("if not %s: return False" if type(f) is And else
+                                 "if %s: return True" if type(f) is Or else
+                                 "if not %s: return True") % left, (left,)))
+        reg.reads[left] = None
+
+    def right(self, f, scope, reg):
+        ro = _Region(reg)
+        self.todo.append((self.connect, f, reg, ro))
+        self.todo.append((self.formula, f.right, scope, ro, True))
+
+    def connect(self, f, reg, ro):
+        """The connective, running its right operand only when the left
+        leaves the value open."""
+        r = self.vals.pop()
+        left = self.vals.pop()
+        if len(ro.lines) == 1:
+            # written in place: a connective writes its left operand's
+            # line and more in ro, so this one line holds no operand in
+            # place
+            _, text, reads = ro.lines[0]
+            text = "(%s)" % text
+        else:
+            ro.reads[r] = None
+            text, reads = self.close(ro, [], ["    return " + r])
+        template = "%s and %s" if type(f) is And else \
+            "%s or %s" if type(f) is Or else "not %s or %s"
+        self.vals.append(self.put(reg, template % (left, text), [left, *reads]))
+
+    def quant(self, f, scope, reg):
+        slot, inner = self.c.bind(scope, f.var.name)
+        dk = self.need("dom", f.var.sort)
+        self.todo.append((self.decide, f, dk, reg))
+        self.todo.append((self.mask, f.body, inner, slot, f.var.sort, reg))
+        if f.restriction is not None:
+            self.todo.append((self.mask, f.restriction, inner, slot, f.var.sort,
+                              reg))
+
+    def decide(self, f, dk, reg):
+        """Quantifier f from its body's mask b and its restriction's a."""
+        b = self.vals.pop()
+        a = self.value(dk, ".full") if f.restriction is None else self.vals.pop()
+        kind, op = f.kind, self.op
+        if kind == sx.FORALL:
+            v = op(reg, "%s == %s", b, a) if f.restriction is None else \
+                op(reg, "not %s & ~%s", a, b)
+        elif kind == sx.EXISTS:
+            v = op(reg, "%s != 0", b) if f.restriction is None else \
+                op(reg, "%s & %s != 0", a, b)
+        else:
+            if f.restriction is not None:
+                b = op(reg, "%s & %s", a, b)
+            cfg = self.need("cfg")
+            counts = _COUNT_NAMES[kind] + "(%s.bit_count(), %s.bit_count(), %s, "
+            if kind in (sx.FORALL_STAR, sx.EXISTS_STAR):
+                # regime A reads them as forall and exists
+                v = op(reg, ("not %s & ~%s" if kind == sx.FORALL_STAR else
+                             "%s & %s != 0") + " if %s == 'A' else " + counts + "None)",
+                       a, b, self.value(cfg, "[3]"), b, a, self.value(cfg, "[0]"))
+            else:
+                theta = self.value(cfg, "[1]" if kind == "many" else "[0]")
+                if f.mode:
+                    v = op(reg, counts + "%r)" % ("strict" if f.mode == "strict"
+                                                  else "weak"), b, a, theta)
+                else:
+                    v = op(reg, counts + "%s)", b, a, theta, self.value(cfg, "[2]"))
+        self.vals.append(v)
+
+    def subsets(self, f, dk, reg, loop):
+        g = self.vals.pop()
+        if not self.deps[g] & _bit(loop.slot):
+            # the same for every subset, and there is at least one
+            self.vals.append(g)
+            return
+        shape = self.value(dk)
+        loop.reads[shape] = None
+        every = f.kind == sx.FORALL2
+        call, params = self.close(
+            loop, ["    for %s in _subsets(%s):" % (loop.var, shape)],
+            ["        if %s%s:" % ("not " if every else "", g),
+             "            return %s" % (not every), "    return %s" % every])
+        self.vals.append(self.put(reg, call, params))
+
+    def predapp(self, f, scope, reg):
+        t = self.vals.pop()
+        s, dk = self.name(scope, _SEP + f.predvar)
+        if dk is None:      # a free one: a set of elements from env
+            self.vals.append(self.op(reg, "%s in %s", t, s))
+        else:               # a subset mask
+            self.vals.append(self.op(reg, "%s.get(%s, 0) & %s != 0",
+                                     self.value(dk, ".bits"), t, s))
+
+    # -- formulas as masks over the variable in `slot` ---------------------
+
+    def mask(self, f, scope, slot, sort, reg):
+        t, todo = type(f), self.todo
+        dk = self.need("dom", sort)
+        if t is Not:
+            todo.append((self.combine, reg, "%s ^ %s", 1, self.value(dk, ".full")))
+            todo.append((self.mask, f.body, scope, slot, sort, reg))
+        elif t is And or t is Or or t is Implies:
+            if t is Implies:
+                todo.append((self.combine, reg, "(%s ^ %s) | %s", 2,
+                             self.value(dk, ".full")))
+            else:
+                todo.append((self.combine, reg,
+                             "%s & %s" if t is And else "%s | %s", 2))
+            todo.append((self.mask, f.right, scope, slot, sort, reg))
+            todo.append((self.mask, f.left, scope, slot, sort, reg))
+        elif t is Atom and 0 < len(f.args) <= 2 and not _is_generic_atom(f):
+            loop = self.loop_region(reg, slot, "e")
+            todo.append((self.direct_atom, f, scope, sort, dk, reg, loop))
+            self.terms(f.args, scope, loop)
+        else:
+            loop = self.loop_region(reg, slot, "e")
+            todo.append((self.loop, dk, reg, loop))
+            todo.append((self.formula, f, scope, loop))
+
+    def direct_atom(self, f, scope, sort, dk, reg, loop):
+        """An atom whose arguments are the slot's variable or do not read
+        it is a predicate mask, row, column or diagonal, or an equality;
+        any other is tried on each element."""
+        args = self.pop(len(f.args))
+        at = [type(a) is Var and self.c.lookup(scope, a.name)[0] == loop.slot
+              for a in f.args]
+        given = [v for v, x in zip(args, at) if not x]
+        if not any(at) or any(self.deps[v] & _bit(loop.slot) for v in given) \
+                or f.pred == sx.EQ and len(args) != 2:
+            self.vals += args
+            self.atom(f, loop)
+            self.loop(dk, reg, loop)
+            return
+        if f.pred == sx.EQ:
+            v = self.value(dk, ".full") if not given else \
+                self.op(reg, "%s.get(%s, 0)", self.value(dk, ".bits"), *given)
+        else:
+            self.need("ext", f.pred)
+            if len(args) == 1:
+                v = self.value(self.need("mask", f.pred, sort))
+            elif not given:
+                v = self.value(self.need("diag", f.pred, sort))
+            else:
+                v = self.op(reg, "%s.get(%s, 0)", self.value(self.need(
+                    "row" if at[1] else "col", f.pred, sort)), *given)
+        self.vals.append(v)
+
+    def loop(self, dk, reg, loop):
+        """The mask of the elements that satisfy the boolean on vals."""
+        g = self.vals.pop()
+        if not self.deps[g] & _bit(loop.slot):
+            self.vals.append(self.op(reg, "%s if %s else 0",
+                                     self.value(dk, ".full"), g))
+            return
+        pairs = self.value(dk, ".pairs")
+        loop.reads[pairs] = None
+        call, params = self.close(
+            loop, ["    out = 0",
+                   "    for %s, bit in %s:" % (loop.var, pairs)],
+            ["        if %s:" % g, "            out |= bit", "    return out"])
+        self.vals.append(self.put(reg, call, params))
+
+    # -- terms as elements -------------------------------------------------
+
+    def terms(self, args, scope, reg):
+        self.todo.extend((self.term, a, scope, reg) for a in reversed(args))
+
+    def term(self, t, scope, reg):
+        typ = type(t)
+        if typ is Var:
+            self.vals.append(self.name(scope, t.name)[0])
+        elif typ is Const:
+            self.vals.append(self.value(self.need("const", t.name)))
+        elif typ is App:
+            self.todo.append((self.app, self.need("fn", t.func), len(t.args), reg))
+            self.terms(t.args, scope, reg)
+        elif typ is Binder and t in self.closed:
+            self.vals.append(self.closed[t])
+        elif typ is Binder and t.kind in sx.BINDER_KINDS or typ is GenericRestricted:
+            dk = self.need("dom", t.var.sort)
+            slot, inner = self.c.bind(scope, t.var.name)
+            # written in a region of its own, then moved: to the entry when
+            # it reads no bound slot
+            choice = _Region(reg)
+            self.todo.append((self.choice, t, dk, reg, choice))
+            self.todo.append((self.mask, t.body if typ is Binder else t.restriction,
+                              inner, slot, t.var.sort, choice))
+        elif typ is Generic:
+            self.vals.append(self.op(reg, "%s[0]", self.value(
+                self.need("dom", t.sort), ".elems")))
+        else:
+            self.vals.append(self.put(reg, "_fail()", ()))
+
+    def app(self, fk, n, reg):
+        args = self.pop(n)
+        self.vals.append(self.op(reg, "%s[(" + "%s, " * n + ")]",
+                                 self.value(fk), *args))
+
+    def choice(self, t, dk, reg, choice):
+        m = self.vals.pop()
+        elems = self.value(dk, ".elems")
+        pick = "%s[(%s & -%s).bit_length() - 1] if %s else %s[0]"
+        if type(t) is GenericRestricted:    # else its own sort's least element
+            v = self.op(choice, pick, elems, m, m, m, self.value(
+                self.need("dom", t.sort), ".elems"))
+        elif t.kind == sx.IOTA:     # only when exactly one bit is set
+            v = self.op(choice, "%s[(%s & -%s).bit_length() - 1] "
+                        "if %s and not %s & (%s - 1) else %s[0]",
+                        elems, m, m, m, m, m, elems)
+        else:
+            if t.kind == sx.TAU:
+                m = self.op(choice, "%s ^ %s", self.value(dk, ".full"), m)
+            v = self.op(choice, pick, elems, m, m, m, elems)
+        closed = not self.deps[v]
+        for line in choice.lines:
+            self.place(self.root if closed else reg, *line)
+        if closed and type(t) is Binder:
+            self.closed[t] = v
+        self.vals.append(v)
+
+
+# ---------------------------------------------------------------------------
+# the ordered form as closures
+
+
 class _Compiler:
-    """Each method returns (closure, deps); deps has bit k set when the
-    closure reads bound slot k, and is -1 when it reads a free name's
-    pre-bound slot (at a negative index: the frame's length is known only
-    at the end), whose binder may be any scope."""
+    """The ordered form.  Each method returns (closure, deps); deps has bit
+    k set when the closure reads bound slot k, and is -1 when it reads a
+    free name's pre-bound slot (at a negative index: the frame's length is
+    known only at the end), whose binder may be any scope.  In RECORD the
+    mask of a subformula that records nothing is generated code
+    (_Emitter)."""
 
     def __init__(self, mode):
-        self.ordered, self.strict = mode != TRUTH, mode == STRICT
+        self.strict = mode == STRICT
         self.needs = {}       # key -> itself, in first-use order
         self.depth = 0        # bound slots used
         self.closed = {}      # closed choice term -> its shared closure
@@ -314,17 +808,40 @@ class _Compiler:
             hit = self.memo[id(e)] = (e, rec)
         return hit[1]
 
+    def generated(self, node, scope, slot=None, sort=None):
+        return _Emitter(self).emit(node, scope, slot, sort)
+
     @staticmethod
     def bad(message):      # a node the semantics rejects when it reaches it
         def fail(d, env):
             raise EvalError(message)
         return fail, 0
 
+    def satisfiers(self, f, scope, slot, sort):
+        """Mask of the elements of `sort` that satisfy f in `slot`: f's
+        generated code when it records nothing, else its closure tried on
+        each element in domain order."""
+        if not self.records(f):
+            return self.generated(f, scope, slot, sort)
+        g, deps = self.formula(f, scope)
+        dk = self.need("dom", sort)
+
+        def loop(d, env):
+            out = 0
+            for e, bit in d[dk].pairs:
+                env[slot] = e
+                if g(d, env):
+                    out |= bit
+            return out
+        return loop, deps
+
     # -- formulas as booleans ---------------------------------------------
 
     def formula(self, f, scope):
         if isinstance(f, Atom):
-            return self.atom(f, scope)
+            if _is_generic_atom(f):
+                return self.quant(_generic_quant(f), scope)
+            return self.atom_of(f, [self.term(a, scope) for a in f.args])
         if isinstance(f, Not):
             g, dep = self.formula(f.body, scope)
             return (lambda d, env: not g(d, env)), dep
@@ -352,32 +869,24 @@ class _Compiler:
         slot, inner = self.bind(scope, f.var.name)
         dk = self.need("dom", f.var.sort)
         body = bmask = None
-        if self.ordered and self.records(f.body):
+        if self.records(f.body):
             body, deps = self.formula(f.body, inner)
         else:
-            bmask, deps = self.mask(f.body, inner, slot, f.var.sort)
+            bmask, deps = self.generated(f.body, inner, slot, f.var.sort)
         restr = None
         if f.restriction is not None:
-            restr, dr = self.mask(f.restriction, inner, slot, f.var.sort)
+            restr, dr = self.satisfiers(f.restriction, inner, slot, f.var.sort)
             deps |= dr
         return self.decide(f.kind, f.mode, dk, slot, restr, body, bmask,
-                           self.need("cfg"), self.ordered), \
-            deps & ~(1 << slot)
+                           self.need("cfg")), deps & ~(1 << slot)
 
     @staticmethod
-    def decide(kind, mode, dk, slot, restr, body, bmask, cfg, record):
+    def decide(kind, mode, dk, slot, restr, body, bmask, cfg):
         """Closure deciding quantifier `kind` over the variable in `slot`
-        from the restriction mask (None: the whole domain) and the body,
-        given as a mask (bmask) or, in the ordered form, as a boolean that
-        must run element by element (body)."""
-        if body is None and kind == sx.FORALL:
-            if restr is None:
-                return lambda d, env: bmask(d, env) == d[dk].full
-            return lambda d, env: not restr(d, env) & ~bmask(d, env)
-        if body is None and kind == sx.EXISTS:
-            if restr is None:
-                return lambda d, env: bmask(d, env) != 0
-            return lambda d, env: restr(d, env) & bmask(d, env) != 0
+        from the restriction mask (None: the whole domain) and the body:
+        generated code's mask when it records nothing (bmask), else a
+        closure run on the restriction's elements in domain order, on all
+        of them for a count."""
         test = COUNT_TESTS.get(kind)
         star = kind in (sx.FORALL_STAR, sx.EXISTS_STAR)
         universal = kind in (sx.FORALL, sx.FORALL_STAR)
@@ -386,25 +895,26 @@ class _Compiler:
             shape = d[dk]
             a = shape.full if restr is None else restr(d, env)
             most_t, many_t, default_mode, regime = d[cfg]
-            if test is None or star and regime == "A":
-                if body is None:
-                    b = bmask(d, env)
-                    return not a & ~b if universal else a & b != 0
+            if body is None:
+                b = bmask(d, env) & a
+            elif test is None or star and regime == "A":
                 for i in _positions(a):
                     env[slot] = shape.elems[i]
                     if body(d, env) != universal:
                         return not universal
                 return universal
-            b = bmask(d, env) & a if body is None else 0
-            if body is not None:
+            else:
+                b = 0
                 for i in _positions(a):
                     env[slot] = shape.elems[i]
                     if body(d, env):
                         b |= 1 << i
+            if test is None or star and regime == "A":
+                return b == a if universal else b != 0
             hits, total = b.bit_count(), a.bit_count()
-            if record and not total:
+            if not total:
                 env[-1].flag(FLAG_EMPTY_RESTRICTION)
-            elif record and not star:
+            elif not star:
                 env[-1].flag("most-ratio %s" % Fraction(hits, total))
             if star:
                 return test(hits, total, most_t, None)
@@ -441,11 +951,6 @@ class _Compiler:
             return e in s
         return free, -1
 
-    def atom(self, f, scope):
-        if _is_generic_atom(f):
-            return self.generic_atom(f, scope)
-        return self.atom_of(f, [self.term(a, scope) for a in f.args])
-
     def atom_of(self, f, args):
         """The atom f as a boolean, from its compiled arguments."""
         deps = functools.reduce(int.__or__, (dep for _, dep in args), 0)
@@ -463,88 +968,6 @@ class _Compiler:
             a, b = fns
             return (lambda d, env: (a(d, env), b(d, env)) in d[ek]), deps
         return (lambda d, env: tuple(fn(d, env) for fn in fns) in d[ek]), deps
-
-    def generic_atom(self, f, scope):
-        """P(most:S) and P(many:S(y. R)) read as most/many y:S (R). P(y)."""
-        g = f.args[0]
-        x = Var(g.var.name if isinstance(g, GenericRestricted) else "x", g.sort)
-        return self.quant(Quant("many" if g.kind == "many" else sx.MOST, x,
-                                getattr(g, "restriction", None), Atom(f.pred, (x,))),
-                          scope)
-
-    # -- formulas as masks over the variable in `slot` ---------------------
-
-    def mask(self, f, scope, slot, sort):
-        dk = self.need("dom", sort)
-        if self.ordered and self.records(f):
-            g, deps = self.formula(f, scope)
-            return self.loop(g, slot, dk), deps
-        if isinstance(f, Not):
-            g, dep = self.mask(f.body, scope, slot, sort)
-            return (lambda d, env: d[dk].full ^ g(d, env)), dep
-        if isinstance(f, (And, Or, Implies)):
-            a, da = self.mask(f.left, scope, slot, sort)
-            b, db = self.mask(f.right, scope, slot, sort)
-            if isinstance(f, And):
-                run = lambda d, env: a(d, env) & b(d, env)
-            elif isinstance(f, Or):
-                run = lambda d, env: a(d, env) | b(d, env)
-            else:
-                run = lambda d, env: (d[dk].full ^ a(d, env)) | b(d, env)
-            return run, da | db
-        if isinstance(f, Atom) and not _is_generic_atom(f):
-            args = [self.term(a, scope) for a in f.args]
-            direct = self.atom_mask(f, args, scope, slot, sort, dk)
-            if direct is not None:
-                return direct
-            g, deps = self.atom_of(f, args)
-        else:
-            g, deps = self.formula(f, scope)
-        if not deps >> slot & 1:
-            return (lambda d, env: d[dk].full if g(d, env) else 0), deps
-        return self.loop(g, slot, dk), deps
-
-    @staticmethod
-    def loop(g, slot, dk):
-        """Mask of the elements satisfying g, tried in domain order."""
-        def loop(d, env):
-            out, bit = 0, 1
-            for e in d[dk].elems:
-                env[slot] = e
-                if g(d, env):
-                    out |= bit
-                bit <<= 1
-            return out
-        return loop
-
-    def atom_mask(self, f, args, scope, slot, sort, dk):
-        """Mask of an atom whose arguments are the slot's variable or do not
-        read it: a predicate mask, row, column or diagonal, or an equality.
-        None for any other atom."""
-        at = [isinstance(a, Var) and self.lookup(scope, a.name)[0] == slot
-              for a in f.args]
-        given = [fn for (fn, dep), x in zip(args, at) if not x]
-        if not any(at) or len(f.args) > 2 or any(
-                dep >> slot & 1 for (_, dep), x in zip(args, at) if not x):
-            return None
-        deps = functools.reduce(int.__or__, (dep for _, dep in args), 0)
-        if f.pred == sx.EQ:
-            if len(f.args) != 2:
-                return None
-            if not given:
-                return (lambda d, env: d[dk].full), deps
-            t, = given
-            return (lambda d, env: d[dk].bits.get(t(d, env), 0)), deps
-        self.need("ext", f.pred)
-        if len(f.args) == 1:
-            mk = self.need("mask", f.pred, sort)
-            return (lambda d, env: d[mk]), deps
-        if not given:
-            dg = self.need("diag", f.pred, sort)
-            return (lambda d, env: d[dg]), deps
-        t, = given
-        rk = self.need("row" if at[1] else "col", f.pred, sort)
-        return (lambda d, env: d[rk].get(t(d, env), 0)), deps
 
     # -- terms as elements -------------------------------------------------
 
@@ -586,15 +1009,14 @@ class _Compiler:
             # least element of the term's sort
             vk = self.need("dom", t.var.sort)
             slot, inner = self.bind(scope, t.var.name)
-            r, deps = self.mask(t.restriction, inner, slot, t.var.sort)
-            dk, ordered = self.need("dom", t.sort), self.ordered
+            r, deps = self.satisfiers(t.restriction, inner, slot, t.var.sort)
+            dk = self.need("dom", t.sort)
 
             def first(d, env):
                 m = r(d, env)
                 if m:
                     return _low(d[vk], m)
-                if ordered:
-                    env[-1].flag(FLAG_PRESUPPOSITION)
+                env[-1].flag(FLAG_PRESUPPOSITION)
                 return d[dk].elems[0]
             return first, deps & ~(1 << slot)
         return self.bad("not a term: %r" % (t,))
@@ -606,9 +1028,9 @@ class _Compiler:
             return self.bad("unknown binder kind %s" % t.kind)
         dk = self.need("dom", t.var.sort)
         slot, inner = self.bind(scope, t.var.name)
-        body, deps = self.mask(t.body, inner, slot, t.var.sort)
+        body, deps = self.satisfiers(t.body, inner, slot, t.var.sort)
         deps &= ~(1 << slot)
-        tau, iota, ordered = t.kind == sx.TAU, t.kind == sx.IOTA, self.ordered
+        tau, iota = t.kind == sx.TAU, t.kind == sx.IOTA
 
         def pick(d, env):
             shape = d[dk]
@@ -618,41 +1040,29 @@ class _Compiler:
             if tau:
                 m ^= shape.full
             elif iota and (not m or m & (m - 1)):
-                if ordered:
-                    env[-1].flag(FLAG_IOTA)
+                env[-1].flag(FLAG_IOTA)
                 m = 0
             v = _low(shape, m)
-            if ordered:
-                env[-1].witnesses.append((t, v))
+            env[-1].witnesses.append((t, v))
             return v
-        if not (ordered or iota):    # the mask form's eps, tau and eta
-            pick = (lambda d, env: _low(d[dk], d[dk].full ^ body(d, env))) if tau \
-                else (lambda d, env: _low(d[dk], body(d, env)))
         if deps:
             return pick, deps
         # closed (no bound slot read): one closure for every copy of the
         # term, chosen once per call.  It runs in a copy of the frame, so its
-        # slots cannot clash with those of the scope it is used in.
+        # slots cannot clash with those of the scope it is used in; a copy
+        # replays the witnesses of the first pick.
         at = len(self.closed)
-        if ordered:
-            def memo(d, env):
-                rec = env[-1]
-                hit = rec.chosen[at]
-                if hit is _UNSET:
-                    start = len(rec.witnesses)
-                    v = pick(d, env.copy())
-                    rec.chosen[at] = (v, start, len(rec.witnesses))
-                    return v
-                # a copy replays the witnesses of the first pick
-                rec.witnesses.extend(rec.witnesses[hit[1]:hit[2]])
-                return hit[0]
-        else:
-            def memo(d, env):
-                chosen = env[-1]
-                v = chosen[at]
-                if v is _UNSET:
-                    v = chosen[at] = pick(d, env.copy())
+
+        def memo(d, env):
+            rec = env[-1]
+            hit = rec.chosen[at]
+            if hit is _UNSET:
+                start = len(rec.witnesses)
+                v = pick(d, env.copy())
+                rec.chosen[at] = (v, start, len(rec.witnesses))
                 return v
+            rec.witnesses.extend(rec.witnesses[hit[1]:hit[2]])
+            return hit[0]
         self.closed[t] = memo
         return memo, 0
 
@@ -665,7 +1075,7 @@ def _not_compiled():
 
 
 class _Code(tuple):
-    """A node's compiled code.  Closures do not pickle, so a pickled or
+    """A node's compiled code.  Functions do not pickle, so a pickled or
     deep-copied node carries "not compiled yet" and compiles again."""
 
     __slots__ = ()
@@ -675,15 +1085,22 @@ class _Code(tuple):
 
 
 def compile_formula(node, mode=TRUTH):
-    """(needs in order, needs as a set, run, frame template, number of closed
-    choice terms, pre-bound slots) of a formula, or in the ordered modes a
-    term, in form `mode`; cached on the node, to live and die with it."""
+    """(needs in order, needs as a set, run, pre-bound slots) of a formula,
+    or in the ordered modes a term, in form `mode`, and in the ordered modes
+    the frame template and the number of closed choice terms too; cached on
+    the node, to live and die with it.  The mask form's run(d, values)
+    takes the pre-bound names' values in frame order, no frame."""
     c = _Compiler(mode)
-    run, _ = (c.formula if sx.is_formula(node) else c.term)(node, ())
-    # a pre-bound slot is unbound until _bind
-    code = _Code((tuple(c.needs), frozenset(c.needs), run,
-                  [_UNSET] * (c.depth + len(c.frees)) + [None], len(c.closed),
-                  tuple(c.frees)))
+    if mode == TRUTH:
+        run, _ = _Emitter(c).emit(node, ())
+        code = (tuple(c.needs), frozenset(c.needs), run, tuple(c.frees))
+    else:
+        run, _ = (c.formula if sx.is_formula(node) else c.term)(node, ())
+        # a pre-bound slot is unbound until _bound's values go in
+        template = [_UNSET] * (c.depth + len(c.frees)) + [None]
+        code = (tuple(c.needs), frozenset(c.needs), run, tuple(c.frees),
+                template, len(c.closed))
+    code = _Code(code)
     try:
         object.__setattr__(node, _CODE[mode], code)
     except (AttributeError, TypeError):
@@ -691,11 +1108,14 @@ def compile_formula(node, mode=TRUTH):
     return code
 
 
-def _bind(frame, frees, env):
-    """Pre-bind the frame's slots for free names from env; an unbound name
-    stays _UNSET, and the code raises where it reads it."""
-    for k, (field, name) in enumerate(frees, 2):
-        frame[-k] = next((e for n, e in getattr(env, field) if n == name), _UNSET)
+def _bound(frees, env):
+    """The values of the free names from env in frame order, the last
+    first; _UNSET for an unbound one, and the code raises where it reads
+    it."""
+    if env is None:
+        return (_UNSET,) * len(frees)
+    return tuple(next((e for n, e in getattr(env, field) if n == name), _UNSET)
+                 for field, name in reversed(frees))
 
 
 def truth(model, f, env=None):
@@ -704,19 +1124,15 @@ def truth(model, f, env=None):
     code = getattr(f, "_truth_code", _UNSET)
     if code is _UNSET:
         code = compile_formula(f)
-    needs, need_set, run_f, template, closed, frees = code
+    needs, need_set, run_f, frees = code
     d = model._derived
     try:
         if not d.keys() >= need_set:
             for key in needs:
                 if key not in d:
                     d[key] = _derive(model, d, key)
-        frame = template.copy()
-        if closed:
-            frame[-1] = [_UNSET] * closed
-        if frees and env is not None:
-            _bind(frame, frees, env)
-        return run_f(d, frame)
+        # free name i is at index -2 - i, as in an ordered frame
+        return run_f(d, _bound(frees, env) + (None,) if frees else ())
     except _RETRY:
         return ordered(model, f, env, STRICT)[0]
 
@@ -727,7 +1143,7 @@ def ordered(model, node, env, mode):
     code = getattr(node, _CODE[mode], _UNSET)
     if code is _UNSET:
         code = compile_formula(node, mode)
-    needs, need_set, run_f, template, closed, frees = code
+    needs, need_set, run_f, frees, template, closed = code
     d = model._derived
     if mode == STRICT:
         d = _Lazy()
@@ -740,7 +1156,7 @@ def ordered(model, node, env, mode):
     frame = template.copy()
     frame[-1] = rec
     if env is not None:
-        _bind(frame, frees, env)
+        frame[-1 - len(frees):-1] = _bound(frees, env)
     return run_f(d, frame), rec
 
 

@@ -17,7 +17,8 @@ predicates of (hits, total, theta, mode): compiled.COUNT_TESTS, which the
 evaluator and classify_quantifier share.
 
 One evaluator (compiled.py) runs every formula and term from code compiled
-once per node.  truth runs its mask form, for the value only.  eval_formula
+once per node.  truth runs its mask form, for the value only: compiled once
+into generated source, shared per shape.  eval_formula
 and eval_term run its ordered form: elements in domain order, connectives
 left to right with short-circuit, a restriction over its whole domain
 before the body, a count's body on every restriction element.  It records

@@ -4,10 +4,11 @@ Hilbert-style binder terms (eps/tau/iota/eta), generalized quantifiers
 fragment (unary predicate variables).
 
 All values are immutable; every operation here is a pure function.  The
-walks read how each node is put together from one table, _SHAPES, keep
-their pending nodes on an explicit stack, and return at any depth.  One
-rewrite, _rewrite, serves substitution and the translations, and one walk,
-_sort, decides the sorts of terms and formulas.
+walks keep their pending nodes on an explicit stack and return at any
+depth.  They read how each node is put together from one table, _SHAPES,
+but for _sort, the one walk that decides the sorts of terms and formulas,
+which checks each node's own fields and dispatches on its type.  One
+rewrite, _rewrite, serves substitution and the translations.
 """
 
 from __future__ import annotations
@@ -548,6 +549,30 @@ def _sort(e, sig, term):
             got = sig.constants.get(e.name)
             if got is None:
                 errs.append("unknown constant %s" % e.name)
+        elif t is And or t is Or or t is Implies:
+            todo.append((e.right, env, predvars, False))
+            todo.append((e.left, env, predvars, False))
+            continue
+        elif t is Not:
+            todo.append((e.body, env, predvars, False))
+            continue
+        elif t is Quant:
+            var = e.var
+            if e.kind not in QUANT_KINDS:
+                errs.append("unknown quantifier kind %s" % e.kind)
+            if var.sort not in sig.sorts:
+                errs.append("quantified variable %s has undeclared sort %s"
+                            % (var.name, var.sort))
+            if e.mode is not None:
+                if e.mode not in ("strict", "weak"):
+                    errs.append("bad majority mode %r" % (e.mode,))
+                if e.kind != MOST:
+                    errs.append("majority mode on non-most quantifier")
+            env = {**env, var.name: var.sort}
+            todo.append((e.body, env, predvars, False))
+            if e.restriction is not None:
+                todo.append((e.restriction, env, predvars, False))
+            continue
         elif t is PredApp:
             s = predvars.get(e.predvar)
             if s is None:
@@ -555,46 +580,27 @@ def _sort(e, sig, term):
             todo.append((e.arg, env, predvars,
                          s is None or (s, _PREDVAR_SORT, 0, e.predvar)))
             continue
-        elif t is Not:
-            todo.append((e.body, env, predvars, False))
-            continue
-        elif t is And or t is Or or t is Implies:
-            todo.append((e.right, env, predvars, False))
-            todo.append((e.left, env, predvars, False))
-            continue
-        else:
-            kids, _, binds, _ = _SHAPES[t]
-            if t is Binder or t is Generic or t is GenericRestricted:
-                sort = e.var.sort if t is Binder else e.sort
-                if sort not in sig.sorts:
-                    errs.append("binder variable %s has undeclared sort %s"
-                                % (e.var.name, sort) if t is Binder else
-                                "generic term has undeclared sort %s" % sort)
-                if t is GenericRestricted and e.var.sort != sort:
-                    errs.append("restriction variable %s of generic term must have "
-                                "sort %s" % (e.var.name, sort))
-                stray = (e, env) if t is GenericRestricted else None
-                if stray or want is True or sort is not None and sort != want[0]:
-                    todo.append((_SORTED, sort, stray, want))
-            elif t is Quant:
-                if e.kind not in QUANT_KINDS:
-                    errs.append("unknown quantifier kind %s" % e.kind)
-                if e.var.sort not in sig.sorts:
-                    errs.append("quantified variable %s has undeclared sort %s"
-                                % (e.var.name, e.var.sort))
-                if e.mode not in (None, "strict", "weak"):
-                    errs.append("bad majority mode %r" % (e.mode,))
-                if e.mode is not None and e.kind != MOST:
-                    errs.append("majority mode on non-most quantifier")
-            elif t is Quant2 and e.sort not in sig.sorts:
+        elif t is Quant2:
+            if e.sort not in sig.sorts:
                 errs.append("second-order quantifier over undeclared sort %s"
                             % e.sort)
-            if binds is BINDS_VAR:
-                env = {**env, e.var.name: e.var.sort}
-            elif binds is BINDS_PREDVAR:
-                predvars = {**predvars, e.predvar: e.sort}
-            for k in reversed(kids(e)):
-                todo.append((k, env, predvars, False))
+            todo.append((e.body, env, {**predvars, e.predvar: e.sort}, False))
+            continue
+        else:       # Binder, Generic, GenericRestricted
+            sort = e.var.sort if t is Binder else e.sort
+            if sort not in sig.sorts:
+                errs.append("binder variable %s has undeclared sort %s"
+                            % (e.var.name, sort) if t is Binder else
+                            "generic term has undeclared sort %s" % sort)
+            if t is GenericRestricted and e.var.sort != sort:
+                errs.append("restriction variable %s of generic term must have "
+                            "sort %s" % (e.var.name, sort))
+            stray = (e, env) if t is GenericRestricted else None
+            if stray or want is True or sort is not None and sort != want[0]:
+                todo.append((_SORTED, sort, stray, want))
+            if t is not Generic:
+                todo.append((e.body if t is Binder else e.restriction,
+                             {**env, e.var.name: e.var.sort}, predvars, False))
             continue
         if want is not True and got is not None and got != want[0]:
             errs.append(want[1] % {"got": got, "want": want[0], "i": want[2],

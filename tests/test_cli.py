@@ -139,7 +139,8 @@ def test_selftest_seeded(capsys, monkeypatch):
     assert "ok" in out
 
 
-# evaluation runs compiled closures, which nest as deep as the formula
+# eval runs the ordered form, whose closures nest as deep as the formula
+# (truth runs flat generated code)
 @pytest.mark.parametrize("command", ["eval"])
 def test_deep_nesting_exit_2(capsys, tmp_path, command):
     model = tmp_path / "m.model"

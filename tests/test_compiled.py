@@ -7,6 +7,7 @@ exception.
 """
 
 import dataclasses
+import functools
 import itertools
 import pickle
 import random
@@ -279,10 +280,96 @@ def test_deep_nesting_raises_like_the_tree():
     deep = Atom("P", (Const("c"),))
     for _ in range(3000):
         deep = Not(deep)
-    assert outcome(lambda: truth(M, deep)) == ("error", RecursionError)
+    # the mask form is flat code: an even number of nots over P(c), which
+    # holds; the ordered form's closures still nest as the formula does
+    assert truth(M, deep) is True
     assert outcome(lambda: models.eval_formula(M, None, deep)) \
         == ("error", RecursionError)
     shallow = Atom("P", (Const("c"),))
     for _ in range(101):
         shallow = Not(shallow)
     assert truth(M, shallow) is False
+
+
+def test_mask_form_compiles_and_runs_at_depth():
+    deep = Atom("P", (Const("c"),))
+    for _ in range(10 ** 4):
+        deep = Not(deep)
+    assert compiled.compile_formula(deep) is not None
+    assert truth(M, deep) is True
+    assert truth(M, Not(deep)) is False
+
+
+@pytest.mark.parametrize("connective", ["implies", "and", "or"])
+@pytest.mark.parametrize("depth", [300, 10 ** 4])
+def test_right_nested_connectives_run_at_depth(connective, depth):
+    # implies nests to the right; the parentheses make and/or do so too
+    if connective == "implies":
+        text = "P(c) implies " * depth + "Q(c)"
+    else:
+        text = ("P(c) %s (" % connective) * depth + "Q(c)" + ")" * depth
+    f = parser.parse_formula(text, M.signature)
+    assert compiled.compile_formula(f) is not None
+    assert truth(M, f) is (connective == "or")
+
+
+# -- generated code --------------------------------------------------------
+
+# M with every symbol renamed
+RENAMED = parser.parse_model("sort t = {a,b,c}\nconst d : t = a\n"
+                             "fun g : t -> t = {a: b, c: a}\n"
+                             "pred A : t = {a,b}\npred B : t = {b}")
+
+
+def test_formulas_equal_up_to_names_share_one_code_object():
+    f = parser.parse_formula("exists x:s (P(x)). Q(eps y:s. not P(y) or y = c) "
+                             "or Q(f(c)) and (most z:s. P(z))", M.signature)
+    g = parser.parse_formula("exists x:t (A(x)). B(eps y:t. not A(y) or y = d) "
+                             "or B(g(d)) and (most z:t. A(z))", RENAMED.signature)
+    run_f = compiled.compile_formula(f)[2]
+    hits = compiled._load.cache_info().hits
+    run_g = compiled.compile_formula(g)[2]
+    assert compiled._load.cache_info().hits == hits + 1
+    assert run_f is not run_g and run_f.__code__ is run_g.__code__
+    assert run_f.__code__.co_filename == "<mask form>"
+    assert_agrees(M, f)
+    assert_agrees(RENAMED, g)
+    assert truth(M, f) == truth(RENAMED, g)
+
+
+def test_code_cache_stays_at_its_bound():
+    # i negates the conjuncts at its set bits: a shape of its own for each i
+    bits = (compiled.CODE_CACHE + 10).bit_length()
+    for i in range(compiled.CODE_CACHE + 10):
+        conjuncts = [Atom("P", (Const("c"),)) for _ in range(bits)]
+        f = functools.reduce(And, [Not(a) if i >> k & 1 else a
+                                   for k, a in enumerate(conjuncts)])
+        assert truth(M, f) == (i == 0)
+    info = compiled._load.cache_info()
+    assert info.currsize == info.maxsize == compiled.CODE_CACHE
+
+
+@pytest.mark.parametrize("f, env", [
+    # free variables bound from an Environment
+    (And(Atom("P", (X,)), Quant(sx.EXISTS, Var("y", "s"), Atom("Q", (X,)),
+                                Atom("P", (Var("y", "s"),)))),
+     Environment().bind("x", "b")),
+    (Quant2(sx.EXISTS2, "X", "s", And(PredApp("Y", X), PredApp("X", Const("c")))),
+     Environment().bind("x", "a").bind_pred("Y", ["a", "c"])),
+    # several free names: each read from its own place
+    (And(And(PredApp("Y", X), Not(PredApp("Z", Var("z", "s")))),
+         Or(Atom("Q", (Var("z", "s"),)), Atom(sx.EQ, (X, Var("z", "s"))))),
+     Environment().bind("x", "a").bind("z", "b").bind_pred("Y", ["a"])
+     .bind_pred("Z", ["a", "c"])),
+    # a partial function where it is defined
+    (Quant(sx.FORALL, X, Atom("P", (X,)), Atom("Q", (App("f", (Const("c"),)),))),
+     None),
+    # predicate variables, one under a choice term
+    (Quant2(sx.FORALL2, "X", "s", Or(Not(PredApp("X", Const("c"))), Quant(
+        sx.EXISTS, X, None, And(PredApp("X", X), Atom("P", (Binder(
+            sx.EPS, Var("y", "s"), PredApp("X", Var("y", "s"))),)))))), None),
+])
+def test_generated_code_runs_without_the_ordered_form(f, env, monkeypatch):
+    walks = count_tree_walks(monkeypatch)
+    assert_agrees(M, f, env)
+    assert walks == []
