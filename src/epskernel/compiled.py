@@ -5,7 +5,10 @@ compile_formula compiles a node and caches the code on the node.  `d` holds
 what the code reads from a model under string keys (its `needs`): the
 _Shape of a sort's domain, a predicate's extension, the mask of a unary
 predicate (a sieve or a slice for a builtin), the rows, columns or diagonal
-of a binary one, constants, function tables and the settings.
+of a binary one, constants, function tables and the settings.  Each is
+derived once per model and kept in the model's plain dict: truth runs the
+code on it as it is and fills it only when a read misses (KeyError), then
+runs once more; the ordered form fills it before it runs.
 
 The mask form (TRUTH), which truth runs, is compiled once into generated
 source, shared per shape (_Emitter): one flat Python function per formula,
@@ -1085,21 +1088,20 @@ class _Code(tuple):
 
 
 def compile_formula(node, mode=TRUTH):
-    """(needs in order, needs as a set, run, pre-bound slots) of a formula,
-    or in the ordered modes a term, in form `mode`, and in the ordered modes
-    the frame template and the number of closed choice terms too; cached on
-    the node, to live and die with it.  The mask form's run(d, values)
-    takes the pre-bound names' values in frame order, no frame."""
+    """(needs in order, run, pre-bound slots) of a formula, or in the
+    ordered modes a term, in form `mode`, and in the ordered modes the
+    frame template and the number of closed choice terms too; cached on the
+    node, to live and die with it.  The mask form's run(d, values) takes
+    the pre-bound names' values in frame order, no frame."""
     c = _Compiler(mode)
     if mode == TRUTH:
         run, _ = _Emitter(c).emit(node, ())
-        code = (tuple(c.needs), frozenset(c.needs), run, tuple(c.frees))
+        code = (tuple(c.needs), run, tuple(c.frees))
     else:
         run, _ = (c.formula if sx.is_formula(node) else c.term)(node, ())
         # a pre-bound slot is unbound until _bound's values go in
         template = [_UNSET] * (c.depth + len(c.frees)) + [None]
-        code = (tuple(c.needs), frozenset(c.needs), run, tuple(c.frees),
-                template, len(c.closed))
+        code = (tuple(c.needs), run, tuple(c.frees), template, len(c.closed))
     code = _Code(code)
     try:
         object.__setattr__(node, _CODE[mode], code)
@@ -1118,21 +1120,32 @@ def _bound(frees, env):
                  for field, name in reversed(frees))
 
 
+def _fill(model, d, needs):
+    """Derive into d the needs it lacks; compile lists each key after the
+    keys its derivation reads."""
+    for key in needs:
+        if key not in d:
+            d[key] = _derive(model, d, key)
+
+
 def truth(model, f, env=None):
     """Truth of formula f in model by its mask form; what the mask form
     raises sends the call to the ordered form (STRICT)."""
     code = getattr(f, "_truth_code", _UNSET)
     if code is _UNSET:
         code = compile_formula(f)
-    needs, need_set, run_f, frees = code
+    needs, run_f, frees = code
     d = model._derived
     try:
-        if not d.keys() >= need_set:
-            for key in needs:
-                if key not in d:
-                    d[key] = _derive(model, d, key)
         # free name i is at index -2 - i, as in an ordered frame
-        return run_f(d, _bound(frees, env) + (None,) if frees else ())
+        values = _bound(frees, env) + (None,) if frees else ()
+        try:
+            return run_f(d, values)
+        except KeyError:
+            # a need not derived yet, or a gap the second run meets again;
+            # the code is pure, so running it again is safe
+            _fill(model, d, needs)
+            return run_f(d, values)
     except _RETRY:
         return ordered(model, f, env, STRICT)[0]
 
@@ -1143,15 +1156,15 @@ def ordered(model, node, env, mode):
     code = getattr(node, _CODE[mode], _UNSET)
     if code is _UNSET:
         code = compile_formula(node, mode)
-    needs, need_set, run_f, frees, template, closed = code
-    d = model._derived
+    needs, run_f, frees, template, closed = code
     if mode == STRICT:
         d = _Lazy()
         d.model = model
-    if not d.keys() >= need_set and mode != STRICT:
-        for key in needs:
-            if key not in d:
-                d[key] = _derive(model, d, key)
+    else:
+        # up front: a RECORD run can miss deep into its work, where running
+        # it again would cost more than the check saves
+        d = model._derived
+        _fill(model, d, needs)
     rec = _Rec(closed)
     frame = template.copy()
     frame[-1] = rec

@@ -8,9 +8,11 @@ exception.
 
 import dataclasses
 import functools
+import gc
 import itertools
 import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -326,9 +328,9 @@ def test_formulas_equal_up_to_names_share_one_code_object():
                              "or Q(f(c)) and (most z:s. P(z))", M.signature)
     g = parser.parse_formula("exists x:t (A(x)). B(eps y:t. not A(y) or y = d) "
                              "or B(g(d)) and (most z:t. A(z))", RENAMED.signature)
-    run_f = compiled.compile_formula(f)[2]
+    run_f = compiled.compile_formula(f)[1]
     hits = compiled._load.cache_info().hits
-    run_g = compiled.compile_formula(g)[2]
+    run_g = compiled.compile_formula(g)[1]
     assert compiled._load.cache_info().hits == hits + 1
     assert run_f is not run_g and run_f.__code__ is run_g.__code__
     assert run_f.__code__.co_filename == "<mask form>"
@@ -373,3 +375,68 @@ def test_generated_code_runs_without_the_ordered_form(f, env, monkeypatch):
     walks = count_tree_walks(monkeypatch)
     assert_agrees(M, f, env)
     assert walks == []
+
+
+# -- what truth derives from a model ---------------------------------------
+
+def test_truth_derives_each_value_once_per_model(monkeypatch):
+    texts = ["exists x:s. P(x)", "forall x:s. P(x) implies Q(x)",
+             "P(c) and Q(eps x:s. P(x))", "most x:s (P(x)). Q(x)",
+             "Q(c) or (forall x:s. not P(x))"]
+    fs = [parser.parse_formula(t, gen.SIG_UNARY) for t in texts]
+    ms = list(enumerate_models(gen.SIG_UNARY, 3))
+    # the oracle reads extensions through _derive too: ask it first
+    want = [[eval_oracle._Evaluator(m, record=False).formula(f, Environment())
+             for f in fs] for m in ms]
+    derived, derive = {}, compiled._derive
+
+    def counting(model, d, key):
+        derived[id(model), key] = derived.get((id(model), key), 0) + 1
+        return derive(model, d, key)
+    monkeypatch.setattr(compiled, "_derive", counting)
+    walks = count_tree_walks(monkeypatch)
+    for _ in range(2):
+        for m, values in zip(ms, want):
+            assert [truth(m, f) for f in fs] == values, m
+    assert walks == []
+    assert derived and set(derived.values()) == {1}
+    # every model derived the same keys: the union of the formulas' needs
+    keys = {k for _, k in derived}
+    assert len(derived) == len(ms) * len(keys)
+    assert keys == {k for f in fs for k in compiled.compile_formula(f)[0]}
+
+
+def test_a_gap_sends_each_truth_call_to_the_ordered_form_once(monkeypatch):
+    m = dataclasses.replace(M)              # its own, empty, derived values
+    gap = parser.parse_formula("forall x:s. Q(f(x))", M.signature)
+    total = parser.parse_formula("forall x:s. P(x) or Q(f(c))", M.signature)
+    assert truth(m, total) is True
+    assert m._derived.keys() >= set(compiled.compile_formula(gap)[0])
+    with pytest.raises(models.EvalError) as want:
+        eval_oracle._Evaluator(m, record=False).formula(gap, Environment())
+    walks = count_tree_walks(monkeypatch)
+    for n in range(1, 4):
+        with pytest.raises(models.EvalError) as got:
+            truth(m, gap)
+        assert str(got.value) == str(want.value)
+        assert walks == [compiled.STRICT] * n
+    assert truth(m, total) is True
+    assert walks == [compiled.STRICT] * 3
+
+
+def test_a_model_and_its_derived_values_form_no_cycle():
+    # a cycle would keep each swept model until the cyclic collector ran
+    m = dataclasses.replace(M)
+    texts = ["exists x:s. P(x)", "Q(f(c)) and (most x:s. Q(x))",
+             "forall x:s. Q(f(x))"]
+    fs = [parser.parse_formula(t, M.signature) for t in texts]
+    gc.disable()
+    try:
+        for f in fs:
+            outcome(lambda: truth(m, f))
+        assert m._derived
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
