@@ -123,8 +123,8 @@ def run_eval(args):
 
 
 _TRANSLATORS = {
-    "frege": lambda f: transform.frege_embed(f),
-    "unfrege": lambda f: transform.frege_unembed(f),
+    "frege": transform.frege_embed,
+    "unfrege": transform.frege_unembed,
     "epsilon": lambda f: transform.Translation(transform.epsilon_embed(f)),
     "concepts-up": lambda f: transform.Translation(transform.lift_to_concepts(f)),
     "concepts-down": lambda f: transform.Translation(transform.lower_from_concepts(f)),

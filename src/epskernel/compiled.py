@@ -10,28 +10,30 @@ derived once per model and kept in the model's plain dict: truth runs the
 code on it as it is and fills it only when a read misses (KeyError), then
 runs once more; the ordered form fills it before it runs.
 
-The mask form (TRUTH), which truth runs, is compiled once into generated
-source, shared per shape (_Emitter): one flat Python function per formula,
-one local per node.  A formula in the variable bound at slot k is a mask:
-bit i is set when the formula holds with element i of that sort in slot k.
-So forall is A & ~B == 0, exists A & B != 0, the count determiners compare
-popcounts, and a second-order quantifier tries each subset mask in turn.  A
-choice term picks from its body's mask: eps and eta the lowest set bit, tau
-the lowest clear bit, iota the only set bit, and with none the sort's least
-element.  The source names no symbol (the needs keys come in as a tuple),
-so formulas equal up to the names of their symbols share one code object.
+The mask form (TRUTH), which truth runs, is first-order: it is compiled
+once into generated source, shared per shape (_Emitter), one flat Python
+function per formula, one local per node.  A formula in the variable bound
+at slot k is a mask: bit i is set when the formula holds with element i of
+that sort in slot k.  So forall is A & ~B == 0, exists A & B != 0 and the
+count determiners compare popcounts.  A choice term picks from its body's
+mask: eps and eta the lowest set bit, tau the lowest clear bit, iota the
+only set bit, and with none the sort's least element.  The source names no
+symbol (the needs keys come in as a tuple), so formulas equal up to the
+names of their symbols share one code object.  A second-order quantifier or
+a predicate variable's application compiles to a failure, so the calls that
+reach one run in the ordered form, which binds predicate variables.
 
 The ordered form, which eval_formula and eval_term run, is closures
 run(d, env) over a frame `env`: bound variables by depth, slots pre-bound
 from the Environment, then a _Rec.  It keeps the order of the semantics and
 records flags and witnesses as it goes; it takes the mask of a quantifier
-body, restriction or choice body with nothing to record (no choice or
-generic term, no count quantifier) from that subformula's generated code
-(RECORD), and STRICT orders everything.  Whatever the mask form or RECORD
-raises (a partial function's gap, a missing symbol, an empty domain, an
-unbound variable) they may have met where the semantics would not look, so
-the call runs again in STRICT, which raises EvalError where the semantics
-does.
+body, restriction or choice body that is first-order and has nothing to
+record (no choice or generic term, no count quantifier) from that
+subformula's generated code (RECORD), and STRICT orders everything.
+Whatever the mask form or RECORD raises (a partial function's gap, a
+missing symbol, an empty domain, an unbound variable) they may have met
+where the semantics would not look, so the call runs again in STRICT, which
+raises EvalError where the semantics does.
 """
 
 from __future__ import annotations
@@ -306,7 +308,7 @@ def _fail():
 
 
 _COUNT_NAMES = {kind: "_count%d" % i for i, kind in enumerate(COUNT_TESTS)}
-_GLOBALS = {"_U": _UNSET, "_fail": _fail, "_subsets": _subsets,
+_GLOBALS = {"_U": _UNSET, "_fail": _fail,
             **{name: COUNT_TESTS[kind] for kind, name in _COUNT_NAMES.items()}}
 # distinct shapes whose compiled code is kept; a shape past the bound is
 # compiled again when it comes back
@@ -331,12 +333,12 @@ def _bit(slot):
 
 
 class _Region:
-    """One generated function: the entry, an element or subset loop over
-    `slot` (its element or subset is the local `var`), a short-circuit's
-    right operand or a choice term being written.  Its lines are (local or
-    None, text, locals read); the locals it reads and does not define are
-    its parameters.  A line moves out of a loop whose slot it does not
-    read, but not past `stop`, the nearest region without a slot."""
+    """One generated function: the entry, an element loop over `slot` (its
+    element is the local `var`), a short-circuit's right operand or a choice
+    term being written.  Its lines are (local or None, text, locals read);
+    the locals it reads and does not define are its parameters.  A line
+    moves out of a loop whose slot it does not read, but not past `stop`,
+    the nearest region without a slot."""
 
     __slots__ = ("slot", "var", "lines", "reads", "depth", "stop")
 
@@ -352,11 +354,10 @@ class _Emitter:
     Each node gets one local, written in the outermost region whose loops
     bind every slot it reads.  Needs, the shapes' attributes and names read
     from env are read once, at the entry, as is a closed choice term.  An
-    element loop, a subset loop and the right operand of a short-circuit
-    are functions of their own, so the source nests boundedly at any depth;
-    a short-circuit whose value its function returns instead returns early
-    when its left operand settles it, so a right-nested chain is one
-    function.
+    element loop and the right operand of a short-circuit are functions of
+    their own, so the source nests boundedly at any depth; a short-circuit
+    whose value its function returns instead returns early when its left
+    operand settles it, so a right-nested chain is one function.
     The walk keeps its pending work on one stack (todo) and the locals of
     finished nodes on another (vals)."""
 
@@ -374,15 +375,13 @@ class _Emitter:
         self.todo, self.vals = [], []
 
     def emit(self, node, scope, slot=None, sort=None):
-        """(run(d, env), deps) of node, its mask over inner `slot` when
-        given: the slots of `scope` below it are outer, read from env."""
+        """(run(d, env), deps) of formula node, its mask over inner `slot`
+        when given: the slots of `scope` below it are outer, read from env."""
         self.base = slot if slot is not None else scope[-1][1] + 1 if scope else 0
         if slot is not None:
             self.mask(node, scope, slot, sort, self.root)
-        elif sx.is_formula(node):
-            self.formula(node, scope, self.root, True)
         else:
-            self.term(node, scope, self.root)
+            self.formula(node, scope, self.root, True)
         todo = self.todo
         while todo:
             fn, *args = todo.pop()
@@ -436,8 +435,8 @@ class _Emitter:
         del self.vals[len(self.vals) - n:]
         return out
 
-    def loop_region(self, reg, slot, prefix):
-        loop = self.loops[slot] = _Region(reg, slot, self.new(prefix))
+    def loop_region(self, reg, slot):
+        loop = self.loops[slot] = _Region(reg, slot, self.new("e"))
         self.home[loop.var], self.deps[loop.var] = loop, _bit(slot)
         return loop
 
@@ -474,18 +473,17 @@ class _Emitter:
         return self.at_entry(key, "d[K[%d]]" % self.keys[key])
 
     def name(self, scope, name):
-        """(local, domain key) of a variable or predicate variable: an inner
-        slot's element or subset, else what env holds at its frame index
-        (a free name's raises when unbound)."""
-        slot, dk = self.c.lookup(scope, name)
+        """Local of a variable: an inner slot's element, else what env holds
+        at its frame index (a free variable's raises when unbound)."""
+        slot, _ = self.c.lookup(scope, name)
         if slot >= self.base:
-            return self.loops[slot].var, dk
+            return self.loops[slot].var
         if slot not in self.entry:
             self.outer |= -1 if slot < 0 else 1 << slot
             v = self.at_entry(slot, "env[%d]" % slot, _OUTER)
             if slot < 0:
                 self.root.lines.append((None, "if %s is _U: _fail()" % v, ()))
-        return self.entry[slot], dk
+        return self.entry[slot]
 
     # -- formulas as booleans ---------------------------------------------
 
@@ -512,16 +510,7 @@ class _Emitter:
             todo.append((self.formula, f.left, scope, reg))
         elif t is Quant and f.kind in sx.QUANT_KINDS:
             self.quant(f, scope, reg)
-        elif t is Quant2:
-            dk = self.need("dom", f.sort)
-            slot, inner = self.c.bind(scope, _SEP + f.predvar, dk)
-            loop = self.loop_region(reg, slot, "s")
-            todo.append((self.subsets, f, dk, reg, loop))
-            todo.append((self.formula, f.body, inner, loop))
-        elif t is PredApp:
-            todo.append((self.predapp, f, scope, reg))
-            todo.append((self.term, f.arg, scope, reg))
-        else:       # a node the semantics rejects when it reaches it
+        else:       # second-order, or a node the semantics rejects
             self.vals.append(self.put(reg, "_fail()", ()))
 
     def atom(self, f, reg):
@@ -604,30 +593,6 @@ class _Emitter:
                     v = op(reg, counts + "%s)", b, a, theta, self.value(cfg, "[2]"))
         self.vals.append(v)
 
-    def subsets(self, f, dk, reg, loop):
-        g = self.vals.pop()
-        if not self.deps[g] & _bit(loop.slot):
-            # the same for every subset, and there is at least one
-            self.vals.append(g)
-            return
-        shape = self.value(dk)
-        loop.reads[shape] = None
-        every = f.kind == sx.FORALL2
-        call, params = self.close(
-            loop, ["    for %s in _subsets(%s):" % (loop.var, shape)],
-            ["        if %s%s:" % ("not " if every else "", g),
-             "            return %s" % (not every), "    return %s" % every])
-        self.vals.append(self.put(reg, call, params))
-
-    def predapp(self, f, scope, reg):
-        t = self.vals.pop()
-        s, dk = self.name(scope, _SEP + f.predvar)
-        if dk is None:      # a free one: a set of elements from env
-            self.vals.append(self.op(reg, "%s in %s", t, s))
-        else:               # a subset mask
-            self.vals.append(self.op(reg, "%s.get(%s, 0) & %s != 0",
-                                     self.value(dk, ".bits"), t, s))
-
     # -- formulas as masks over the variable in `slot` ---------------------
 
     def mask(self, f, scope, slot, sort, reg):
@@ -646,11 +611,11 @@ class _Emitter:
             todo.append((self.mask, f.right, scope, slot, sort, reg))
             todo.append((self.mask, f.left, scope, slot, sort, reg))
         elif t is Atom and 0 < len(f.args) <= 2 and not _is_generic_atom(f):
-            loop = self.loop_region(reg, slot, "e")
+            loop = self.loop_region(reg, slot)
             todo.append((self.direct_atom, f, scope, sort, dk, reg, loop))
             self.terms(f.args, scope, loop)
         else:
-            loop = self.loop_region(reg, slot, "e")
+            loop = self.loop_region(reg, slot)
             todo.append((self.loop, dk, reg, loop))
             todo.append((self.formula, f, scope, loop))
 
@@ -705,7 +670,7 @@ class _Emitter:
     def term(self, t, scope, reg):
         typ = type(t)
         if typ is Var:
-            self.vals.append(self.name(scope, t.name)[0])
+            self.vals.append(self.name(scope, t.name))
         elif typ is Const:
             self.vals.append(self.value(self.need("const", t.name)))
         elif typ is App:
@@ -800,12 +765,14 @@ class _Compiler:
 
     def records(self, e):
         """Whether the ordered form must run e element by element: it can
-        record a flag or witness, or STRICT orders everything."""
+        record a flag or witness, it is second-order, or STRICT orders
+        everything."""
         if self.strict:
             return True
         hit = self.memo.get(id(e))
         if hit is None:
-            rec = isinstance(e, (Binder, Generic, GenericRestricted)) or \
+            rec = isinstance(e, (Binder, Generic, GenericRestricted, Quant2,
+                                 PredApp)) or \
                 isinstance(e, Quant) and e.kind not in (sx.FORALL, sx.EXISTS) or \
                 any(self.records(k) for k in sx.children(e))
             hit = self.memo[id(e)] = (e, rec)

@@ -17,15 +17,17 @@ predicates of (hits, total, theta, mode): compiled.COUNT_TESTS, which the
 evaluator and classify_quantifier share.
 
 One evaluator (compiled.py) runs every formula and term from code compiled
-once per node.  truth runs its mask form, for the value only: compiled once
-into generated source, shared per shape.  eval_formula
-and eval_term run its ordered form: elements in domain order, connectives
-left to right with short-circuit, a restriction over its whole domain
-before the body, a count's body on every restriction element.  It records
-flags and witnesses in that order, and raises EvalError (a function's gap,
-a missing symbol, an empty domain, an unbound variable) where that order
-meets it.  An integer sort's domain is a range, never materialised per
-element.  tests/eval_oracle.py keeps the tree walk both are checked against.
+once per node.  truth runs its mask form, for the value only: first-order,
+compiled once into generated source, shared per shape; a call that meets a
+predicate variable runs in the ordered form.  eval_formula and eval_term
+run the ordered form, which binds predicate variables: elements in domain
+order, connectives left to right with short-circuit, a restriction over its
+whole domain before the body, a count's body on every restriction element.
+It records flags and witnesses in that order, and raises EvalError (a
+function's gap, a missing symbol, an empty domain, an unbound variable)
+where that order meets it.  An integer sort's domain is a range, never
+materialised per element.  tests/eval_oracle.py keeps the tree walk both
+are checked against.
 """
 
 from __future__ import annotations
@@ -136,7 +138,6 @@ def _result(value, rec):
 class SquareReport:
     corners: dict            # name -> bool; All/Some/No/NotAll
     relations: dict          # relation name -> bool (holds in this model)
-    existential_import: bool
 
 
 def check_square(model, a, b, existential_import=False):
@@ -164,7 +165,7 @@ def check_square(model, a, b, existential_import=False):
         "subalternation-A-I": (not corners["All"]) or corners["Some"],
         "subalternation-E-O": (not corners["No"]) or corners["NotAll"],
     }
-    return SquareReport(corners, relations, existential_import)
+    return SquareReport(corners, relations)
 
 
 # ---------------------------------------------------------------------------

@@ -71,13 +71,12 @@ class SourceSpan:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str
     message: str
     span: SourceSpan
 
     def __str__(self):
-        return "%s:%d:%d: %s" % (self.severity, self.span.line,
-                                 self.span.column, self.message)
+        return "error:%d:%d: %s" % (self.span.line, self.span.column,
+                                    self.message)
 
 
 class ParseError(Exception):
@@ -131,7 +130,7 @@ def tokenize(text):
     """Tokens of text, ending with one 'eof' at its end.  Raises ParseError
     with a diagnostic for each character that starts no token."""
     toks = _lex(text)
-    diags = [Diagnostic("error", "unexpected character %r" % t[1], _span(text, t))
+    diags = [Diagnostic("unexpected character %r" % t[1], _span(text, t))
              for t in toks if t[0] == "bad"]
     if diags:
         raise ParseError(diags)
@@ -181,8 +180,7 @@ class _P:
         return self.toks[self.i + k]
 
     def fail(self, msg, tok=None):
-        raise ParseError([Diagnostic("error", msg,
-                                     _span(self.src, tok or self.peek()))])
+        raise ParseError([Diagnostic(msg, _span(self.src, tok or self.peek()))])
 
     def expected(self, what):
         self.fail("expected %s, found %r" % (what, self.peek()[1] or "end of input"))
@@ -236,13 +234,15 @@ class _P:
 
     def sorted_formula(self):
         """A formula, sort-checked (errors at its first token) if sig is set."""
-        first = self.peek()
-        f = self.formula()
-        errs = [] if self.sig is None else sx.well_sorted(f, self.sig)
+        return self.checked(self.peek(), self.formula())
+
+    def checked(self, first, e):
+        """e, read from token `first` on, once sort-checked if sig is set."""
+        errs = [] if self.sig is None else sx.well_sorted(e, self.sig)
         if errs:
             span = _span(self.src, first, self.toks[self.i - 1])
-            raise ParseError([Diagnostic("error", e, span) for e in errs])
-        return f
+            raise ParseError([Diagnostic(m, span) for m in errs])
+        return e
 
     def formula(self):
         toks, ops, vals = self.toks, [], []
@@ -381,14 +381,20 @@ def _reduce(ops, vals):
 def parse_formula(text, sig=None, env=None):
     """Parse a formula (or a bare binder/generic term) from text.
 
-    Returns a Formula, or a Term when the whole input is a term.
-    `env` maps free-variable names to sorts.  Raises ParseError carrying
-    located diagnostics.
+    Returns a Formula, or a Term when the whole input is a term; a text
+    that starts with a term it does not end with is read as a formula
+    (`most:s = c and P(c)`).  Either is sort-checked if sig is set.  `env`
+    maps free-variable names to sorts.  Raises ParseError carrying located
+    diagnostics.
     """
     p = _P(tokenize(text), text, sig, env)
-    word = p.peek()[1]
-    term = word in BINDER_KW or (word in GENERIC_KW and p.peek(1)[1] == ":")
-    return p.end(p.term() if term else p.sorted_formula())
+    first = p.peek()
+    if first[1] in BINDER_KW or first[1] in GENERIC_KW and p.peek(1)[1] == ":":
+        t = p.term()
+        if p.peek()[0] == "eof":
+            return p.checked(first, t)
+        p.i = 0
+    return p.end(p.sorted_formula())
 
 
 def parse_term(text, sig=None, env=None):
@@ -438,9 +444,9 @@ def _print(e, prec):
 def _equality_needs_parentheses(f, todo, out):
     """Whether f, an equality about to be printed after `out` and before
     `todo`, needs parentheses though precedence does not ask for them:
-    at the start of the text a term on its left would read as a bare term,
-    and before more text a choice term on its right would take that text
-    into its body."""
+    at the start of the text, so that no formula's text starts with a term,
+    and before more text, which a choice term on its right would take into
+    its body."""
     if not (isinstance(f, Atom) and f.pred == sx.EQ):
         return False
     if not out and isinstance(f.args[0], (Binder, Generic, GenericRestricted)):
@@ -538,7 +544,7 @@ def _checked(result, diags):
 
 
 def _error(src, tok, msg):
-    return Diagnostic("error", msg, _span(src, tok))
+    return Diagnostic(msg, _span(src, tok))
 
 
 def _natural(text):
@@ -819,7 +825,7 @@ def parse_proof_script(text, sig):
             continue
         n = int(num[1])
         if n in lines:
-            diags.append(Diagnostic("error", "duplicate line number %d" % n,
+            diags.append(Diagnostic("duplicate line number %d" % n,
                                     _span(text, num)))
             continue
         lines[n] = line
@@ -827,7 +833,7 @@ def parse_proof_script(text, sig):
     if diags:
         raise ParseError(diags)
     if root is None:
-        raise ParseError([Diagnostic("error", "empty proof script",
+        raise ParseError([Diagnostic("empty proof script",
                                      SourceSpan(0, 0, 1, 1))])
 
     nodes = {}
@@ -838,7 +844,7 @@ def parse_proof_script(text, sig):
             r = int(tok[1])
             if r not in nodes:
                 how = "forward to" if r in lines else "to undefined"
-                diags.append(Diagnostic("error", "line %d refers %s line %d"
+                diags.append(Diagnostic("line %d refers %s line %d"
                                         % (n, how, r), _span(text, tok)))
             premises.append(nodes.get(r))
         nodes[n] = ProofTree(Sequent(hyps, concl), rule, tuple(premises),

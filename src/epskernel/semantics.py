@@ -39,7 +39,6 @@ class Lexicon:
     nouns: dict                  # word -> sort
     iverbs: dict                 # word -> unary predicate name
     tverbs: dict                 # word -> binary predicate name
-    adjectives: dict             # word -> unary predicate name
     pronouns: dict               # word -> sort (sort constraint)
     signature: Signature
 
@@ -77,8 +76,8 @@ def parse_lexicon(text):
     for word, sort in words["noun"].items():
         preds.setdefault(word, (sort,))
     sig = Signature(frozenset(sorts), {}, {}, preds, None)
-    return Lexicon(words["noun"], words["verb"], words["tverb"], words["adj"],
-                   words["pron"], sig)
+    return Lexicon(words["noun"], words["verb"], words["tverb"], words["pron"],
+                   sig)
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +103,12 @@ class Clause:
     obj: object = None
 
 
-def parse_fragment(tokens, lex):
-    """Parse a token sequence (clauses separated by '.') into Clause trees."""
-    if isinstance(tokens, str):
-        tokens = tokens.split()
+def parse_fragment(sentence, lex):
+    """Parse a sentence (clauses separated by '.', words by blanks) into
+    Clause trees."""
     clauses = []
     current = []
-    for tok in tokens:
+    for tok in sentence.split():
         if tok == ".":
             if current:
                 clauses.append(_parse_clause(current, lex))
@@ -143,20 +141,16 @@ class _Toks:
 def _parse_clause(words, lex):
     ts = _Toks(words)
     subject = _parse_np(ts, lex)
-    verb = ts.next()
-    if not _known_verb(verb, lex):
-        raise SemanticsError("unknown verb %r" % verb)
-    verb = _verb_word(verb, lex)
+    word = ts.next()
+    verb = _verb_word(word, lex)
+    if verb is None:
+        raise SemanticsError("unknown verb %r" % word)
     obj = None
     if ts.peek() is not None:
         obj = _parse_np(ts, lex)
     if ts.peek() is not None:
         raise SemanticsError("trailing words after clause: %r" % ts.peek())
     return Clause(subject, verb, obj)
-
-
-def _known_verb(word, lex):
-    return _verb_word(word, lex) is not None
 
 
 def _verb_word(word, lex):
@@ -185,10 +179,10 @@ def _parse_np(ts, lex):
     rel = None
     if ts.peek() == "that":
         ts.next()
-        rv = ts.next()
-        if not _known_verb(rv, lex):
-            raise SemanticsError("unknown verb %r in relative clause" % rv)
-        rv = _verb_word(rv, lex)
+        word = ts.next()
+        rv = _verb_word(word, lex)
+        if rv is None:
+            raise SemanticsError("unknown verb %r in relative clause" % word)
         robj = None
         if rv in lex.tverbs:
             robj = _parse_np(ts, lex)
@@ -204,7 +198,6 @@ def _parse_np(ts, lex):
 class DiscourseState:
     referents: tuple = ()        # (term, sort, noun), most salient first
     presuppositions: tuple = ()
-    formula: object = None       # conjunction of the clauses built so far
 
     def push(self, term, sort, noun):
         return replace(self, referents=((term, sort, noun),) + self.referents)
@@ -218,10 +211,11 @@ class DiscourseState:
         return replace(self, presuppositions=self.presuppositions + (f,))
 
 
-def resolve_pronoun(state, sort_constraint=None):
-    """Topmost sort-compatible referent, promoted to the top of the stack."""
+def resolve_pronoun(state, sort_constraint):
+    """Topmost referent of sort `sort_constraint`, promoted to the top of
+    the stack."""
     for i, (term, sort, _) in enumerate(state.referents):
-        if sort_constraint is None or sort == sort_constraint:
+        if sort == sort_constraint:
             return term, state.promote(i)
     if not state.referents:
         raise SemanticsError("pronoun with no discourse referent")
@@ -233,18 +227,15 @@ def resolve_pronoun(state, sort_constraint=None):
 # logical-form construction
 
 
-def build_logical_form(clauses, lex, state=None, presuppose=False):
+def build_logical_form(clauses, lex, presuppose=False):
     """Build one conjoined formula for a clause sequence; returns the
     formula together with the final discourse state.  With `presuppose`,
     each indefinite's description is asserted of its choice term."""
-    state = state or DiscourseState()
-    if isinstance(clauses, Clause):
-        clauses = [clauses]
+    state = DiscourseState()
     formula = None
     for clause in clauses:
         cf, state = _build_clause(clause, lex, state, presuppose)
         formula = cf if formula is None else And(formula, cf)
-    state = replace(state, formula=formula)
     return formula, state
 
 
@@ -281,7 +272,7 @@ def _build_clause(clause, lex, state, presuppose):
 
     subj = clause.subject
     if isinstance(subj, PronounPhrase):
-        term, state = resolve_pronoun(state, lex.pronouns.get(subj.word))
+        term, state = resolve_pronoun(state, lex.pronouns[subj.word])
         f = vp(term)
     else:
         f, state, subj_extra = _quantified_subject(subj, lex, state, presuppose, vp)
@@ -303,7 +294,7 @@ def _np_term(np, lex, state, presuppose, position):
     """Referential noun phrase (a/some/the/most/many) as an individual term.
     Returns (term, new state, extra assertable conjuncts)."""
     if isinstance(np, PronounPhrase):
-        term, state = resolve_pronoun(state, lex.pronouns.get(np.word))
+        term, state = resolve_pronoun(state, lex.pronouns[np.word])
         return term, state, []
     sort = lex.sort_of_noun(np.noun)
     x = Var("x", sort)

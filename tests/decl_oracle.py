@@ -32,7 +32,7 @@ def parse_signature(text):
         span = SourceSpan(0, len(raw), lineno, 1)
 
         def err(msg):
-            diags.append(Diagnostic("error", msg, span))
+            diags.append(Diagnostic(msg, span))
 
         parts = line.split(None, 1)
         kw = parts[0]
@@ -103,7 +103,7 @@ def parse_model(text):
     where = {}      # (keyword, name) -> (line number, line) of its declaration
 
     def err(msg, lineno, raw):
-        diags.append(Diagnostic("error", msg, SourceSpan(0, len(raw), lineno, 1)))
+        diags.append(Diagnostic(msg, SourceSpan(0, len(raw), lineno, 1)))
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -277,7 +277,7 @@ def parse_model(text):
 def _parse_elem_set(rhs, lineno, raw, diags):
     rhs = rhs.strip()
     if not (rhs.startswith("{") and rhs.endswith("}")):
-        diags.append(Diagnostic("error", "expected '{...}'",
+        diags.append(Diagnostic("expected '{...}'",
                                 SourceSpan(0, len(raw), lineno, 1)))
         return None
     inner = rhs[1:-1].strip()
@@ -306,7 +306,7 @@ def _split_entries(s):
 def _parse_tuple_set(rhs, arity, lineno, raw, diags):
     rhs = rhs.strip()
     if not (rhs.startswith("{") and rhs.endswith("}")):
-        diags.append(Diagnostic("error", "expected '{...}'",
+        diags.append(Diagnostic("expected '{...}'",
                                 SourceSpan(0, len(raw), lineno, 1)))
         return None
     inner = rhs[1:-1].strip()
@@ -320,7 +320,7 @@ def _parse_tuple_set(rhs, arity, lineno, raw, diags):
         else:
             tup = (entry,)
         if len(tup) != arity:
-            diags.append(Diagnostic("error", "tuple %r has arity %d, expected %d"
+            diags.append(Diagnostic("tuple %r has arity %d, expected %d"
                                     % (entry, len(tup), arity),
                                     SourceSpan(0, len(raw), lineno, 1)))
             continue
@@ -376,4 +376,4 @@ def parse_lexicon(text):
     for word, sort in nouns.items():
         preds.setdefault(word, (sort,))
     sig = Signature(frozenset(sorts), {}, {}, preds, None)
-    return Lexicon(nouns, iverbs, tverbs, adjectives, pronouns, sig)
+    return Lexicon(nouns, iverbs, tverbs, pronouns, sig)

@@ -1,6 +1,8 @@
 """The recursive-descent reader that parse_formula, parse_term and
 parse_proof_script used before the operator-precedence front end, kept as
-the differential oracle for tests/test_front_end.py.
+the differential oracle for tests/test_front_end.py.  Its formula entry is
+gone: a text that starts with a term is read by rules it did not have, so
+tests/test_front_end.py builds that entry from this reader's _P.
 
 It tokenizes into Token objects that carry a SourceSpan each, matches
 blanks as tokens, and parses the connectives with one method per
@@ -64,7 +66,7 @@ def tokenize(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             span = SourceSpan(pos, pos + 1, line, pos - bol + 1)
-            diags.append(Diagnostic("error", "unexpected character %r" % text[pos], span))
+            diags.append(Diagnostic("unexpected character %r" % text[pos], span))
             pos += 1
             continue
         kind = m.lastgroup
@@ -105,7 +107,7 @@ class _P:
 
     def fail(self, msg, tok=None):
         tok = tok or self.peek()
-        raise ParseError([Diagnostic("error", msg, tok.span)])
+        raise ParseError([Diagnostic(msg, tok.span)])
 
     def expect(self, text):
         t = self.peek()
@@ -140,7 +142,7 @@ class _P:
         if errs:
             span = SourceSpan(first.span.start, self.toks[self.i - 1].span.end,
                               first.span.line, first.span.column)
-            raise ParseError([Diagnostic("error", e, span) for e in errs])
+            raise ParseError([Diagnostic(e, span) for e in errs])
         return f
 
     def formula(self):
@@ -321,27 +323,6 @@ class _P:
         return Const(name)
 
 
-def parse_formula(text, sig=None, env=None):
-    """Parse a formula (or a bare binder/generic term) from text.
-
-    Returns a Formula, or a Term when the whole input is a term.
-    `env` maps free-variable names to sorts.  Raises ParseError carrying
-    located diagnostics.
-    """
-    toks, diags = tokenize(text)
-    if diags:
-        raise ParseError(diags)
-    p = _P(toks, sig, env)
-    t = p.peek()
-    if t.kind == "ident" and (t.text in BINDER_KW or
-                              (t.text in GENERIC_KW and p.peek(1).text == ":")):
-        result = p.term()
-    else:
-        result = p.sorted_formula()
-    p.end()
-    return result
-
-
 def parse_term(text, sig=None, env=None):
     """Parse a term; `env` maps free-variable names to sorts."""
     toks, diags = tokenize(text)
@@ -395,14 +376,14 @@ def parse_proof_script(text, sig):
             continue
         n = int(num.text)
         if n in lines:
-            diags.append(Diagnostic("error", "duplicate line number %d" % n, num.span))
+            diags.append(Diagnostic("duplicate line number %d" % n, num.span))
             continue
         lines[n] = line
         root = n
     if diags:
         raise ParseError(diags)
     if root is None:
-        raise ParseError([Diagnostic("error", "empty proof script",
+        raise ParseError([Diagnostic("empty proof script",
                                      SourceSpan(0, 0, 1, 1))])
 
     nodes = {}
@@ -413,7 +394,7 @@ def parse_proof_script(text, sig):
             r = int(tok.text)
             if r not in nodes:
                 how = "forward to" if r in lines else "to undefined"
-                diags.append(Diagnostic("error", "line %d refers %s line %d"
+                diags.append(Diagnostic("line %d refers %s line %d"
                                         % (n, how, r), tok.span))
             premises.append(nodes.get(r))
         nodes[n] = ProofTree(Sequent(hyps, concl), rule, tuple(premises),

@@ -26,6 +26,19 @@ def test_parse_error_exit_2(capsys, fixtures):
     assert "error" in err
 
 
+@pytest.mark.parametrize("text, code, out, err", [
+    # a bare term is sort-checked as a formula is
+    ("eps x:s. Q(zz)", 2, "", "error:1:1: unknown constant zz\n"),
+    ("P(eps x:s. Q(zz))", 2, "", "error:1:1: unknown constant zz\n"),
+    # a leading term that does not end the text starts a formula
+    ("most:s = c and P(c)", 0, "(most:s = c) and P(c)\n", ""),
+])
+def test_leading_and_bare_terms_are_read_and_sort_checked(capsys, fixtures, text,
+                                                          code, out, err):
+    assert run(capsys, "parse", "--signature", str(fixtures / "base.sig"),
+               text) == (code, out, err)
+
+
 def test_check_accepted(capsys, fixtures):
     code, out, _ = run(capsys, "check", "--signature",
                        str(fixtures / "base.sig"),

@@ -351,30 +351,71 @@ def test_code_cache_stays_at_its_bound():
     assert info.currsize == info.maxsize == compiled.CODE_CACHE
 
 
+Y, Z = Var("y", "s"), Var("z", "s")
+
+
 @pytest.mark.parametrize("f, env", [
     # free variables bound from an Environment
-    (And(Atom("P", (X,)), Quant(sx.EXISTS, Var("y", "s"), Atom("Q", (X,)),
-                                Atom("P", (Var("y", "s"),)))),
+    (And(Atom("P", (X,)), Quant(sx.EXISTS, Y, Atom("Q", (X,)), Atom("P", (Y,)))),
      Environment().bind("x", "b")),
-    (Quant2(sx.EXISTS2, "X", "s", And(PredApp("Y", X), PredApp("X", Const("c")))),
-     Environment().bind("x", "a").bind_pred("Y", ["a", "c"])),
-    # several free names: each read from its own place
-    (And(And(PredApp("Y", X), Not(PredApp("Z", Var("z", "s")))),
-         Or(Atom("Q", (Var("z", "s"),)), Atom(sx.EQ, (X, Var("z", "s"))))),
-     Environment().bind("x", "a").bind("z", "b").bind_pred("Y", ["a"])
-     .bind_pred("Z", ["a", "c"])),
+    # a free variable read in an element loop
+    (Quant(sx.EXISTS, Y, None, And(Atom("P", (X,)), Atom(sx.EQ, (Y, Const("c"))))),
+     Environment().bind("x", "a")),
+    # several free names, one under not: each read from its own place
+    (And(And(Atom("P", (X,)), Not(Atom("Q", (Z,)))),
+         Or(Atom("Q", (Z,)), Atom(sx.EQ, (X, Z)))),
+     Environment().bind("x", "a").bind("z", "b")),
     # a partial function where it is defined
     (Quant(sx.FORALL, X, Atom("P", (X,)), Atom("Q", (App("f", (Const("c"),)),))),
      None),
-    # predicate variables, one under a choice term
-    (Quant2(sx.FORALL2, "X", "s", Or(Not(PredApp("X", Const("c"))), Quant(
-        sx.EXISTS, X, None, And(PredApp("X", X), Atom("P", (Binder(
-            sx.EPS, Var("y", "s"), PredApp("X", Var("y", "s"))),)))))), None),
+    # a choice term that reads an outer bound variable
+    (Quant(sx.FORALL, Z, None, Or(Not(Atom("P", (Z,))), Quant(
+        sx.EXISTS, X, None, And(Atom("Q", (X,)), Atom("P", (Binder(
+            sx.EPS, Y, Atom(sx.EQ, (Y, Z))),)))))), None),
 ])
 def test_generated_code_runs_without_the_ordered_form(f, env, monkeypatch):
     walks = count_tree_walks(monkeypatch)
     assert_agrees(M, f, env)
     assert walks == []
+
+
+@pytest.mark.parametrize("f, env", [
+    # a bound and a free predicate variable
+    (Quant2(sx.EXISTS2, "X", "s", And(PredApp("Y", X), PredApp("X", Const("c")))),
+     Environment().bind("x", "a").bind_pred("Y", ["a", "c"])),
+    # predicate variables, one under a choice term
+    (Quant2(sx.FORALL2, "X", "s", Or(Not(PredApp("X", Const("c"))), Quant(
+        sx.EXISTS, X, None, And(PredApp("X", X), Atom("P", (Binder(
+            sx.EPS, Y, PredApp("X", Y)),)))))), None),
+])
+def test_predicate_variables_are_left_to_the_ordered_form(f, env, monkeypatch):
+    # the mask form is first-order: each call runs once in STRICT
+    walks = count_tree_walks(monkeypatch)
+    for n in range(1, 3):
+        assert_agrees(M, f, env)
+        assert walks == [compiled.STRICT] * n
+
+
+def test_eval_formula_runs_concept_lifted_formulas_in_record(monkeypatch):
+    # RECORD builds second-order nodes as closures: no sub-mask fails
+    sig = M.signature
+    f = transform.lift_to_concepts(parser.parse_formula(
+        "forall x:s. P(x) implies Q(eps y:s. P(y)) or (exists z:s. Q(z))", sig))
+    assert isinstance(f, Quant2)
+    walks = count_tree_walks(monkeypatch)
+    got = models.eval_formula(M, None, f)
+    assert walks == [compiled.RECORD]
+    assert got == eval_oracle.eval_formula(M, None, f)
+
+
+@pytest.mark.parametrize("text", ["eps x:s. Q(x)", "tau x:s. P(x)",
+                                  "iota x:s. Q(x)", "iota x:s. P(x)"])
+def test_truth_of_a_bare_choice_term_is_its_element(text):
+    t = parser.parse_formula(text, M.signature)
+    assert isinstance(t, Binder)
+    want = eval_oracle.eval_term(M, None, t)
+    assert models.eval_term(M, None, t) == want
+    assert truth(M, t) == want.value
 
 
 # -- what truth derives from a model ---------------------------------------

@@ -1,7 +1,9 @@
 """The operator-precedence front end against the recursive-descent reader it
 replaced (tests/parser_oracle.py): the same tokens, trees and diagnostics;
 inputs nested 3000 deep, which the old reader could not take; and printed
-formulas, which read back as the same formula."""
+formulas, which read back as the same formula.  A text that starts with a
+term is compared with the old reader's own readers: the term, sort-checked,
+when it is the whole input, else the formula."""
 
 import random
 
@@ -13,9 +15,9 @@ from conftest import FIXTURES
 from epskernel import generators as gen
 from epskernel import syntax as sx
 from epskernel.kernel import check_proof
-from epskernel.parser import (ParseError, _span, parse_formula,
-                              parse_proof_script, parse_signature, print_formula,
-                              print_term, tokenize)
+from epskernel.parser import (Diagnostic, ParseError, SourceSpan, _span,
+                              parse_formula, parse_proof_script, parse_signature,
+                              print_formula, print_term, tokenize)
 from epskernel.syntax import And, Atom, Binder, Not, Quant
 from test_compiled import SIG as COMPILED_SIG, formulas as compiled_formulas
 
@@ -90,6 +92,30 @@ def outcome(parse, *args):
         return "error", [str(d) for d in e.diagnostics]
 
 
+def oracle_formula(text, sig):
+    """A formula, or a term that is the whole input, by the old reader's
+    own readers: term() plus well_sorted, else sorted_formula()."""
+    toks, diags = oracle.tokenize(text)
+    if diags:
+        raise ParseError(diags)
+    p = oracle._P(toks, sig)
+    first = p.peek()
+    if p.at_ident(*oracle.BINDER_KW) or \
+            p.at_ident(*oracle.GENERIC_KW) and p.peek(1).text == ":":
+        t = p.term()
+        if p.peek().kind == "eof":
+            errs = [] if sig is None else sx.well_sorted(t, sig)
+            if errs:
+                span = SourceSpan(first.span.start, p.toks[p.i - 1].span.end,
+                                  first.span.line, first.span.column)
+                raise ParseError([Diagnostic(e, span) for e in errs])
+            return t
+        p = oracle._P(toks, sig)
+    f = p.sorted_formula()
+    p.end()
+    return f
+
+
 @given(st.lists(st.sampled_from(TEXT_PIECES) | st.characters(), max_size=40))
 @settings(max_examples=400)
 def test_tokens_and_unexpected_characters_match_the_old_lexer(pieces):
@@ -107,8 +133,12 @@ def test_tokens_and_unexpected_characters_match_the_old_lexer(pieces):
 @example("P(c) or forall2 X . P(c)", None)
 @example("most x . P(x) and most:s = c", gen.SIG_FULL)
 @example("forall x:s (P(x)). Q(x) implies P(c) or Z", gen.SIG_FULL)
+@example("eps x:s. Q(zz)", gen.SIG_FULL)     # a bare term, sort-checked
+@example("most:s = c and P(c)", gen.SIG_FULL)   # a leading term, then more
+@example("most:s(y:s. Q(y)) = c", None)
+@example("tau y:s. P(y) or Z", gen.SIG_FULL)
 def test_formula_fragments_match_the_old_parser(text, sig):
-    assert outcome(parse_formula, text, sig) == outcome(oracle.parse_formula, text, sig)
+    assert outcome(parse_formula, text, sig) == outcome(oracle_formula, text, sig)
 
 
 @given(st.lists(st.sampled_from(SCRIPT_ROWS), min_size=1, max_size=8),
@@ -251,8 +281,8 @@ TAU = Binder("tau", sx.Var("z", "t"), Atom(sx.EQ, (sx.Const("d"), sx.Const("d"))
 
 @given(compiled_formulas())
 @settings(max_examples=500, deadline=None)
-# a choice term's body would take in '= c', and '... or P(c)'; a formula
-# text that starts with a term reads as a bare term
+# a choice term's body would take in '= c', and '... or P(c)'; an equality
+# that starts the text is printed in parentheses
 @example(Atom(sx.EQ, (EPS, sx.Const("c"))))
 @example(sx.Or(Atom(sx.EQ, (sx.Const("d"), TAU)), Atom("P", (sx.Const("c"),))))
 @example(sx.And(Atom(sx.EQ, (sx.Generic("most", "s"), sx.Const("c"))), Atom("Z", ())))
