@@ -42,9 +42,12 @@ def _load_signature(args):
 
 def _threshold(text, flag):
     try:
-        return Fraction(text)
+        theta = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError("bad %s value %r" % (flag, text)) from None
+    if not 0 <= theta <= 1:
+        raise InputError("%s value %r is not in [0, 1]" % (flag, text))
+    return theta
 
 
 def _load_model(args):

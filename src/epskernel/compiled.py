@@ -11,17 +11,21 @@ code on it as it is and fills it only when a read misses (KeyError), then
 runs once more; the ordered form fills it before it runs.
 
 The mask form (TRUTH), which truth runs, is first-order: it is compiled
-once into generated source, shared per shape (_Emitter), one flat Python
-function per formula, one local per node.  A formula in the variable bound
-at slot k is a mask: bit i is set when the formula holds with element i of
-that sort in slot k.  So forall is A & ~B == 0, exists A & B != 0 and the
-count determiners compare popcounts.  A choice term picks from its body's
-mask: eps and eta the lowest set bit, tau the lowest clear bit, iota the
-only set bit, and with none the sort's least element.  The source names no
-symbol (the needs keys come in as a tuple), so formulas equal up to the
-names of their symbols share one code object.  A second-order quantifier or
-a predicate variable's application compiles to a failure, so the calls that
-reach one run in the ordered form, which binds predicate variables.
+once per shape into generated source (_Emitter), one flat Python function
+per formula, one local per node.  A formula in the variable bound at slot k
+is a mask: bit i is set when the formula holds with element i of that sort
+in slot k.  So forall is A & ~B == 0, exists A & B != 0 and the count
+determiners compare popcounts.  A choice term picks from its body's mask:
+eps and eta the lowest set bit, tau the lowest clear bit, iota the only set
+bit, and with none the sort's least element.  The source names no symbol
+(the needs keys come in as a tuple), so formulas equal up to the names of
+their symbols share one code object.  The code cache is keyed by shape
+before emitting: one walk writes a formula's node kinds, variable names
+and symbol positions (_shape_key), and a shape seen before takes its code
+and needs from the cache, with this formula's symbols in their places,
+without running the emitter.  A second-order quantifier or a predicate
+variable's application compiles to a failure, so the calls that reach one
+run in the ordered form, which binds predicate variables.
 
 The ordered form, which eval_formula and eval_term run, is closures
 run(d, env) over a frame `env`: bound variables by depth, slots pre-bound
@@ -41,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import types
 from fractions import Fraction
 from numbers import Rational
@@ -311,17 +316,103 @@ _COUNT_NAMES = {kind: "_count%d" % i for i, kind in enumerate(COUNT_TESTS)}
 _GLOBALS = {"_U": _UNSET, "_fail": _fail,
             **{name: COUNT_TESTS[kind] for kind, name in _COUNT_NAMES.items()}}
 # distinct shapes whose compiled code is kept; a shape past the bound is
-# compiled again when it comes back
+# emitted again when it comes back
 CODE_CACHE = 512
 
 
-@functools.lru_cache(maxsize=CODE_CACHE)
-def _load(source):
-    """The entry function `_run` of generated source, compiled once per
-    source text."""
-    ns = dict(_GLOBALS)
-    exec(compile(source, "<mask form>", "exec"), ns)
-    return ns["_run"]
+class _CodeCache(dict):
+    """Shape key -> what emitting it gave, least recently used first, at
+    most `maxsize` entries; its hits and misses are counted."""
+
+    def __init__(self, maxsize):
+        super().__init__()
+        self.maxsize, self.hits, self.misses = maxsize, 0, 0
+
+    def take(self, key):
+        entry = self.pop(key, None)
+        if entry is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self[key] = entry
+        return entry
+
+    def put(self, key, entry):
+        if len(self) >= self.maxsize:
+            del self[next(iter(self))]
+        self[key] = entry
+
+
+_codes = _CodeCache(CODE_CACHE)
+# a shape key's symbol namespaces, and those of a need key's parts after
+# its tag
+_PREDS, _CONSTS, _FUNCS, _SORTS = range(4)
+_NEED_SYMBOLS = {"dom": (_SORTS,), "ext": (_PREDS,), "const": (_CONSTS,),
+                 "fn": (_FUNCS,), "cfg": (),
+                 **dict.fromkeys(("mask", "row", "col", "diag"), (_PREDS, _SORTS))}
+
+
+def _shape_key(node, head, syms):
+    """node's shape as a flat tuple after `head`: each node's type and its
+    fields that are not symbols, variable names as they are, and each
+    predicate, constant, function and sort name as the index of its first
+    occurrence in its namespace (syms: a name -> index dict for each).  Two
+    formulas with one key differ at most by a renaming of their symbols,
+    one to one in each namespace, and the emitter writes the same code for
+    both.  One walk on an explicit stack, so the key is made and hashed at
+    any depth."""
+    preds, consts, funcs, sorts = syms
+    out = list(head)
+    add = out.extend
+    stack = [node]
+    pop, push = stack.pop, stack.append
+    while stack:
+        e = pop()
+        t = type(e)
+        if t is Atom:
+            p = e.pred
+            add((Atom, p if p == sx.EQ else preds.setdefault(p, len(preds)),
+                 len(e.args)))
+            stack += e.args
+        elif t is Var:
+            add((Var, e.name, sorts.setdefault(e.sort, len(sorts))))
+        elif t is Not:
+            out.append(Not)
+            push(e.body)
+        elif t is And or t is Or or t is Implies:
+            out.append(t)
+            push(e.right)
+            push(e.left)
+        elif t is Quant:
+            add((Quant, e.kind, e.mode, e.restriction is None))
+            push(e.body)
+            if e.restriction is not None:
+                push(e.restriction)
+            push(e.var)
+        elif t is Binder:
+            add((Binder, e.kind))
+            push(e.body)
+            push(e.var)
+        elif t is Const:
+            add((Const, consts.setdefault(e.name, len(consts))))
+        elif t is App:
+            add((App, funcs.setdefault(e.func, len(funcs)), len(e.args)))
+            stack += e.args
+        elif t is Generic:
+            add((Generic, e.kind, sorts.setdefault(e.sort, len(sorts))))
+        elif t is GenericRestricted:
+            add((GenericRestricted, e.kind, sorts.setdefault(e.sort, len(sorts))))
+            push(e.restriction)
+            push(e.var)
+        elif t is Quant2:
+            add((Quant2, e.kind, e.predvar, sorts.setdefault(e.sort, len(sorts))))
+            push(e.body)
+        elif t is PredApp:
+            add((PredApp, e.predvar))
+            push(e.arg)
+        else:               # no node: the emitter fails on it
+            add((None, e))
+    return tuple(out)
 
 
 _OUTER = 1          # deps bit of a name read from env
@@ -375,8 +466,9 @@ class _Emitter:
         self.todo, self.vals = [], []
 
     def emit(self, node, scope, slot=None, sort=None):
-        """(run(d, env), deps) of formula node, its mask over inner `slot`
-        when given: the slots of `scope` below it are outer, read from env."""
+        """(_run(d, env, K), deps) of formula node, its mask over inner
+        `slot` when given: the slots of `scope` below it are outer, read
+        from env, and K holds the need keys in the order of self.keys."""
         self.base = slot if slot is not None else scope[-1][1] + 1 if scope else 0
         if slot is not None:
             self.mask(node, scope, slot, sort, self.root)
@@ -390,9 +482,9 @@ class _Emitter:
         source = "\n".join(self.defs + ["def _run(d, env, K):"] + [
             "    " + (t if v is None else "%s = %s" % (v, t))
             for v, t, _ in self.root.lines] + ["    return " + out, ""])
-        run = _load(source)
-        return types.FunctionType(run.__code__, run.__globals__, "_run",
-                                  (tuple(self.keys),)), self.outer
+        ns = dict(_GLOBALS)
+        exec(compile(source, "<mask form>", "exec"), ns)
+        return ns["_run"], self.outer
 
     # -- locals and regions -----------------------------------------------
 
@@ -779,7 +871,48 @@ class _Compiler:
         return hit[1]
 
     def generated(self, node, scope, slot=None, sort=None):
-        return _Emitter(self).emit(node, scope, slot, sort)
+        """(run(d, env), deps) of formula node's mask form, its mask over
+        inner `slot` when given (_Emitter.emit).  The code comes from the
+        cache when a formula of the same shape, in the same scope and with
+        the same free names met before, was emitted: then its needs are
+        this node's symbols in their places, and the compiler learns the
+        same needs, free names and slots as from emitting."""
+        syms = ({}, {}, {}, {})
+        if slot is not None:        # the mask's sort is sort 0
+            syms[_SORTS][sort] = 0
+        # the slots of a scope are its positions
+        key = _shape_key(node, (slot, tuple(self.frees),
+                                tuple(n for n, _, _ in scope)), syms)
+        entry = _codes.take(key)
+        if entry is None:
+            emitter = _Emitter(self)
+            depth, self.depth, old = self.depth, 0, len(self.frees)
+            run, outer = emitter.emit(node, scope, slot, sort)
+            keys = tuple(emitter.keys)
+            # kept flat, each tag followed by its symbols' indices, and
+            # with the key's strings interned: an entry holds no string of
+            # its own
+            needs = []
+            for need in keys:
+                tag, *parts = need.split(_SEP)
+                needs += (sys.intern(tag), *(syms[ns][part] for ns, part
+                                             in zip(_NEED_SYMBOLS[tag], parts)))
+            _codes.put(tuple(sys.intern(k) if type(k) is str else k for k in key),
+                       (run, tuple(needs), tuple(self.frees[old:]), self.depth,
+                        outer))
+            self.depth = max(depth, self.depth)
+        else:
+            run, needs, frees, depth, outer = entry
+            names = [list(s) for s in syms]
+            keys, it = [], iter(needs)
+            for tag in it:
+                keys.append(self.need(tag, *[names[ns][next(it)]
+                                             for ns in _NEED_SYMBOLS[tag]]))
+            keys = tuple(keys)
+            self.frees += frees
+            self.depth = max(self.depth, depth)
+        return types.FunctionType(run.__code__, run.__globals__, "_run",
+                                  (keys,)), outer
 
     @staticmethod
     def bad(message):      # a node the semantics rejects when it reaches it
@@ -1062,7 +1195,7 @@ def compile_formula(node, mode=TRUTH):
     the pre-bound names' values in frame order, no frame."""
     c = _Compiler(mode)
     if mode == TRUTH:
-        run, _ = _Emitter(c).emit(node, ())
+        run, _ = c.generated(node, ())
         code = (tuple(c.needs), run, tuple(c.frees))
     else:
         run, _ = (c.formula if sx.is_formula(node) else c.term)(node, ())

@@ -722,9 +722,13 @@ def _model_value(p, head):
             p.fail("threshold applies to 'most' or 'many'", first)
         if [t[0] for t in toks] in (["num"], ["num", "bad", "num"]):
             try:
-                return Fraction("".join(words))
+                theta = Fraction("".join(words))
             except (ValueError, ZeroDivisionError):
                 pass
+            else:
+                if 0 <= theta <= 1:
+                    return theta
+                p.fail("threshold %s not in [0, 1]" % "".join(words), first)
         p.fail("bad threshold %r" % "".join(words), first)
     if name != "majority" or words not in (["strict"], ["weak"]):
         p.fail("mode line must be 'mode majority = strict|weak'", first)

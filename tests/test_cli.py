@@ -1,8 +1,10 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
+from epskernel import models
 from epskernel.cli import main
 
 
@@ -278,6 +280,29 @@ def test_zero_denominator_threshold_is_an_input_error(capsys, fixtures, flag):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: bad %s value '1/0'\n" % option
+
+
+@pytest.mark.parametrize("argv", [["eval", "--theta", "2"],
+                                  ["eval", "--theta-many", "3/2"],
+                                  ["classify", "--theta=-1/2"]])
+def test_threshold_outside_0_1_is_an_input_error(capsys, fixtures, argv):
+    command, option = argv[0], argv[1].split("=")[0]
+    value = argv[-1].split("=")[-1]
+    argv += ["most"] if command == "classify" else [
+        "--model", str(fixtures / "density.model"), "most x:nat. not prime(x)"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: %s value %r is not in [0, 1]\n" % (option, value)
+    # the bounds themselves are thresholds, and the library takes any
+    assert run(capsys, "classify", "--theta", "1", "most")[0] == 0
+    assert models.classify_quantifier("most", 3, theta=Fraction(2)).name == "most"
+
+
+def test_model_threshold_outside_0_1_is_located(capsys, tmp_path):
+    model = tmp_path / "theta.model"
+    model.write_text("sort s = {a}\nthreshold most = 7\n")
+    code, out, err = run(capsys, "eval", "--model", str(model), "exists x:s. x = x")
+    assert (code, out, err) == (2, "", "error:2:1: threshold 7 not in [0, 1]\n")
 
 
 @pytest.mark.parametrize("text, formula, diagnostic", [

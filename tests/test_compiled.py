@@ -12,6 +12,7 @@ import gc
 import itertools
 import pickle
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -329,9 +330,9 @@ def test_formulas_equal_up_to_names_share_one_code_object():
     g = parser.parse_formula("exists x:t (A(x)). B(eps y:t. not A(y) or y = d) "
                              "or B(g(d)) and (most z:t. A(z))", RENAMED.signature)
     run_f = compiled.compile_formula(f)[1]
-    hits = compiled._load.cache_info().hits
+    hits = compiled._codes.hits
     run_g = compiled.compile_formula(g)[1]
-    assert compiled._load.cache_info().hits == hits + 1
+    assert compiled._codes.hits == hits + 1
     assert run_f is not run_g and run_f.__code__ is run_g.__code__
     assert run_f.__code__.co_filename == "<mask form>"
     assert_agrees(M, f)
@@ -347,8 +348,8 @@ def test_code_cache_stays_at_its_bound():
         f = functools.reduce(And, [Not(a) if i >> k & 1 else a
                                    for k, a in enumerate(conjuncts)])
         assert truth(M, f) == (i == 0)
-    info = compiled._load.cache_info()
-    assert info.currsize == info.maxsize == compiled.CODE_CACHE
+    codes = compiled._codes
+    assert len(codes) == codes.maxsize == compiled.CODE_CACHE
 
 
 Y, Z = Var("y", "s"), Var("z", "s")
@@ -481,3 +482,189 @@ def test_a_model_and_its_derived_values_form_no_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# -- the code cache, keyed by shape ----------------------------------------
+
+# a one-to-one renaming of SIG's symbols: sorts and constants swapped,
+# predicates in a cycle
+RENAME = {"sort": {"s": "t", "t": "s"}, "const": {"c": "d", "d": "c"},
+          "func": {"f": "g"},
+          "pred": {"P": "Q", "Q": "R", "R": "S", "S": "Z", "Z": "P"}}
+
+
+def renamed(e):
+    """Node e with its symbols renamed by RENAME."""
+    t, sort = type(e), RENAME["sort"]
+    if t is Var:
+        return Var(e.name, sort[e.sort])
+    if t is Const:
+        return Const(RENAME["const"][e.name])
+    if t is App:
+        return App(RENAME["func"][e.func], tuple(map(renamed, e.args)))
+    if t is Atom:
+        return Atom(RENAME["pred"].get(e.pred, e.pred), tuple(map(renamed, e.args)))
+    if t is Generic:
+        return Generic(e.kind, sort[e.sort])
+    if t is GenericRestricted:
+        return GenericRestricted(e.kind, sort[e.sort], renamed(e.var),
+                                 renamed(e.restriction))
+    if t is Quant2:
+        return Quant2(e.kind, e.predvar, sort[e.sort], renamed(e.body))
+    if t is Quant:
+        return Quant(e.kind, renamed(e.var), e.restriction and renamed(e.restriction),
+                     renamed(e.body), e.mode)
+    if t is Binder:
+        return Binder(e.kind, renamed(e.var), renamed(e.body))
+    if t is PredApp:
+        return PredApp(e.predvar, renamed(e.arg))
+    if t is Not:
+        return Not(renamed(e.body))
+    return t(renamed(e.left), renamed(e.right))
+
+
+def renamed_model(m):
+    sort, func, pred = RENAME["sort"], RENAME["func"], RENAME["pred"]
+    sig = m.signature
+    return dataclasses.replace(
+        m, signature=Signature(
+            frozenset(sort[s] for s in sig.sorts),
+            {RENAME["const"][c]: sort[s] for c, s in sig.constants.items()},
+            {func[f]: (tuple(sort[s] for s in args), sort[r])
+             for f, (args, r) in sig.functions.items()},
+            {pred[p]: tuple(sort[s] for s in args)
+             for p, args in sig.predicates.items()}),
+        domains={sort[s]: d for s, d in m.domains.items()},
+        preds={pred[p]: ext for p, ext in m.preds.items()},
+        consts={RENAME["const"][c]: e for c, e in m.consts.items()},
+        funcs={func[f]: table for f, table in m.funcs.items()})
+
+
+def helpers(run):
+    """The code objects of the functions generated code calls."""
+    return {name: fn.__code__ for name, fn in run.__globals__.items()
+            if name.startswith("_f") and hasattr(fn, "__code__")}
+
+
+@given(formulas(), small_models())
+@settings(max_examples=300, deadline=None)
+def test_a_renamed_formula_gets_the_code_of_a_fresh_emission(f, m):
+    g, rm = renamed(f), renamed_model(m)
+    codes = compiled._codes
+    codes.clear()
+    compiled.compile_formula(f)
+    hits, misses = codes.hits, codes.misses
+    needs, run, frees = compiled.compile_formula(g)
+    assert (codes.hits, codes.misses) == (hits + 1, misses)
+    assert_agrees(rm, g)
+    # RECORD's sub-masks come from entries that f's made too
+    compiled.compile_formula(f, compiled.RECORD)
+    assert outcome(lambda: models.eval_formula(rm, None, g)) \
+        == outcome(lambda: eval_oracle.eval_formula(rm, None, g))
+    codes.clear()
+    fresh_needs, fresh, fresh_frees = compiled.compile_formula(g)
+    assert (needs, frees) == (fresh_needs, fresh_frees)
+    assert run.__code__.co_code == fresh.__code__.co_code
+    assert run.__code__ == fresh.__code__ and helpers(run) == helpers(fresh)
+
+
+PAIRS = parser.parse_model("sort s = {a,b}\nconst c : s = a\npred P : s = {a}\n"
+                           "pred Q : s = {b}\npred R : s, s = {(a,a)}")
+P_X = Atom("P", (X,))
+EPS_Q = Binder(sx.EPS, X, Atom("Q", (X,)))
+
+
+@pytest.mark.parametrize("a, b, env, values", [
+    ("P(c) and Q(c)", "P(c) and P(c)", None, (False, True)),
+    (Quant(sx.MOST, X, None, P_X, "strict"), Quant(sx.MOST, X, None, P_X, "weak"),
+     None, (False, True)),
+    ("R(eps x:s. P(x), eps x:s. P(x))", "R(eps x:s. P(x), eps y:s. P(y))", None,
+     (True, True)),
+    (P_X, Atom("P", (Y,)), Environment().bind("x", "a").bind("y", "b"),
+     (True, False)),
+    # a restriction, or a body whose quantifier has one
+    ("exists x:s (forall y:s. P(y)). Q(x)", "exists x:s. forall y:s (P(y)). Q(x)",
+     None, (False, True)),
+    # = is not a predicate symbol
+    (Atom("R", (EPS_Q, EPS_Q)), Atom(sx.EQ, (EPS_Q, EPS_Q)), None, (False, True)),
+    # an atom's arity: c and eps's body P(x), or eps's body P(c, x)
+    ("R(c, eps x:s. P(x))", Atom("R", (Binder(sx.EPS, X, Atom("P", (Const("c"), X))),)),
+     None, (True, False)),
+])
+def test_shapes_that_differ_get_entries_of_their_own(a, b, env, values):
+    fa, fb = (parser.parse_formula(t, PAIRS.signature) if isinstance(t, str)
+              else t for t in (a, b))
+    codes = compiled._codes
+    codes.clear()
+    compiled.compile_formula(fa)
+    misses = codes.misses
+    compiled.compile_formula(fb)
+    assert codes.misses == misses + 1 and len(codes) == 2
+    for f in (fa, fb):
+        assert_agrees(PAIRS, f, env)
+    assert (truth(PAIRS, fa, env), truth(PAIRS, fb, env)) == values
+
+
+@pytest.mark.parametrize("mode", [compiled.TRUTH, compiled.RECORD])
+def test_a_hit_runs_no_emitter(mode, monkeypatch):
+    emits, emit = [], compiled._Emitter.emit
+
+    def counting(self, node, scope, slot=None, sort=None):
+        emits.append(slot)
+        return emit(self, node, scope, slot, sort)
+    monkeypatch.setattr(compiled._Emitter, "emit", counting)
+    text = "exists x:s. P(x) and Q(eps y:s. (forall z:s. P(z) implies P(y)) or y = c)"
+    compiled._codes.clear()
+    first = compiled.compile_formula(parser.parse_formula(text, M.signature), mode)
+    # RECORD emits the choice body's mask over y's slot, which binds z
+    assert emits == ([None] if mode == compiled.TRUTH else [1])
+    f = parser.parse_formula(text, M.signature)
+    code = compiled.compile_formula(f, mode)
+    assert len(emits) == 1
+    # the same needs, free names and frame as from emitting
+    assert (code[0], *code[2:]) == (first[0], *first[2:])
+    if mode == compiled.TRUTH:
+        assert code[1].__code__ is first[1].__code__
+    walks = count_tree_walks(monkeypatch)
+    assert_agrees(M, f)
+    assert models.eval_formula(M, None, f) == eval_oracle.eval_formula(M, None, f)
+    assert walks == [compiled.RECORD]
+
+
+W = Var("w", "s")
+
+
+@pytest.mark.parametrize("first, second, env", [
+    # a free x and an x bound in the scope read from different places
+    (Quant(sx.EXISTS, X, None, Atom("Q", (Binder(sx.EPS, Z, Atom(sx.EQ, (Z, X))),))),
+     Quant(sx.EXISTS, W, None, Atom("Q", (Binder(sx.EPS, Z, Atom(sx.EQ, (Z, X))),))),
+     Environment().bind("x", "a")),
+    # x is the first free name, then the second
+    (Quant(sx.EXISTS, Z, None, And(Atom("Q", (X,)), Atom("P", (Z,)))),
+     And(Not(Atom("P", (Y,))),
+         Quant(sx.EXISTS, Z, None, And(Atom("Q", (X,)), Atom("P", (Z,))))),
+     Environment().bind("x", "b").bind("y", "c")),
+])
+def test_record_sub_masks_are_keyed_by_scope_and_free_names(first, second, env):
+    compiled._codes.clear()
+    for f in (first, second):
+        assert models.eval_formula(M, env, f) == eval_oracle.eval_formula(M, env, f)
+    assert len(compiled._codes) == 2
+
+
+@pytest.mark.parametrize("text", ["not " * 10 ** 4 + "P(c)",
+                                  "P(c) implies " * 10 ** 4 + "Q(c)",
+                                  "forall x:s. " * 10 ** 4 + "P(x)"],
+                         ids=["not", "implies", "prefix"])
+def test_deep_formulas_are_keyed_and_hit(text):
+    # the key is a flat tuple: made and hashed at any depth
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        want = truth(M, parser.parse_formula(text, M.signature))
+        hits = compiled._codes.hits
+        assert truth(M, parser.parse_formula(text, M.signature)) is want
+        assert compiled._codes.hits == hits + 1
+    finally:
+        sys.setrecursionlimit(limit)
+    assert want is text.startswith("not")

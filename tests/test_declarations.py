@@ -105,7 +105,8 @@ def test_newly_rejected_inputs():
     for text in ["sort s = {a b, c}", "sort s = {a,}",
                  "sort s = {a}\npred P : s = {a}\npred P : s = {}",
                  "sort s = {a}\nconst c : s = a\nconst c : s = a",
-                 "threshold most = -0.5", "threshold most = 1e-1"]:
+                 "threshold most = -0.5", "threshold most = 1e-1",
+                 "threshold most = 7"]:
         assert outcome(oracle.parse_model, text) != "rejected"
         assert outcome(parser.parse_model, text) == "rejected", text
 
