@@ -8,36 +8,40 @@ predicate (a sieve or a slice for a builtin), the rows, columns or diagonal
 of a binary one, constants, function tables and the settings.  Each is
 derived once per model and kept in the model's plain dict: truth runs the
 code on it as it is and fills it only when a read misses (KeyError), then
-runs once more; the ordered form fills it before it runs.
+runs once more; RECORD fills it before it runs, and STRICT derives each
+value into a dict of its own (_Lazy) where the semantics reads it.
 
-The mask form (TRUTH), which truth runs, is first-order: it is compiled
-once per shape into generated source (_Emitter), one flat Python function
-per formula, one local per node.  A formula in the variable bound at slot k
-is a mask: bit i is set when the formula holds with element i of that sort
-in slot k.  So forall is A & ~B == 0, exists A & B != 0 and the count
-determiners compare popcounts.  A choice term picks from its body's mask:
-eps and eta the lowest set bit, tau the lowest clear bit, iota the only set
-bit, and with none the sort's least element.  The source names no symbol
-(the needs keys come in as a tuple), so formulas equal up to the names of
-their symbols share one code object.  The code cache is keyed by shape
-before emitting: one walk writes a formula's node kinds, variable names
-and symbol positions (_shape_key), and a shape seen before takes its code
-and needs from the cache, with this formula's symbols in their places,
-without running the emitter.  A second-order quantifier or a predicate
-variable's application compiles to a failure, so the calls that reach one
-run in the ordered form, which binds predicate variables.
+One generator (_Emitter) writes every form as Python source: one flat
+function per node, one local per subnode, with each element loop and each
+short-circuit's right operand a function of its own, so the source nests
+boundedly at any depth.  The source names no symbol (the needs keys and the
+nodes it names come in as tuples), so nodes equal up to the names of their
+symbols share one code object.  The code cache is keyed by form and shape
+before emitting: one walk writes a node's kinds, variable names and symbol
+positions (_shape_key), and a shape seen before takes its code from the
+cache, with this node's symbols and nodes in their places, without running
+the emitter.
 
-The ordered form, which eval_formula and eval_term run, is closures
-run(d, env) over a frame `env`: bound variables by depth, slots pre-bound
-from the Environment, then a _Rec.  It keeps the order of the semantics and
-records flags and witnesses as it goes; it takes the mask of a quantifier
-body, restriction or choice body that is first-order and has nothing to
-record (no choice or generic term, no count quantifier) from that
-subformula's generated code (RECORD), and STRICT orders everything.
-Whatever the mask form or RECORD raises (a partial function's gap, a
-missing symbol, an empty domain, an unbound variable) they may have met
-where the semantics would not look, so the call runs again in STRICT, which
-raises EvalError where the semantics does.
+The mask form (TRUTH), which truth runs, is first-order.  A formula in the
+variable bound at slot k is a mask: bit i is set when the formula holds
+with element i of that sort in slot k.  So forall is A & ~B == 0, exists
+A & B != 0 and the count determiners compare popcounts.  A choice term
+picks from its body's mask: eps and eta the lowest set bit, tau the lowest
+clear bit, iota the only set bit, and with none the sort's least element.
+A second-order quantifier loops over its sort's subsets, and a predicate
+variable holds one as a mask.
+
+The ordered form, which eval_formula and eval_term run, keeps the order of
+the semantics: elements in domain order, an early exit once a quantifier's
+value is settled, a count's body on every restriction element.  It records
+flags and witnesses (a _Rec) as it goes, and picks a closed choice term once
+per call.  RECORD writes a subformula that has nothing to record (no choice
+or generic term, no count, no second-order node) in the mask form, inside
+the same function; STRICT writes everything ordered.  Whatever the mask form
+or RECORD raises (a partial function's gap, a missing symbol, an empty
+domain, an unbound variable) they may have met where the semantics would
+not look, so the call runs again in STRICT, which raises EvalError where the
+semantics does.
 """
 
 from __future__ import annotations
@@ -165,11 +169,6 @@ _shape = functools.lru_cache(maxsize=256)(_Shape)
 def _low(shape, mask):
     """Element at the lowest set bit of mask, else the least element."""
     return shape.elems[(mask & -mask).bit_length() - 1] if mask else shape.elems[0]
-
-
-def _positions(mask):
-    """Positions of the set bits of mask, lowest first."""
-    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 def _subsets(shape):
@@ -305,15 +304,50 @@ def _generic_quant(f):
 
 
 # ---------------------------------------------------------------------------
-# the mask form as generated source
+# generated source: what it calls, and the cache of its code by shape
 
 
 def _fail():
     raise EvalError("left to the ordered form")
 
 
+def _raise(message, *nodes):
+    """STRICT's failure where the semantics meets it; `nodes` fill the
+    message."""
+    raise EvalError(message % nodes if nodes else message)
+
+
+def _app(table, key, t):
+    """Function application t's value at the argument tuple `key`."""
+    try:
+        return table[key]
+    except KeyError:
+        raise EvalError("function %s undefined at %r" % (t.func, key)) from None
+
+
+def _counted(rec, hits, total, regime=None):
+    """Record a count quantifier's flag from the masks of its hits and of
+    its restriction: an empty restriction, else most's and many's ratio.  A
+    starred quantifier (its regime given) records one in regime B only."""
+    if regime == "A":
+        return
+    if not total:
+        rec.flag(FLAG_EMPTY_RESTRICTION)
+    elif regime is None:
+        rec.flag("most-ratio %s" % Fraction(hits.bit_count(), total.bit_count()))
+
+
+def _replay(rec, hit):
+    """A closed choice term met again: its element.  The witnesses its pick
+    recorded are recorded once more."""
+    rec.witnesses.extend(rec.witnesses[hit[1]:hit[2]])
+    return hit[0]
+
+
 _COUNT_NAMES = {kind: "_count%d" % i for i, kind in enumerate(COUNT_TESTS)}
-_GLOBALS = {"_U": _UNSET, "_fail": _fail,
+_GLOBALS = {"_U": _UNSET, "_fail": _fail, "_raise": _raise, "_app": _app,
+            "_counted": _counted, "_replay": _replay, "_low": _low,
+            "_subsets": _subsets,
             **{name: COUNT_TESTS[kind] for kind, name in _COUNT_NAMES.items()}}
 # distinct shapes whose compiled code is kept; a shape past the bound is
 # emitted again when it comes back
@@ -352,22 +386,24 @@ _NEED_SYMBOLS = {"dom": (_SORTS,), "ext": (_PREDS,), "const": (_CONSTS,),
                  **dict.fromkeys(("mask", "row", "col", "diag"), (_PREDS, _SORTS))}
 
 
-def _shape_key(node, head, syms):
+def _shape_key(node, head, syms, nodes):
     """node's shape as a flat tuple after `head`: each node's type and its
     fields that are not symbols, variable names as they are, and each
     predicate, constant, function and sort name as the index of its first
     occurrence in its namespace (syms: a name -> index dict for each).  Two
     formulas with one key differ at most by a renaming of their symbols,
     one to one in each namespace, and the emitter writes the same code for
-    both.  One walk on an explicit stack, so the key is made and hashed at
-    any depth."""
+    both.  The nodes go on `nodes` in the order of the walk, each parent
+    before its children.  One walk on an explicit stack, so the key is made
+    and hashed at any depth."""
     preds, consts, funcs, sorts = syms
     out = list(head)
-    add = out.extend
+    add, keep = out.extend, nodes.append
     stack = [node]
     pop, push = stack.pop, stack.append
     while stack:
         e = pop()
+        keep(e)
         t = type(e)
         if t is Atom:
             p = e.pred
@@ -415,7 +451,7 @@ def _shape_key(node, head, syms):
     return tuple(out)
 
 
-_OUTER = 1          # deps bit of a name read from env
+_FREE = 1           # deps bit of a free name, read from env
 
 
 def _bit(slot):
@@ -423,68 +459,109 @@ def _bit(slot):
     return 2 << slot
 
 
+_RECORDS = (Binder, Generic, GenericRestricted, Quant2, PredApp)
+
+
+def _recording(nodes):
+    """ids of the nodes that can record a flag or a witness or that bind a
+    predicate variable (a choice or generic term, a count quantifier, a
+    second-order node), and of those that hold one.  `nodes` lists each
+    parent before its children."""
+    out = set()
+    for e in reversed(nodes):
+        if isinstance(e, _RECORDS) or \
+                type(e) is Quant and e.kind not in (sx.FORALL, sx.EXISTS) or \
+                any(id(k) in out for k in sx.children(e)):
+            out.add(id(e))
+    return out
+
+
 class _Region:
     """One generated function: the entry, an element loop over `slot` (its
-    element is the local `var`), a short-circuit's right operand or a choice
-    term being written.  Its lines are (local or None, text, locals read);
-    the locals it reads and does not define are its parameters.  A line
-    moves out of a loop whose slot it does not read, but not past `stop`,
-    the nearest region without a slot."""
+    element, or a predicate variable's subset mask, is the local `var`), a
+    short-circuit's right operand or a choice term being written.  Its lines
+    are (local or None, text, locals read); the locals it reads and does not
+    define are its parameters.  A line moves out of a mask loop whose slot
+    it does not read, but not past `stop`, the nearest region that is not a
+    mask loop: an ordered loop runs its lines on each element in turn."""
 
     __slots__ = ("slot", "var", "lines", "reads", "depth", "stop")
 
-    def __init__(self, parent, slot=None, var=None):
+    def __init__(self, parent, slot=None, var=None, ordered=False):
         self.slot, self.var, self.lines, self.reads = slot, var, [], {}
         self.depth = parent.depth + 1 if parent else 0
-        self.stop = self if slot is None else parent.stop
+        self.stop = self if slot is None or ordered else parent.stop
 
 
 class _Emitter:
-    """Writes a node's mask form out as Python source and compiles it.
+    """Writes a formula or term out as Python source in form `mode` and
+    compiles it.
 
     Each node gets one local, written in the outermost region whose loops
-    bind every slot it reads.  Needs, the shapes' attributes and names read
-    from env are read once, at the entry, as is a closed choice term.  An
-    element loop and the right operand of a short-circuit are functions of
-    their own, so the source nests boundedly at any depth; a short-circuit
-    whose value its function returns instead returns early when its left
-    operand settles it, so a right-nested chain is one function.
+    bind every slot it reads.  Needs, the shapes' attributes and free names
+    are read once, at the entry, as is the mask form's closed choice term;
+    STRICT reads each need where the semantics does instead.  An element
+    loop and the right operand of a short-circuit are functions of their
+    own; a short-circuit whose value its function returns instead returns
+    early when its left operand settles it, so a right-nested chain is one
+    function.  Flags and witnesses are statements, written where the
+    ordered form reaches them, and nothing moves out of an ordered loop.
     The walk keeps its pending work on one stack (todo) and the locals of
-    finished nodes on another (vals)."""
+    finished nodes on another (vals).  A scope is a chain of links (name,
+    slot, domain key of a predicate variable's subsets, outer scope)."""
 
-    def __init__(self, c):
-        self.c = c              # the _Compiler: needs, slots and free names
+    def __init__(self, mode, nodes):
+        self.mode, self.strict = mode, mode == STRICT
+        self.nodes = nodes      # the node's nodes, in _shape_key's order
+        self.recording = _recording(nodes) if mode == RECORD else None
+        self.index = None       # id(node) -> its index in nodes
+        self.used = {}          # index in nodes -> index in T
         self.keys = {}          # need key -> its index in K
+        self.frees = []         # (Environment field, name) per free name
         self.entry = {}         # need, attribute or env index -> entry local
-        self.home, self.deps = {}, {}   # local -> region, slots read
-        self.defs = []          # source of each helper function
-        self.closed = {}        # closed choice term -> its local
-        self.loops = {}         # inner slot -> the loop region binding it
-        self.outer = 0          # outer slots read, -1 with a free name
-        self.count = 0
         self.root = _Region(None)
+        # the run function's parameters, which STRICT reads where it needs
+        self.home = dict.fromkeys(("d", "K", "T", "env"), self.root)
+        self.deps = {"d": 0, "K": 0, "T": 0, "env": _FREE}   # local -> slots read
+        self.defs = []          # source of each helper function
+        self.closed = {}        # closed choice term -> its local, or its call
+        self.loops = {}         # inner slot -> the loop region binding it
+        self.memos = 0          # closed choice terms of the ordered form
+        self.count = 0
         self.todo, self.vals = [], []
 
-    def emit(self, node, scope, slot=None, sort=None):
-        """(_run(d, env, K), deps) of formula node, its mask over inner
-        `slot` when given: the slots of `scope` below it are outer, read
-        from env, and K holds the need keys in the order of self.keys."""
-        self.base = slot if slot is not None else scope[-1][1] + 1 if scope else 0
-        if slot is not None:
-            self.mask(node, scope, slot, sort, self.root)
+    def emit(self, node):
+        """_run(d, env, K) of the mask form, _run(d, env, K, T) of the
+        ordered form: K holds the need keys in the order of self.keys, env
+        the free names' values (name i at index -2 - i, the ordered form's
+        _Rec at -1), T the nodes that witnesses and messages name, in the
+        order of self.used."""
+        if self.mode == TRUTH or sx.is_formula(node):
+            self.formula(node, None, self.root, True)
         else:
-            self.formula(node, scope, self.root, True)
+            self.term(node, None, self.root)
         todo = self.todo
         while todo:
             fn, *args = todo.pop()
             fn(*args)
         out, = self.vals
-        source = "\n".join(self.defs + ["def _run(d, env, K):"] + [
+        head = "def _run(d, env, K%s):" % ("" if self.mode == TRUTH else ", T")
+        source = "\n".join(self.defs + [head] + [
             "    " + (t if v is None else "%s = %s" % (v, t))
             for v, t, _ in self.root.lines] + ["    return " + out, ""])
         ns = dict(_GLOBALS)
-        exec(compile(source, "<mask form>", "exec"), ns)
-        return ns["_run"], self.outer
+        exec(compile(source, "<mask form>" if self.mode == TRUTH else
+                     "<ordered form>", "exec"), ns)
+        return ns["_run"]
+
+    def orders(self, e):
+        """Whether e is written in the ordered form: every node in STRICT,
+        in RECORD one that records or holds one (a generic atom's count
+        quantifier too), none in TRUTH."""
+        if self.recording is None:
+            return self.strict
+        return id(e) in self.recording or \
+            type(e) is Quant and e.kind not in (sx.FORALL, sx.EXISTS)
 
     # -- locals and regions -----------------------------------------------
 
@@ -519,6 +596,11 @@ class _Emitter:
     def op(self, reg, template, *reads):
         return self.put(reg, template % reads, reads)
 
+    def stmt(self, reg, text, *reads):
+        """A statement in reg, where it is written."""
+        reg.lines.append((None, text, reads))
+        reg.reads.update(dict.fromkeys(reads))
+
     def combine(self, reg, template, n, *pre):
         self.vals.append(self.op(reg, template, *pre, *self.pop(n)))
 
@@ -527,26 +609,38 @@ class _Emitter:
         del self.vals[len(self.vals) - n:]
         return out
 
-    def loop_region(self, reg, slot):
-        loop = self.loops[slot] = _Region(reg, slot, self.new("e"))
+    def loop_region(self, reg, slot, ordered=False):
+        loop = self.loops[slot] = _Region(reg, slot, self.new("e"), ordered)
         self.home[loop.var], self.deps[loop.var] = loop, _bit(slot)
         return loop
 
-    def close(self, reg, head, tail):
+    def close(self, reg, head, tail, pad="    "):
         """Write region reg out as a function: (its call, its parameters)."""
         params = [v for v in reg.reads if self.home[v] is not reg]
         name = "_f%d" % len(self.defs)
-        pad = "        " if head else "    "
         self.defs.append("\n".join(
             ["def %s(%s):" % (name, ", ".join(params))] + head +
             [pad + (t if v is None else "%s = %s" % (v, t))
              for v, t, _ in reg.lines] + tail))
         return "%s(%s)" % (name, ", ".join(params)), params
 
+    def bad(self, reg, message, node=None):
+        """A node the semantics rejects where it meets it: the mask form and
+        RECORD fail over to STRICT, which raises the semantics' message (with
+        `node` put in)."""
+        if not self.strict:
+            v = self.put(reg, "_fail()", ())
+        elif node is None:
+            v = self.put(reg, "_raise(%r)" % message, ())
+        else:
+            v = self.put(reg, "_raise(%r, T[%d])" % (message, self.node(node)),
+                         ("T",))
+        self.vals.append(v)
+
     # -- what the entry reads once ----------------------------------------
 
     def need(self, *parts):
-        key = self.c.need(*parts)
+        key = _SEP.join(parts)
         self.keys.setdefault(key, len(self.keys))
         return key
 
@@ -564,17 +658,56 @@ class _Emitter:
             return self.at_entry((key, attr), self.value(key) + attr)
         return self.at_entry(key, "d[K[%d]]" % self.keys[key])
 
-    def name(self, scope, name):
-        """Local of a variable: an inner slot's element, else what env holds
-        at its frame index (a free variable's raises when unbound)."""
-        slot, _ = self.c.lookup(scope, name)
-        if slot >= self.base:
+    def read(self, reg, key, attr=""):
+        """value(key, attr), which STRICT reads in reg, where it is used."""
+        if not self.strict:
+            return self.value(key, attr)
+        return self.put(reg, "d[K[%d]]%s" % (self.keys[key], attr), ("d", "K"))
+
+    def rec(self):
+        """The ordered form's _Rec."""
+        return self.at_entry("rec", "env[-1]")
+
+    def node(self, e):
+        """The index in T of node e, which a witness or a message names."""
+        if self.index is None:
+            self.index = {id(n): i for i, n in enumerate(self.nodes)}
+        return self.used.setdefault(self.index[id(e)], len(self.used))
+
+    def bind(self, scope, name, dk=None):
+        """(slot, inner scope) of a binding of `name`; a predicate variable's
+        name starts with _SEP and carries the domain key of its subsets."""
+        slot = scope[1] + 1 if scope else 0
+        return slot, (name, slot, dk, scope)
+
+    def lookup(self, scope, name):
+        """(slot, domain key) of name's innermost binding; a free name gets
+        the negative index of its value in env."""
+        while scope:
+            if scope[0] == name:
+                return scope[1], scope[2]
+            scope = scope[3]
+        key = ("predvars", name[1:]) if name[0] == _SEP else ("vars", name)
+        if key not in self.frees:
+            self.frees.append(key)
+        return -2 - self.frees.index(key), None
+
+    def name(self, scope, name, reg):
+        """Local of a variable or a predicate variable: a bound slot's,
+        else what env holds at its index.  An unbound free name fails at the
+        entry, and in STRICT raises where it is read."""
+        slot, _ = self.lookup(scope, name)
+        if slot >= 0:
             return self.loops[slot].var
+        if self.strict:
+            v = self.put(reg, "env[%d]" % slot, ("env",))
+            self.stmt(reg, "if %s is _U: _raise(%r)" % (v, "unbound " + (
+                "predicate variable " + name[1:] if name[0] == _SEP else
+                "variable " + name)), v)
+            return v
         if slot not in self.entry:
-            self.outer |= -1 if slot < 0 else 1 << slot
-            v = self.at_entry(slot, "env[%d]" % slot, _OUTER)
-            if slot < 0:
-                self.root.lines.append((None, "if %s is _U: _fail()" % v, ()))
+            v = self.at_entry(slot, "env[%d]" % slot, _FREE)
+            self.root.lines.append((None, "if %s is _U: _fail()" % v, ()))
         return self.entry[slot]
 
     # -- formulas as booleans ---------------------------------------------
@@ -602,26 +735,32 @@ class _Emitter:
             todo.append((self.formula, f.left, scope, reg))
         elif t is Quant and f.kind in sx.QUANT_KINDS:
             self.quant(f, scope, reg)
-        else:       # second-order, or a node the semantics rejects
-            self.vals.append(self.put(reg, "_fail()", ()))
+        elif t is Quant:
+            self.bad(reg, "unknown quantifier kind %s" % f.kind)
+        elif t is Quant2:
+            self.quant2(f, scope, reg)
+        elif t is PredApp:
+            todo.append((self.member, f, scope, reg))
+            todo.append((self.term, f.arg, scope, reg))
+        else:
+            self.bad(reg, "not a formula: %r", f)
 
     def atom(self, f, reg):
         args = self.pop(len(f.args))
         if f.pred != sx.EQ:
-            ext = self.value(self.need("ext", f.pred))
-            v = self.op(reg, "(" + "%s, " * len(args) + ") in %s", *args, ext)
+            ext = self.read(reg, self.need("ext", f.pred))
+            self.vals.append(self.op(reg, "(" + "%s, " * len(args) + ") in %s",
+                                     *args, ext))
         elif len(args) == 2:
-            v = self.op(reg, "%s == %s", *args)
+            self.vals.append(self.op(reg, "%s == %s", *args))
         else:
-            v = self.put(reg, "_fail()", ())
-        self.vals.append(v)
+            self.bad(reg, "= takes two arguments")
 
     def guard(self, f, reg):
         left = self.vals.pop()
-        reg.lines.append((None, ("if not %s: return False" if type(f) is And else
-                                 "if %s: return True" if type(f) is Or else
-                                 "if not %s: return True") % left, (left,)))
-        reg.reads[left] = None
+        self.stmt(reg, ("if not %s: return False" if type(f) is And else
+                        "if %s: return True" if type(f) is Or else
+                        "if not %s: return True") % left, left)
 
     def right(self, f, scope, reg):
         ro = _Region(reg)
@@ -647,7 +786,10 @@ class _Emitter:
         self.vals.append(self.put(reg, template % (left, text), [left, *reads]))
 
     def quant(self, f, scope, reg):
-        slot, inner = self.c.bind(scope, f.var.name)
+        if self.orders(f):
+            self.ordered_quant(f, scope, reg)
+            return
+        slot, inner = self.bind(scope, f.var.name)
         dk = self.need("dom", f.var.sort)
         self.todo.append((self.decide, f, dk, reg))
         self.todo.append((self.mask, f.body, inner, slot, f.var.sort, reg))
@@ -656,9 +798,11 @@ class _Emitter:
                               reg))
 
     def decide(self, f, dk, reg):
-        """Quantifier f from its body's mask b and its restriction's a."""
+        """Quantifier f from its body's mask b and its restriction's a; the
+        ordered form records a count's flag."""
         b = self.vals.pop()
-        a = self.value(dk, ".full") if f.restriction is None else self.vals.pop()
+        a = self.read(reg, dk, ".full") if f.restriction is None else \
+            self.vals.pop()
         kind, op = f.kind, self.op
         if kind == sx.FORALL:
             v = op(reg, "%s == %s", b, a) if f.restriction is None else \
@@ -671,18 +815,112 @@ class _Emitter:
                 b = op(reg, "%s & %s", a, b)
             cfg = self.need("cfg")
             counts = _COUNT_NAMES[kind] + "(%s.bit_count(), %s.bit_count(), %s, "
-            if kind in (sx.FORALL_STAR, sx.EXISTS_STAR):
+            star = kind in (sx.FORALL_STAR, sx.EXISTS_STAR)
+            if star:
                 # regime A reads them as forall and exists
+                regime = self.read(reg, cfg, "[3]")
                 v = op(reg, ("not %s & ~%s" if kind == sx.FORALL_STAR else
                              "%s & %s != 0") + " if %s == 'A' else " + counts + "None)",
-                       a, b, self.value(cfg, "[3]"), b, a, self.value(cfg, "[0]"))
+                       a, b, regime, b, a, self.read(reg, cfg, "[0]"))
             else:
-                theta = self.value(cfg, "[1]" if kind == "many" else "[0]")
+                theta = self.read(reg, cfg, "[1]" if kind == "many" else "[0]")
                 if f.mode:
                     v = op(reg, counts + "%r)" % ("strict" if f.mode == "strict"
                                                   else "weak"), b, a, theta)
                 else:
-                    v = op(reg, counts + "%s)", b, a, theta, self.value(cfg, "[2]"))
+                    v = op(reg, counts + "%s)", b, a, theta,
+                           self.read(reg, cfg, "[2]"))
+            if self.mode != TRUTH:
+                flag = (self.rec(), b, a) + ((regime,) if star else ())
+                self.stmt(reg, "_counted(%s)" % ", ".join(flag), *flag)
+        self.vals.append(v)
+
+    def ordered_quant(self, f, scope, reg):
+        """Quantifier f in the ordered form: its restriction's mask over the
+        whole domain, then its body's on the restriction's elements."""
+        slot, inner = self.bind(scope, f.var.name)
+        dk = self.need("dom", f.var.sort)
+        self.todo.append((self.decide, f, dk, reg))
+        self.todo.append((self.ordered_body, f, inner, slot, reg))
+        if f.restriction is not None:
+            self.todo.append((self.satisfy, f.restriction, inner, slot,
+                              f.var.sort, reg))
+
+    def ordered_body(self, f, scope, slot, reg):
+        """f's body over the elements of its restriction (the mask on vals,
+        or all), until it settles f.  In regime A a starred quantifier
+        settles as forall and exists do."""
+        early = None
+        if f.kind in (sx.FORALL_STAR, sx.EXISTS_STAR) and self.orders(f.body):
+            early = self.op(reg, "%s == 'A'", self.read(reg, self.need("cfg"), "[3]"))
+        self.satisfy(f.body, scope, slot, f.var.sort, reg, f.kind,
+                     f.restriction and self.vals[-1], early)
+
+    def satisfy(self, f, scope, slot, sort, reg, kind=None, a=None, early=None):
+        """Push the mask of the elements of `sort` that satisfy f in `slot`:
+        its mask form when it records nothing, else f tried on each element
+        in domain order, those in mask a when given, until it settles
+        quantifier `kind` (each)."""
+        if not self.orders(f):
+            self.mask(f, scope, slot, sort, reg)
+            return
+        loop = self.loop_region(reg, slot, True)
+        self.todo.append((self.each, kind, sort, reg, loop, a, early))
+        self.todo.append((self.formula, f, scope, loop))
+
+    def each(self, kind, sort, reg, loop, a, early):
+        """Close ordered loop `loop`: the mask of the elements where the
+        boolean on vals holds, returned once it settles `kind` (a starred
+        quantifier when the local `early` holds)."""
+        g = self.vals.pop()
+        pairs = self.read(reg, self.need("dom", sort), ".pairs")
+        head = ["    out = 0", "    for %s, bit in %s:" % (loop.var, pairs)]
+        if a is not None:
+            head.append("        if not bit & %s: continue" % a)
+        if kind == sx.FORALL:
+            tail = ["        if not %s: return out" % g, "        out |= bit"]
+        elif kind == sx.EXISTS:
+            tail = ["        if %s: return bit" % g]
+        else:
+            tail = ["        if %s: out |= bit" % g]
+            if kind == sx.FORALL_STAR:
+                tail.append("        elif %s: return out" % early)
+            elif kind == sx.EXISTS_STAR:
+                tail.append("        if %s and %s: return out" % (g, early))
+        loop.reads.update(dict.fromkeys(v for v in (pairs, a, g, early) if v))
+        call, params = self.close(loop, head, tail + ["    return out"],
+                                  "        ")
+        self.vals.append(self.put(reg, call, params))
+
+    def quant2(self, f, scope, reg):
+        """Second-order f: its body on each subset of its sort's domain, in
+        itertools.combinations order, until one settles it."""
+        dk = self.need("dom", f.sort)
+        slot, inner = self.bind(scope, _SEP + f.predvar, dk)
+        loop = self.loop_region(reg, slot, self.mode != TRUTH)
+        self.todo.append((self.subsets, f, dk, reg, loop))
+        self.todo.append((self.formula, f.body, inner, loop))
+
+    def subsets(self, f, dk, reg, loop):
+        g = self.vals.pop()
+        shape = self.read(reg, dk)
+        every = f.kind == sx.FORALL2
+        loop.reads.update(dict.fromkeys((shape, g)))
+        call, params = self.close(
+            loop, ["    for %s in _subsets(%s):" % (loop.var, shape)],
+            ["        if %s%s: return %s" % ("not " if every else "", g, not every),
+             "    return %s" % every], "        ")
+        self.vals.append(self.put(reg, call, params))
+
+    def member(self, f, scope, reg):
+        """Predicate variable application f, its argument's local on vals."""
+        e = self.vals.pop()
+        slot, dk = self.lookup(scope, _SEP + f.predvar)
+        if dk is not None:
+            v = self.op(reg, "%s.get(%s, 0) & %s != 0",
+                        self.read(reg, dk, ".bits"), e, self.loops[slot].var)
+        else:
+            v = self.op(reg, "%s in %s", e, self.name(scope, _SEP + f.predvar, reg))
         self.vals.append(v)
 
     # -- formulas as masks over the variable in `slot` ---------------------
@@ -716,7 +954,7 @@ class _Emitter:
         it is a predicate mask, row, column or diagonal, or an equality;
         any other is tried on each element."""
         args = self.pop(len(f.args))
-        at = [type(a) is Var and self.c.lookup(scope, a.name)[0] == loop.slot
+        at = [type(a) is Var and self.lookup(scope, a.name)[0] == loop.slot
               for a in f.args]
         given = [v for v, x in zip(args, at) if not x]
         if not any(at) or any(self.deps[v] & _bit(loop.slot) for v in given) \
@@ -751,7 +989,8 @@ class _Emitter:
         call, params = self.close(
             loop, ["    out = 0",
                    "    for %s, bit in %s:" % (loop.var, pairs)],
-            ["        if %s:" % g, "            out |= bit", "    return out"])
+            ["        if %s:" % g, "            out |= bit", "    return out"],
+            "        ")
         self.vals.append(self.put(reg, call, params))
 
     # -- terms as elements -------------------------------------------------
@@ -762,17 +1001,19 @@ class _Emitter:
     def term(self, t, scope, reg):
         typ = type(t)
         if typ is Var:
-            self.vals.append(self.name(scope, t.name))
+            self.vals.append(self.name(scope, t.name, reg))
         elif typ is Const:
-            self.vals.append(self.value(self.need("const", t.name)))
+            self.vals.append(self.read(reg, self.need("const", t.name)))
         elif typ is App:
-            self.todo.append((self.app, self.need("fn", t.func), len(t.args), reg))
+            self.todo.append((self.app, self.need("fn", t.func), t, reg))
             self.terms(t.args, scope, reg)
+        elif (typ is Binder or typ is GenericRestricted) and self.orders(t):
+            self.ordered_choice(t, scope, reg)
         elif typ is Binder and t in self.closed:
             self.vals.append(self.closed[t])
         elif typ is Binder and t.kind in sx.BINDER_KINDS or typ is GenericRestricted:
             dk = self.need("dom", t.var.sort)
-            slot, inner = self.c.bind(scope, t.var.name)
+            slot, inner = self.bind(scope, t.var.name)
             # written in a region of its own, then moved: to the entry when
             # it reads no bound slot
             choice = _Region(reg)
@@ -780,15 +1021,23 @@ class _Emitter:
             self.todo.append((self.mask, t.body if typ is Binder else t.restriction,
                               inner, slot, t.var.sort, choice))
         elif typ is Generic:
-            self.vals.append(self.op(reg, "%s[0]", self.value(
-                self.need("dom", t.sort), ".elems")))
+            self.vals.append(self.op(reg, "%s[0]", self.read(
+                reg, self.need("dom", t.sort), ".elems")))
         else:
-            self.vals.append(self.put(reg, "_fail()", ()))
+            self.bad(reg, "not a term: %r", t)
 
-    def app(self, fk, n, reg):
+    def app(self, fk, t, reg):
+        """Function application t from its arguments' locals; STRICT names
+        the gap it meets."""
+        n = len(t.args)
         args = self.pop(n)
-        self.vals.append(self.op(reg, "%s[(" + "%s, " * n + ")]",
-                                 self.value(fk), *args))
+        if self.strict:
+            self.vals.append(self.put(reg, "_app(d[K[%d]], (%s), T[%d])" % (
+                self.keys[fk], "%s, " * n % tuple(args), self.node(t)),
+                ("d", "K", "T", *args)))
+        else:
+            self.vals.append(self.op(reg, "%s[(" + "%s, " * n + ")]",
+                                     self.value(fk), *args))
 
     def choice(self, t, dk, reg, choice):
         m = self.vals.pop()
@@ -812,362 +1061,74 @@ class _Emitter:
             self.closed[t] = v
         self.vals.append(v)
 
-
-# ---------------------------------------------------------------------------
-# the ordered form as closures
-
-
-class _Compiler:
-    """The ordered form.  Each method returns (closure, deps); deps has bit
-    k set when the closure reads bound slot k, and is -1 when it reads a
-    free name's pre-bound slot (at a negative index: the frame's length is
-    known only at the end), whose binder may be any scope.  In RECORD the
-    mask of a subformula that records nothing is generated code
-    (_Emitter)."""
-
-    def __init__(self, mode):
-        self.strict = mode == STRICT
-        self.needs = {}       # key -> itself, in first-use order
-        self.depth = 0        # bound slots used
-        self.closed = {}      # closed choice term -> its shared closure
-        self.frees = []       # (Environment field, name) per pre-bound slot
-        self.memo = {}        # id(node) -> (node, kept alive; whether it records)
-
-    def need(self, *parts):
-        key = _SEP.join(parts)
-        return self.needs.setdefault(key, key)
-
-    def bind(self, scope, name, dk=None):
-        """A bound slot for `name` (a predicate variable's name starts with
-        _SEP and carries the domain key of its subset masks)."""
-        slot = scope[-1][1] + 1 if scope else 0
-        self.depth = max(self.depth, slot + 1)
-        return slot, scope + ((name, slot, dk),)
-
-    def lookup(self, scope, name):
-        """(slot, domain key) of name's innermost binding; a free name gets
-        a pre-bound slot."""
-        for n, slot, dk in reversed(scope):
-            if n == name:
-                return slot, dk
-        key = ("predvars", name[1:]) if name[0] == _SEP else ("vars", name)
-        if key not in self.frees:
-            self.frees.append(key)
-        return -2 - self.frees.index(key), None
-
-    def records(self, e):
-        """Whether the ordered form must run e element by element: it can
-        record a flag or witness, it is second-order, or STRICT orders
-        everything."""
-        if self.strict:
-            return True
-        hit = self.memo.get(id(e))
-        if hit is None:
-            rec = isinstance(e, (Binder, Generic, GenericRestricted, Quant2,
-                                 PredApp)) or \
-                isinstance(e, Quant) and e.kind not in (sx.FORALL, sx.EXISTS) or \
-                any(self.records(k) for k in sx.children(e))
-            hit = self.memo[id(e)] = (e, rec)
-        return hit[1]
-
-    def generated(self, node, scope, slot=None, sort=None):
-        """(run(d, env), deps) of formula node's mask form, its mask over
-        inner `slot` when given (_Emitter.emit).  The code comes from the
-        cache when a formula of the same shape, in the same scope and with
-        the same free names met before, was emitted: then its needs are
-        this node's symbols in their places, and the compiler learns the
-        same needs, free names and slots as from emitting."""
-        syms = ({}, {}, {}, {})
-        if slot is not None:        # the mask's sort is sort 0
-            syms[_SORTS][sort] = 0
-        # the slots of a scope are its positions
-        key = _shape_key(node, (slot, tuple(self.frees),
-                                tuple(n for n, _, _ in scope)), syms)
-        entry = _codes.take(key)
-        if entry is None:
-            emitter = _Emitter(self)
-            depth, self.depth, old = self.depth, 0, len(self.frees)
-            run, outer = emitter.emit(node, scope, slot, sort)
-            keys = tuple(emitter.keys)
-            # kept flat, each tag followed by its symbols' indices, and
-            # with the key's strings interned: an entry holds no string of
-            # its own
-            needs = []
-            for need in keys:
-                tag, *parts = need.split(_SEP)
-                needs += (sys.intern(tag), *(syms[ns][part] for ns, part
-                                             in zip(_NEED_SYMBOLS[tag], parts)))
-            _codes.put(tuple(sys.intern(k) if type(k) is str else k for k in key),
-                       (run, tuple(needs), tuple(self.frees[old:]), self.depth,
-                        outer))
-            self.depth = max(depth, self.depth)
-        else:
-            run, needs, frees, depth, outer = entry
-            names = [list(s) for s in syms]
-            keys, it = [], iter(needs)
-            for tag in it:
-                keys.append(self.need(tag, *[names[ns][next(it)]
-                                             for ns in _NEED_SYMBOLS[tag]]))
-            keys = tuple(keys)
-            self.frees += frees
-            self.depth = max(self.depth, depth)
-        return types.FunctionType(run.__code__, run.__globals__, "_run",
-                                  (keys,)), outer
-
-    @staticmethod
-    def bad(message):      # a node the semantics rejects when it reaches it
-        def fail(d, env):
-            raise EvalError(message)
-        return fail, 0
-
-    def satisfiers(self, f, scope, slot, sort):
-        """Mask of the elements of `sort` that satisfy f in `slot`: f's
-        generated code when it records nothing, else its closure tried on
-        each element in domain order."""
-        if not self.records(f):
-            return self.generated(f, scope, slot, sort)
-        g, deps = self.formula(f, scope)
-        dk = self.need("dom", sort)
-
-        def loop(d, env):
-            out = 0
-            for e, bit in d[dk].pairs:
-                env[slot] = e
-                if g(d, env):
-                    out |= bit
-            return out
-        return loop, deps
-
-    # -- formulas as booleans ---------------------------------------------
-
-    def formula(self, f, scope):
-        if isinstance(f, Atom):
-            if _is_generic_atom(f):
-                return self.quant(_generic_quant(f), scope)
-            return self.atom_of(f, [self.term(a, scope) for a in f.args])
-        if isinstance(f, Not):
-            g, dep = self.formula(f.body, scope)
-            return (lambda d, env: not g(d, env)), dep
-        if isinstance(f, (And, Or, Implies)):
-            a, da = self.formula(f.left, scope)
-            b, db = self.formula(f.right, scope)
-            if isinstance(f, And):
-                run = lambda d, env: a(d, env) and b(d, env)
-            elif isinstance(f, Or):
-                run = lambda d, env: a(d, env) or b(d, env)
-            else:
-                run = lambda d, env: not a(d, env) or b(d, env)
-            return run, da | db
-        if isinstance(f, Quant):
-            if f.kind not in sx.QUANT_KINDS:
-                return self.bad("unknown quantifier kind %s" % f.kind)
-            return self.quant(f, scope)
-        if isinstance(f, Quant2):
-            return self.quant2(f, scope)
-        if isinstance(f, PredApp):
-            return self.predapp(f, scope)
-        return self.bad("not a formula: %r" % (f,))
-
-    def quant(self, f, scope):
-        slot, inner = self.bind(scope, f.var.name)
-        dk = self.need("dom", f.var.sort)
-        body = bmask = None
-        if self.records(f.body):
-            body, deps = self.formula(f.body, inner)
-        else:
-            bmask, deps = self.generated(f.body, inner, slot, f.var.sort)
-        restr = None
-        if f.restriction is not None:
-            restr, dr = self.satisfiers(f.restriction, inner, slot, f.var.sort)
-            deps |= dr
-        return self.decide(f.kind, f.mode, dk, slot, restr, body, bmask,
-                           self.need("cfg")), deps & ~(1 << slot)
-
-    @staticmethod
-    def decide(kind, mode, dk, slot, restr, body, bmask, cfg):
-        """Closure deciding quantifier `kind` over the variable in `slot`
-        from the restriction mask (None: the whole domain) and the body:
-        generated code's mask when it records nothing (bmask), else a
-        closure run on the restriction's elements in domain order, on all
-        of them for a count."""
-        test = COUNT_TESTS.get(kind)
-        star = kind in (sx.FORALL_STAR, sx.EXISTS_STAR)
-        universal = kind in (sx.FORALL, sx.FORALL_STAR)
-
-        def run(d, env):
-            shape = d[dk]
-            a = shape.full if restr is None else restr(d, env)
-            most_t, many_t, default_mode, regime = d[cfg]
-            if body is None:
-                b = bmask(d, env) & a
-            elif test is None or star and regime == "A":
-                for i in _positions(a):
-                    env[slot] = shape.elems[i]
-                    if body(d, env) != universal:
-                        return not universal
-                return universal
-            else:
-                b = 0
-                for i in _positions(a):
-                    env[slot] = shape.elems[i]
-                    if body(d, env):
-                        b |= 1 << i
-            if test is None or star and regime == "A":
-                return b == a if universal else b != 0
-            hits, total = b.bit_count(), a.bit_count()
-            if not total:
-                env[-1].flag(FLAG_EMPTY_RESTRICTION)
-            elif not star:
-                env[-1].flag("most-ratio %s" % Fraction(hits, total))
-            if star:
-                return test(hits, total, most_t, None)
-            return test(hits, total, many_t if kind == "many" else most_t,
-                        mode or default_mode)
-        return run
-
-    def quant2(self, f, scope):
-        dk = self.need("dom", f.sort)
-        slot, inner = self.bind(scope, _SEP + f.predvar, dk)
-        body, deps = self.formula(f.body, inner)
-        every = f.kind == sx.FORALL2
-
-        def run(d, env):
-            for m in _subsets(d[dk]):
-                env[slot] = m
-                if body(d, env) != every:
-                    return not every
-            return every
-        return run, deps & ~(1 << slot)
-
-    def predapp(self, f, scope):
-        t, deps = self.term(f.arg, scope)
-        slot, dk = self.lookup(scope, _SEP + f.predvar)
-        if dk is not None:
-            return (lambda d, env: d[dk].bits.get(t(d, env), 0) & env[slot] != 0), \
-                deps | 1 << slot
-        name = f.predvar
-
-        def free(d, env):
-            e, s = t(d, env), env[slot]
-            if s is _UNSET:
-                raise EvalError("unbound predicate variable %s" % name)
-            return e in s
-        return free, -1
-
-    def atom_of(self, f, args):
-        """The atom f as a boolean, from its compiled arguments."""
-        deps = functools.reduce(int.__or__, (dep for _, dep in args), 0)
-        fns = [fn for fn, _ in args]
-        if f.pred == sx.EQ:
-            if len(fns) != 2:
-                return self.bad("= takes two arguments")
-            a, b = fns
-            return (lambda d, env: a(d, env) == b(d, env)), deps
-        ek = self.need("ext", f.pred)
-        if len(fns) == 1:
-            a, = fns
-            return (lambda d, env: (a(d, env),) in d[ek]), deps
-        if len(fns) == 2:
-            a, b = fns
-            return (lambda d, env: (a(d, env), b(d, env)) in d[ek]), deps
-        return (lambda d, env: tuple(fn(d, env) for fn in fns) in d[ek]), deps
-
-    # -- terms as elements -------------------------------------------------
-
-    def term(self, t, scope):
-        if isinstance(t, Var):
-            slot, _ = self.lookup(scope, t.name)
-            if slot >= 0:
-                return (lambda d, env: env[slot]), 1 << slot
-
-            def free(d, env):
-                if env[slot] is _UNSET:
-                    raise EvalError("unbound variable %s" % t.name)
-                return env[slot]
-            return free, -1
-        if isinstance(t, Const):
-            ck = self.need("const", t.name)
-            return (lambda d, env: d[ck]), 0
-        if isinstance(t, App):
-            fk = self.need("fn", t.func)
-            args = [self.term(a, scope) for a in t.args]
-            fns = [fn for fn, _ in args]
-            deps = functools.reduce(int.__or__, (dep for _, dep in args), 0)
-
-            def app(d, env):
-                key = tuple(fn(d, env) for fn in fns)
-                try:
-                    return d[fk][key]
-                except KeyError:
-                    raise EvalError("function %s undefined at %r"
-                                    % (t.func, key)) from None
-            return app, deps
-        if isinstance(t, Binder):
-            return self.choice(t, scope)
-        if isinstance(t, Generic):
-            dk = self.need("dom", t.sort)
-            return (lambda d, env: d[dk].elems[0]), 0
-        if isinstance(t, GenericRestricted):
-            # satisfiers range over the variable's sort, the default is the
-            # least element of the term's sort
-            vk = self.need("dom", t.var.sort)
-            slot, inner = self.bind(scope, t.var.name)
-            r, deps = self.satisfiers(t.restriction, inner, slot, t.var.sort)
-            dk = self.need("dom", t.sort)
-
-            def first(d, env):
-                m = r(d, env)
-                if m:
-                    return _low(d[vk], m)
-                env[-1].flag(FLAG_PRESUPPOSITION)
-                return d[dk].elems[0]
-            return first, deps & ~(1 << slot)
-        return self.bad("not a term: %r" % (t,))
-
-    def choice(self, t, scope):
+    def ordered_choice(self, t, scope, reg):
+        """Choice or restricted generic term t in the ordered form: its
+        body's or restriction's satisfiers, then its pick."""
         if t in self.closed:
-            return self.closed[t], 0
-        if t.kind not in sx.BINDER_KINDS:
-            return self.bad("unknown binder kind %s" % t.kind)
-        dk = self.need("dom", t.var.sort)
+            self.vals.append(self.put(reg, *self.closed[t]))
+            return
+        binder = type(t) is Binder
+        if binder and t.kind not in sx.BINDER_KINDS:
+            self.bad(reg, "unknown binder kind %s" % t.kind)
+            return
         slot, inner = self.bind(scope, t.var.name)
-        body, deps = self.satisfiers(t.body, inner, slot, t.var.sort)
-        deps &= ~(1 << slot)
-        tau, iota = t.kind == sx.TAU, t.kind == sx.IOTA
+        choice = _Region(reg)
+        shape = self.read(choice, self.need("dom", t.var.sort))
+        if binder:
+            self.stmt(choice, "if not %s.full: _raise(%r, T[%d].var.sort)" % (
+                shape, "empty domain for sort %s", self.node(t)), shape, "T")
+        self.todo.append((self.pick, t, shape, reg, choice))
+        self.satisfy(t.body if binder else t.restriction, inner, slot,
+                     t.var.sort, choice)
 
-        def pick(d, env):
-            shape = d[dk]
-            if not shape.full:
-                raise EvalError("empty domain for sort %s" % t.var.sort)
-            m = body(d, env)
-            if tau:
-                m ^= shape.full
-            elif iota and (not m or m & (m - 1)):
-                env[-1].flag(FLAG_IOTA)
-                m = 0
-            v = _low(shape, m)
-            env[-1].witnesses.append((t, v))
-            return v
-        if deps:
-            return pick, deps
-        # closed (no bound slot read): one closure for every copy of the
-        # term, chosen once per call.  It runs in a copy of the frame, so its
-        # slots cannot clash with those of the scope it is used in; a copy
-        # replays the witnesses of the first pick.
-        at = len(self.closed)
-
-        def memo(d, env):
-            rec = env[-1]
-            hit = rec.chosen[at]
-            if hit is _UNSET:
-                start = len(rec.witnesses)
-                v = pick(d, env.copy())
-                rec.chosen[at] = (v, start, len(rec.witnesses))
-                return v
-            rec.witnesses.extend(rec.witnesses[hit[1]:hit[2]])
-            return hit[0]
-        self.closed[t] = memo
-        return memo, 0
+    def pick(self, t, shape, reg, choice):
+        """Term t from its satisfiers on vals: a choice term's pick, which
+        it records as a witness, or a generic term's first satisfier, else
+        its sort's least element and a presupposition failure.  One that
+        reads no bound slot or free name is a function of its own that
+        picks once per call: met again, it replays the witnesses its pick
+        recorded."""
+        m = self.vals.pop()
+        rec = self.rec()
+        if type(t) is GenericRestricted:
+            dk = self.need("dom", t.sort)
+            if self.strict:     # its own sort, read only when nothing satisfies
+                least, reads = "d[K[%d]]" % self.keys[dk], ("d", "K")
+            else:
+                least = self.value(dk)
+                reads = least,
+            v = self.put(choice, "_low(%s, %s) if %s else %s.elems[0]" % (
+                shape, m, m, least), (shape, m, *reads))
+            self.stmt(choice, "if not %s: %s.flag(%r)" % (
+                m, rec, FLAG_PRESUPPOSITION), m, rec)
+        else:
+            if t.kind == sx.TAU:
+                m = self.op(choice, "%s ^ %s.full", m, shape)
+            elif t.kind == sx.IOTA:     # only when exactly one bit is set
+                m = self.op(choice, "%s if %s and not %s & (%s - 1) else 0",
+                            m, m, m, m)
+                self.stmt(choice, "if not %s: %s.flag(%r)" % (m, rec, FLAG_IOTA),
+                          m, rec)
+            v = self.op(choice, "_low(%s, %s)", shape, m)
+            self.stmt(choice, "%s.witnesses.append((T[%d], %s))" % (
+                rec, self.node(t), v), rec, "T", v)
+        if self.deps[v]:        # picked where it is met, in place
+            for line in choice.lines:
+                reg.lines.append(line)
+                if line[0] is not None:
+                    self.home[line[0]] = reg
+            reg.reads.update(choice.reads)
+            self.vals.append(v)
+            return
+        at, self.memos = self.memos, self.memos + 1
+        choice.reads[rec] = None
+        self.closed[t] = self.close(choice, [
+            "    hit = %s.chosen[%d]" % (rec, at),
+            "    if hit is not _U: return _replay(%s, hit)" % rec,
+            "    start = len(%s.witnesses)" % rec], [
+            "    %s.chosen[%d] = %s, start, len(%s.witnesses)" % (rec, at, v, rec),
+            "    return " + v])
+        self.vals.append(self.put(reg, *self.closed[t]))
 
 
 _CODE = {TRUTH: "_truth_code", RECORD: "_record_code", STRICT: "_strict_code"}
@@ -1188,20 +1149,44 @@ class _Code(tuple):
 
 
 def compile_formula(node, mode=TRUTH):
-    """(needs in order, run, pre-bound slots) of a formula, or in the
-    ordered modes a term, in form `mode`, and in the ordered modes the
-    frame template and the number of closed choice terms too; cached on the
-    node, to live and die with it.  The mask form's run(d, values) takes
-    the pre-bound names' values in frame order, no frame."""
-    c = _Compiler(mode)
+    """(needs in order, run, free names) of a formula in form `mode`, or in
+    the ordered modes of a formula or term, and then the number of closed
+    choice terms too; cached on the node, to live and die with it.  The code
+    comes from the cache when a node of the same shape was emitted in this
+    mode before: then its needs are this node's symbols in their places, and
+    the nodes it names (T) are this node's.  The mask form's run(d, values)
+    takes the free names' values; the ordered form's takes them and the
+    _Rec last."""
+    syms, nodes = ({}, {}, {}, {}), []
+    key = _shape_key(node, (mode,), syms, nodes)
+    entry = _codes.take(key)
+    if entry is None:
+        emitter = _Emitter(mode, nodes)
+        run = emitter.emit(node)
+        # kept flat, each tag followed by its symbols' indices, and with the
+        # key's strings interned: an entry holds no string of its own
+        needs = []
+        for need in emitter.keys:
+            tag, *parts = need.split(_SEP)
+            needs += (sys.intern(tag), *(syms[ns][part] for ns, part
+                                         in zip(_NEED_SYMBOLS[tag], parts)))
+        entry = (run, tuple(needs), tuple(emitter.frees), emitter.memos,
+                 tuple(emitter.used))
+        _codes.put(tuple(sys.intern(k) if type(k) is str else k for k in key),
+                   entry)
+    run, needs, frees, memos, used = entry
+    names = [list(s) for s in syms]
+    keys, it = [], iter(needs)
+    for tag in it:
+        keys.append(_SEP.join((tag, *[names[ns][next(it)]
+                                      for ns in _NEED_SYMBOLS[tag]])))
+    keys = tuple(keys)
     if mode == TRUTH:
-        run, _ = c.generated(node, ())
-        code = (tuple(c.needs), run, tuple(c.frees))
+        code = keys, types.FunctionType(run.__code__, run.__globals__, "_run",
+                                        (keys,)), frees
     else:
-        run, _ = (c.formula if sx.is_formula(node) else c.term)(node, ())
-        # a pre-bound slot is unbound until _bound's values go in
-        template = [_UNSET] * (c.depth + len(c.frees)) + [None]
-        code = (tuple(c.needs), run, tuple(c.frees), template, len(c.closed))
+        code = keys, types.FunctionType(run.__code__, run.__globals__, "_run", (
+            keys, tuple(nodes[i] for i in used))), frees, memos
     code = _Code(code)
     try:
         object.__setattr__(node, _CODE[mode], code)
@@ -1211,9 +1196,9 @@ def compile_formula(node, mode=TRUTH):
 
 
 def _bound(frees, env):
-    """The values of the free names from env in frame order, the last
-    first; _UNSET for an unbound one, and the code raises where it reads
-    it."""
+    """The values of the free names from env, the last first, so that
+    free name i is at index -2 - i once one more item follows; _UNSET for
+    an unbound one, and the code raises where it reads it."""
     if env is None:
         return (_UNSET,) * len(frees)
     return tuple(next((e for n, e in getattr(env, field) if n == name), _UNSET)
@@ -1237,7 +1222,7 @@ def truth(model, f, env=None):
     needs, run_f, frees = code
     d = model._derived
     try:
-        # free name i is at index -2 - i, as in an ordered frame
+        # the ordered form's _Rec takes the last place
         values = _bound(frees, env) + (None,) if frees else ()
         try:
             return run_f(d, values)
@@ -1256,7 +1241,7 @@ def ordered(model, node, env, mode):
     code = getattr(node, _CODE[mode], _UNSET)
     if code is _UNSET:
         code = compile_formula(node, mode)
-    needs, run_f, frees, template, closed = code
+    needs, run_f, frees, memos = code
     if mode == STRICT:
         d = _Lazy()
         d.model = model
@@ -1265,12 +1250,8 @@ def ordered(model, node, env, mode):
         # it again would cost more than the check saves
         d = model._derived
         _fill(model, d, needs)
-    rec = _Rec(closed)
-    frame = template.copy()
-    frame[-1] = rec
-    if env is not None:
-        frame[-1 - len(frees):-1] = _bound(frees, env)
-    return run_f(d, frame), rec
+    rec = _Rec(memos)
+    return run_f(d, _bound(frees, env) + (rec,)), rec
 
 
 def record(model, node, env=None):

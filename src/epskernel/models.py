@@ -17,13 +17,14 @@ predicates of (hits, total, theta, mode): compiled.COUNT_TESTS, which the
 evaluator and classify_quantifier share.
 
 One evaluator (compiled.py) runs every formula and term from code compiled
-once per node.  truth runs its mask form, for the value only: first-order,
-compiled once into generated source, shared per shape; a call that meets a
-predicate variable runs in the ordered form.  eval_formula and eval_term
-run the ordered form, which binds predicate variables: elements in domain
-order, connectives left to right with short-circuit, a restriction over its
-whole domain before the body, a count's body on every restriction element.
-It records flags and witnesses in that order, and raises EvalError (a
+once per node, generated as Python source and shared per shape.  truth
+runs its mask form, for the value only: a formula in a bound variable is
+the mask of the elements that satisfy it, and a predicate variable holds a
+subset as a mask.  eval_formula and eval_term run the ordered form:
+elements in domain order, connectives left to right with short-circuit, a
+restriction over its whole domain before the body, a quantifier left once
+its value is settled, a count's body on every restriction element.  It
+records flags and witnesses in that order, and raises EvalError (a
 function's gap, a missing symbol, an empty domain, an unbound variable)
 where that order meets it.  An integer sort's domain is a range, never
 materialised per element.  tests/eval_oracle.py keeps the tree walk both

@@ -154,17 +154,21 @@ def test_selftest_seeded(capsys, monkeypatch):
     assert "ok" in out
 
 
-# eval runs the ordered form, whose closures nest as deep as the formula
-# (truth runs flat generated code)
+# the parser still reads a term's arguments recursively; a formula as deep
+# evaluates, since both forms of evaluation are flat generated code
 @pytest.mark.parametrize("command", ["eval"])
 def test_deep_nesting_exit_2(capsys, tmp_path, command):
     model = tmp_path / "m.model"
-    model.write_text("sort s = {e1, e2}\nconst a : s = e1\npred P : s = {e1}\n")
+    model.write_text("sort s = {e1, e2}\nconst a : s = e1\n"
+                     "fun f : s -> s = {e1: e2, e2: e1}\npred P : s = {e1}\n")
     code, out, err = run(capsys, command, "--model", str(model),
-                         "not " * 3000 + "P(a)")
+                         "P(" + "f(" * 3000 + "a" + ")" * 3001)
     assert code == 2
     assert "nested too deep" in err
     assert out == ""
+    deep = "not " * 3000 + "P(a)"
+    assert run(capsys, command, "--model", str(model), deep) \
+        == (0, deep + " = true\n", "")
 
 
 def test_deep_formulas_parse_translate_and_print_back(capsys, fixtures):

@@ -1,9 +1,9 @@
-"""Differential tests: compiled truth() against the tree walk in
-eval_oracle.
+"""Differential tests: compiled truth() and the ordered form against the
+tree walk in eval_oracle.
 
 truth() runs a formula's compiled code; eval_oracle._Evaluator is the
 reference.  On every input both must give the same value or raise the same
-exception.
+exception, and STRICT the same flags, witnesses and messages too.
 """
 
 import dataclasses
@@ -184,6 +184,46 @@ def test_random_formulas_agree(f, ms):
         assert_agrees(m, f)
 
 
+def result(evaluate, m, f, env=None):
+    """(value, flags, witnesses) of evaluate(m, env, f), or the error
+    raised: an EvalError by its message, anything else by its type."""
+    try:
+        r = evaluate(m, env, f)
+    except models.EvalError as e:
+        return "EvalError", str(e)
+    except Exception as e:
+        return type(e).__name__
+    return r.value, r.flags, r.witnesses
+
+
+def strict(m, env, f):
+    """f's STRICT run, its witnesses printed as eval_formula prints them."""
+    return models._result(*compiled.ordered(m, f, env, compiled.STRICT))
+
+
+@st.composite
+def environments(draw, m):
+    """An Environment that binds the free x and the predicate variable Y
+    of drawn formulas, each or both or neither."""
+    env = Environment()
+    if draw(st.booleans()):
+        env = env.bind("x", draw(st.sampled_from(m.domains["s"])))
+    if draw(st.booleans()):
+        env = env.bind_pred("Y", subset(draw, m.domains["s"]))
+    return env
+
+
+@given(st.one_of(formulas(), formulas((("x", "s"),), 3, ("Y",))), small_models(),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_strict_agrees_with_the_oracle(f, m, data):
+    # STRICT runs on its own, not only after another form has raised: its
+    # value, flags, witnesses and errors are the semantics'
+    env = data.draw(environments(m))
+    assert result(strict, m, f, env) == result(eval_oracle.eval_formula, m, f, env), \
+        (parser.print_formula(f), m, env.vars, env.predvars)
+
+
 # -- routing: what the mask form leaves to the ordered form ---------------
 
 M = parser.parse_model("sort s = {a,b,c}\nconst c : s = a\n"
@@ -279,15 +319,14 @@ def test_compiled_formulas_still_pickle():
     assert g == f and truth(M, g) == want
 
 
-def test_deep_nesting_raises_like_the_tree():
+def test_deep_nesting_evaluates_as_truth_does():
     deep = Atom("P", (Const("c"),))
     for _ in range(3000):
         deep = Not(deep)
-    # the mask form is flat code: an even number of nots over P(c), which
-    # holds; the ordered form's closures still nest as the formula does
+    # both forms are flat code: an even number of nots over P(c), which
+    # holds
     assert truth(M, deep) is True
-    assert outcome(lambda: models.eval_formula(M, None, deep)) \
-        == ("error", RecursionError)
+    assert models.eval_formula(M, None, deep).value is truth(M, deep)
     shallow = Atom("P", (Const("c"),))
     for _ in range(101):
         shallow = Not(shallow)
@@ -390,15 +429,18 @@ def test_generated_code_runs_without_the_ordered_form(f, env, monkeypatch):
             sx.EPS, Y, PredApp("X", Y)),)))))), None),
 ])
 def test_predicate_variables_are_left_to_the_ordered_form(f, env, monkeypatch):
-    # the mask form is first-order: each call runs once in STRICT
+    # truth's own code runs the ordered nodes of a second-order quantifier
+    # and a predicate variable: no call runs again in STRICT
     walks = count_tree_walks(monkeypatch)
-    for n in range(1, 3):
+    for _ in range(2):
         assert_agrees(M, f, env)
-        assert walks == [compiled.STRICT] * n
+    assert walks == []
 
 
 def test_eval_formula_runs_concept_lifted_formulas_in_record(monkeypatch):
-    # RECORD builds second-order nodes as closures: no sub-mask fails
+    # RECORD writes second-order nodes in the ordered form and the
+    # first-order parts that record nothing in the mask form, in one
+    # function that nothing fails in
     sig = M.signature
     f = transform.lift_to_concepts(parser.parse_formula(
         "forall x:s. P(x) implies Q(eps y:s. P(y)) or (exists z:s. Q(z))", sig))
@@ -484,6 +526,31 @@ def test_a_model_and_its_derived_values_form_no_cycle():
         gc.enable()
 
 
+# -- where the ordered form stops ------------------------------------------
+
+@pytest.mark.parametrize("regime", ["A", "B"])
+@pytest.mark.parametrize("text, missing", [
+    # a witness for each element up to a, where forall is settled
+    ("forall x:s. Q(eps y:s. y = x)", ()),
+    # the same in regime A; every element's in regime B
+    ("forall* x:s. Q(eps y:s. y = x)", ()),
+    ("exists* x:s. P(eps y:s. y = x)", ()),
+    # f's gap at b lies past a, where forall is settled
+    ("forall x:s. Q(x) and P(f(x))", ()),
+    # a symbol the model lacks, past what settles the value
+    ("P(c) or Q(c)", ("Q",)),
+    ("exists x:s. P(x) or Q(x)", ("Q",)),
+    ("most x:s. P(x) or Q(f(x))", ("Q",)),
+])
+def test_the_ordered_form_stops_where_the_semantics_does(text, missing, regime):
+    m = dataclasses.replace(M, star_regime=regime, preds={
+        p: ext for p, ext in M.preds.items() if p not in missing})
+    f = parser.parse_formula(text, M.signature)
+    want = result(eval_oracle.eval_formula, m, f)
+    assert result(models.eval_formula, m, f) == want
+    assert result(strict, m, f) == want
+
+
 # -- the code cache, keyed by shape ----------------------------------------
 
 # a one-to-one renaming of SIG's symbols: sorts and constants swapped,
@@ -557,10 +624,16 @@ def test_a_renamed_formula_gets_the_code_of_a_fresh_emission(f, m):
     needs, run, frees = compiled.compile_formula(g)
     assert (codes.hits, codes.misses) == (hits + 1, misses)
     assert_agrees(rm, g)
-    # RECORD's sub-masks come from entries that f's made too
-    compiled.compile_formula(f, compiled.RECORD)
-    assert outcome(lambda: models.eval_formula(rm, None, g)) \
-        == outcome(lambda: eval_oracle.eval_formula(rm, None, g))
+    # g's ordered code comes from the entries f's made: it records g's own
+    # choice terms and names g's own symbols in its messages
+    for mode in (compiled.RECORD, compiled.STRICT):
+        compiled.compile_formula(f, mode)
+        hits = codes.hits
+        compiled.compile_formula(g, mode)
+        assert codes.hits == hits + 1
+    want = result(eval_oracle.eval_formula, rm, g)
+    assert result(models.eval_formula, rm, g) == want
+    assert result(strict, rm, g) == want
     codes.clear()
     fresh_needs, fresh, fresh_frees = compiled.compile_formula(g)
     assert (needs, frees) == (fresh_needs, fresh_frees)
@@ -605,26 +678,26 @@ def test_shapes_that_differ_get_entries_of_their_own(a, b, env, values):
     assert (truth(PAIRS, fa, env), truth(PAIRS, fb, env)) == values
 
 
-@pytest.mark.parametrize("mode", [compiled.TRUTH, compiled.RECORD])
+@pytest.mark.parametrize("mode", [compiled.TRUTH, compiled.RECORD,
+                                  compiled.STRICT])
 def test_a_hit_runs_no_emitter(mode, monkeypatch):
     emits, emit = [], compiled._Emitter.emit
 
-    def counting(self, node, scope, slot=None, sort=None):
-        emits.append(slot)
-        return emit(self, node, scope, slot, sort)
+    def counting(self, node):
+        emits.append(self.mode)
+        return emit(self, node)
     monkeypatch.setattr(compiled._Emitter, "emit", counting)
     text = "exists x:s. P(x) and Q(eps y:s. (forall z:s. P(z) implies P(y)) or y = c)"
     compiled._codes.clear()
     first = compiled.compile_formula(parser.parse_formula(text, M.signature), mode)
-    # RECORD emits the choice body's mask over y's slot, which binds z
-    assert emits == ([None] if mode == compiled.TRUTH else [1])
+    # one emission for the whole formula, its choice body's mask included
+    assert emits == [mode]
     f = parser.parse_formula(text, M.signature)
     code = compiled.compile_formula(f, mode)
-    assert len(emits) == 1
-    # the same needs, free names and frame as from emitting
+    assert emits == [mode]
+    # the same needs, free names and memo count as from emitting
     assert (code[0], *code[2:]) == (first[0], *first[2:])
-    if mode == compiled.TRUTH:
-        assert code[1].__code__ is first[1].__code__
+    assert code[1].__code__ is first[1].__code__
     walks = count_tree_walks(monkeypatch)
     assert_agrees(M, f)
     assert models.eval_formula(M, None, f) == eval_oracle.eval_formula(M, None, f)
@@ -645,7 +718,7 @@ W = Var("w", "s")
          Quant(sx.EXISTS, Z, None, And(Atom("Q", (X,)), Atom("P", (Z,))))),
      Environment().bind("x", "b").bind("y", "c")),
 ])
-def test_record_sub_masks_are_keyed_by_scope_and_free_names(first, second, env):
+def test_free_and_bound_names_get_record_entries_of_their_own(first, second, env):
     compiled._codes.clear()
     for f in (first, second):
         assert models.eval_formula(M, env, f) == eval_oracle.eval_formula(M, env, f)
@@ -657,7 +730,8 @@ def test_record_sub_masks_are_keyed_by_scope_and_free_names(first, second, env):
                                   "forall x:s. " * 10 ** 4 + "P(x)"],
                          ids=["not", "implies", "prefix"])
 def test_deep_formulas_are_keyed_and_hit(text):
-    # the key is a flat tuple: made and hashed at any depth
+    # the key is a flat tuple: made and hashed at any depth, and the code
+    # of both forms is flat
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -665,6 +739,8 @@ def test_deep_formulas_are_keyed_and_hit(text):
         hits = compiled._codes.hits
         assert truth(M, parser.parse_formula(text, M.signature)) is want
         assert compiled._codes.hits == hits + 1
+        got = models.eval_formula(M, None, parser.parse_formula(text, M.signature))
+        assert (got.value, got.flags, got.witnesses) == (want, [], [])
     finally:
         sys.setrecursionlimit(limit)
     assert want is text.startswith("not")

@@ -15,24 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 from epskernel import models, parser
 from epskernel import syntax as sx
 from epskernel.cli import main
-from epskernel.models import Environment, EvalError
+from epskernel.models import Environment
 from epskernel.syntax import (Atom, And, Binder, Const, Generic, GenericRestricted,
                               Not, Or, Quant, Var)
 
 import eval_oracle
-from test_compiled import NAMES, SIG, formulas, small_models
-
-
-def result(evaluate, m, f, env=None):
-    """(value, flags, witnesses), or the error raised: an EvalError by its
-    message, anything else by its type."""
-    try:
-        r = evaluate(m, env, f)
-    except EvalError as e:
-        return "EvalError", str(e)
-    except Exception as e:
-        return type(e).__name__
-    return r.value, r.flags, r.witnesses
+from test_compiled import NAMES, SIG, formulas, result, small_models
 
 
 def agree(m, f, env=None):

@@ -119,6 +119,36 @@ def test_exists_e_eigen_in_conclusion_rejected():
     assert not accepted(root)
 
 
+# two sorts, so that a witness can be ill-sorted or of the wrong sort
+SIG_TWO = sx.Signature(frozenset({"s", "t"}), {"c": "s", "d": "t"}, {},
+                       {"P": ("s",)})
+FA_PX = Quant(sx.FORALL, X, None, PX)
+
+
+def witness_failures(witness, conclusion):
+    """The witness failures of forall-e from forall x:s. P(x) to
+    `conclusion` at `witness`."""
+    root = ProofTree(Sequent((FA_PX,), conclusion), "forall-e",
+                     (hyp([FA_PX], FA_PX),), witness=("x", witness), line=2)
+    v = check_proof(root, SIG_TWO, KernelConfig())
+    assert not v.accepted
+    return [(f.line, f.condition, f.message) for f in v.failures
+            if f.condition == "witness"]
+
+
+def test_an_ill_sorted_witness_is_rejected():
+    # zz is no constant of the signature: the witness has no sort
+    zz = Const("zz")
+    assert witness_failures(zz, Atom("P", (zz,))) == [
+        (2, "witness", "unknown constant zz")]
+
+
+def test_a_witness_of_the_wrong_sort_is_rejected():
+    # d is a t, and x ranges over s
+    assert witness_failures(Const("d"), Atom("P", (Const("d"),))) == [
+        (2, "witness", "witness term has sort t, expected s")]
+
+
 def test_eps_intro_needs_witness():
     eps = Binder(sx.EPS, X, PX)
     t = hyp([PC], PC)
