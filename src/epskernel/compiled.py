@@ -14,13 +14,12 @@ value into a dict of its own (_Lazy) where the semantics reads it.
 One generator (_Emitter) writes every form as Python source: one flat
 function per node, one local per subnode, with each element loop and each
 short-circuit's right operand a function of its own, so the source nests
-boundedly at any depth.  The source names no symbol (the needs keys and the
-nodes it names come in as tuples), so nodes equal up to the names of their
-symbols share one code object.  The code cache is keyed by form and shape
-before emitting: one walk writes a node's kinds, variable names and symbol
-positions (_shape_key), and a shape seen before takes its code from the
-cache, with this node's symbols and nodes in their places, without running
-the emitter.
+boundedly at any depth.  The source reads each need by its key, written in
+it, and names the nodes that witnesses and messages name through a tuple T
+bound in its namespace.  The code cache is keyed by form and formula before
+emitting: one walk writes a node as it is written (_shape_key), and a
+formula equal to one emitted before takes that one's code from the cache
+without running the emitter.
 
 The mask form (TRUTH), which truth runs, is first-order.  A formula in the
 variable bound at slot k is a mask: bit i is set when the formula holds
@@ -49,8 +48,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
-import types
 from fractions import Fraction
 from numbers import Rational
 from types import SimpleNamespace
@@ -304,7 +301,7 @@ def _generic_quant(f):
 
 
 # ---------------------------------------------------------------------------
-# generated source: what it calls, and the cache of its code by shape
+# generated source: what it calls, and the cache of its code by formula
 
 
 def _fail():
@@ -349,14 +346,14 @@ _GLOBALS = {"_U": _UNSET, "_fail": _fail, "_raise": _raise, "_app": _app,
             "_counted": _counted, "_replay": _replay, "_low": _low,
             "_subsets": _subsets,
             **{name: COUNT_TESTS[kind] for kind, name in _COUNT_NAMES.items()}}
-# distinct shapes whose compiled code is kept; a shape past the bound is
-# emitted again when it comes back
+# distinct formulas whose compiled code is kept; a formula past the bound
+# is emitted again when it comes back
 CODE_CACHE = 512
 
 
 class _CodeCache(dict):
-    """Shape key -> what emitting it gave, least recently used first, at
-    most `maxsize` entries; its hits and misses are counted."""
+    """Formula key -> its code, least recently used first, at most
+    `maxsize` entries; its hits and misses are counted."""
 
     def __init__(self, maxsize):
         super().__init__()
@@ -378,40 +375,25 @@ class _CodeCache(dict):
 
 
 _codes = _CodeCache(CODE_CACHE)
-# a shape key's symbol namespaces, and those of a need key's parts after
-# its tag
-_PREDS, _CONSTS, _FUNCS, _SORTS = range(4)
-_NEED_SYMBOLS = {"dom": (_SORTS,), "ext": (_PREDS,), "const": (_CONSTS,),
-                 "fn": (_FUNCS,), "cfg": (),
-                 **dict.fromkeys(("mask", "row", "col", "diag"), (_PREDS, _SORTS))}
 
 
-def _shape_key(node, head, syms, nodes):
-    """node's shape as a flat tuple after `head`: each node's type and its
-    fields that are not symbols, variable names as they are, and each
-    predicate, constant, function and sort name as the index of its first
-    occurrence in its namespace (syms: a name -> index dict for each).  Two
-    formulas with one key differ at most by a renaming of their symbols,
-    one to one in each namespace, and the emitter writes the same code for
-    both.  The nodes go on `nodes` in the order of the walk, each parent
-    before its children.  One walk on an explicit stack, so the key is made
-    and hashed at any depth."""
-    preds, consts, funcs, sorts = syms
+def _shape_key(node, head):
+    """node as a flat tuple after `head`: each node's type and its fields,
+    names as they are written, so two formulas with one key are equal.  One
+    walk on an explicit stack, so the key is made and hashed at any
+    depth."""
     out = list(head)
-    add, keep = out.extend, nodes.append
+    add = out.extend
     stack = [node]
     pop, push = stack.pop, stack.append
     while stack:
         e = pop()
-        keep(e)
         t = type(e)
         if t is Atom:
-            p = e.pred
-            add((Atom, p if p == sx.EQ else preds.setdefault(p, len(preds)),
-                 len(e.args)))
+            add((Atom, e.pred, len(e.args)))
             stack += e.args
         elif t is Var:
-            add((Var, e.name, sorts.setdefault(e.sort, len(sorts))))
+            add((Var, e.name, e.sort))
         elif t is Not:
             out.append(Not)
             push(e.body)
@@ -430,18 +412,18 @@ def _shape_key(node, head, syms, nodes):
             push(e.body)
             push(e.var)
         elif t is Const:
-            add((Const, consts.setdefault(e.name, len(consts))))
+            add((Const, e.name))
         elif t is App:
-            add((App, funcs.setdefault(e.func, len(funcs)), len(e.args)))
+            add((App, e.func, len(e.args)))
             stack += e.args
         elif t is Generic:
-            add((Generic, e.kind, sorts.setdefault(e.sort, len(sorts))))
+            add((Generic, e.kind, e.sort))
         elif t is GenericRestricted:
-            add((GenericRestricted, e.kind, sorts.setdefault(e.sort, len(sorts))))
+            add((GenericRestricted, e.kind, e.sort))
             push(e.restriction)
             push(e.var)
         elif t is Quant2:
-            add((Quant2, e.kind, e.predvar, sorts.setdefault(e.sort, len(sorts))))
+            add((Quant2, e.kind, e.predvar, e.sort))
             push(e.body)
         elif t is PredApp:
             add((PredApp, e.predvar))
@@ -462,11 +444,15 @@ def _bit(slot):
 _RECORDS = (Binder, Generic, GenericRestricted, Quant2, PredApp)
 
 
-def _recording(nodes):
-    """ids of the nodes that can record a flag or a witness or that bind a
-    predicate variable (a choice or generic term, a count quantifier, a
-    second-order node), and of those that hold one.  `nodes` lists each
-    parent before its children."""
+def _recording(node):
+    """ids of node's nodes that can record a flag or a witness or that bind
+    a predicate variable (a choice or generic term, a count quantifier, a
+    second-order node), and of those that hold one."""
+    nodes, stack = [], [node]
+    while stack:            # each parent before its children
+        e = stack.pop()
+        nodes.append(e)
+        stack += sx.children(e)
     out = set()
     for e in reversed(nodes):
         if isinstance(e, _RECORDS) or \
@@ -510,19 +496,17 @@ class _Emitter:
     finished nodes on another (vals).  A scope is a chain of links (name,
     slot, domain key of a predicate variable's subsets, outer scope)."""
 
-    def __init__(self, mode, nodes):
+    def __init__(self, mode):
         self.mode, self.strict = mode, mode == STRICT
-        self.nodes = nodes      # the node's nodes, in _shape_key's order
-        self.recording = _recording(nodes) if mode == RECORD else None
-        self.index = None       # id(node) -> its index in nodes
-        self.used = {}          # index in nodes -> index in T
-        self.keys = {}          # need key -> its index in K
+        self.recording = None   # ids of the nodes RECORD writes ordered
+        self.named = {}         # id(node) -> (its index in T, node)
+        self.keys = {}          # need keys, in the order first needed
         self.frees = []         # (Environment field, name) per free name
         self.entry = {}         # need, attribute or env index -> entry local
         self.root = _Region(None)
         # the run function's parameters, which STRICT reads where it needs
-        self.home = dict.fromkeys(("d", "K", "T", "env"), self.root)
-        self.deps = {"d": 0, "K": 0, "T": 0, "env": _FREE}   # local -> slots read
+        self.home = dict.fromkeys(("d", "env"), self.root)
+        self.deps = {"d": 0, "env": _FREE}      # local -> slots read
         self.defs = []          # source of each helper function
         self.closed = {}        # closed choice term -> its local, or its call
         self.loops = {}         # inner slot -> the loop region binding it
@@ -531,11 +515,11 @@ class _Emitter:
         self.todo, self.vals = [], []
 
     def emit(self, node):
-        """_run(d, env, K) of the mask form, _run(d, env, K, T) of the
-        ordered form: K holds the need keys in the order of self.keys, env
-        the free names' values (name i at index -2 - i, the ordered form's
-        _Rec at -1), T the nodes that witnesses and messages name, in the
-        order of self.used."""
+        """_run(d, env) of form self.mode: env holds the free names' values
+        (name i at index -2 - i, the ordered form's _Rec at -1), and T, in
+        its namespace, the nodes that witnesses and messages name."""
+        if self.mode == RECORD:
+            self.recording = _recording(node)
         if self.mode == TRUTH or sx.is_formula(node):
             self.formula(node, None, self.root, True)
         else:
@@ -545,11 +529,10 @@ class _Emitter:
             fn, *args = todo.pop()
             fn(*args)
         out, = self.vals
-        head = "def _run(d, env, K%s):" % ("" if self.mode == TRUTH else ", T")
-        source = "\n".join(self.defs + [head] + [
+        source = "\n".join(self.defs + ["def _run(d, env):"] + [
             "    " + (t if v is None else "%s = %s" % (v, t))
             for v, t, _ in self.root.lines] + ["    return " + out, ""])
-        ns = dict(_GLOBALS)
+        ns = dict(_GLOBALS, T=tuple(e for _, e in self.named.values()))
         exec(compile(source, "<mask form>" if self.mode == TRUTH else
                      "<ordered form>", "exec"), ns)
         return ns["_run"]
@@ -634,14 +617,14 @@ class _Emitter:
             v = self.put(reg, "_raise(%r)" % message, ())
         else:
             v = self.put(reg, "_raise(%r, T[%d])" % (message, self.node(node)),
-                         ("T",))
+                         ())
         self.vals.append(v)
 
     # -- what the entry reads once ----------------------------------------
 
     def need(self, *parts):
         key = _SEP.join(parts)
-        self.keys.setdefault(key, len(self.keys))
+        self.keys.setdefault(key)
         return key
 
     def at_entry(self, key, text, bits=0):
@@ -656,13 +639,13 @@ class _Emitter:
         """d[key] of a need, or its attribute or item `attr`."""
         if attr:
             return self.at_entry((key, attr), self.value(key) + attr)
-        return self.at_entry(key, "d[K[%d]]" % self.keys[key])
+        return self.at_entry(key, "d[%r]" % key)
 
     def read(self, reg, key, attr=""):
         """value(key, attr), which STRICT reads in reg, where it is used."""
         if not self.strict:
             return self.value(key, attr)
-        return self.put(reg, "d[K[%d]]%s" % (self.keys[key], attr), ("d", "K"))
+        return self.put(reg, "d[%r]%s" % (key, attr), ("d",))
 
     def rec(self):
         """The ordered form's _Rec."""
@@ -670,9 +653,7 @@ class _Emitter:
 
     def node(self, e):
         """The index in T of node e, which a witness or a message names."""
-        if self.index is None:
-            self.index = {id(n): i for i, n in enumerate(self.nodes)}
-        return self.used.setdefault(self.index[id(e)], len(self.used))
+        return self.named.setdefault(id(e), (len(self.named), e))[0]
 
     def bind(self, scope, name, dk=None):
         """(slot, inner scope) of a binding of `name`; a predicate variable's
@@ -1032,9 +1013,8 @@ class _Emitter:
         n = len(t.args)
         args = self.pop(n)
         if self.strict:
-            self.vals.append(self.put(reg, "_app(d[K[%d]], (%s), T[%d])" % (
-                self.keys[fk], "%s, " * n % tuple(args), self.node(t)),
-                ("d", "K", "T", *args)))
+            self.vals.append(self.put(reg, "_app(d[%r], (%s), T[%d])" % (
+                fk, "%s, " * n % tuple(args), self.node(t)), ("d", *args)))
         else:
             self.vals.append(self.op(reg, "%s[(" + "%s, " * n + ")]",
                                      self.value(fk), *args))
@@ -1076,7 +1056,7 @@ class _Emitter:
         shape = self.read(choice, self.need("dom", t.var.sort))
         if binder:
             self.stmt(choice, "if not %s.full: _raise(%r, T[%d].var.sort)" % (
-                shape, "empty domain for sort %s", self.node(t)), shape, "T")
+                shape, "empty domain for sort %s", self.node(t)), shape)
         self.todo.append((self.pick, t, shape, reg, choice))
         self.satisfy(t.body if binder else t.restriction, inner, slot,
                      t.var.sort, choice)
@@ -1093,7 +1073,7 @@ class _Emitter:
         if type(t) is GenericRestricted:
             dk = self.need("dom", t.sort)
             if self.strict:     # its own sort, read only when nothing satisfies
-                least, reads = "d[K[%d]]" % self.keys[dk], ("d", "K")
+                least, reads = "d[%r]" % dk, ("d",)
             else:
                 least = self.value(dk)
                 reads = least,
@@ -1111,7 +1091,7 @@ class _Emitter:
                           m, rec)
             v = self.op(choice, "_low(%s, %s)", shape, m)
             self.stmt(choice, "%s.witnesses.append((T[%d], %s))" % (
-                rec, self.node(t), v), rec, "T", v)
+                rec, self.node(t), v), rec, v)
         if self.deps[v]:        # picked where it is met, in place
             for line in choice.lines:
                 reg.lines.append(line)
@@ -1151,43 +1131,18 @@ class _Code(tuple):
 def compile_formula(node, mode=TRUTH):
     """(needs in order, run, free names) of a formula in form `mode`, or in
     the ordered modes of a formula or term, and then the number of closed
-    choice terms too; cached on the node, to live and die with it.  The code
-    comes from the cache when a node of the same shape was emitted in this
-    mode before: then its needs are this node's symbols in their places, and
-    the nodes it names (T) are this node's.  The mask form's run(d, values)
-    takes the free names' values; the ordered form's takes them and the
-    _Rec last."""
-    syms, nodes = ({}, {}, {}, {}), []
-    key = _shape_key(node, (mode,), syms, nodes)
-    entry = _codes.take(key)
-    if entry is None:
-        emitter = _Emitter(mode, nodes)
+    choice terms too; cached on the node, to live and die with it.  A node
+    equal to one emitted in this mode before gets that one's code, which
+    names that one's nodes.  The mask form's run(d, values) takes the free
+    names' values; the ordered form's takes them and the _Rec last."""
+    key = _shape_key(node, (mode,))
+    code = _codes.take(key)
+    if code is None:
+        emitter = _Emitter(mode)
         run = emitter.emit(node)
-        # kept flat, each tag followed by its symbols' indices, and with the
-        # key's strings interned: an entry holds no string of its own
-        needs = []
-        for need in emitter.keys:
-            tag, *parts = need.split(_SEP)
-            needs += (sys.intern(tag), *(syms[ns][part] for ns, part
-                                         in zip(_NEED_SYMBOLS[tag], parts)))
-        entry = (run, tuple(needs), tuple(emitter.frees), emitter.memos,
-                 tuple(emitter.used))
-        _codes.put(tuple(sys.intern(k) if type(k) is str else k for k in key),
-                   entry)
-    run, needs, frees, memos, used = entry
-    names = [list(s) for s in syms]
-    keys, it = [], iter(needs)
-    for tag in it:
-        keys.append(_SEP.join((tag, *[names[ns][next(it)]
-                                      for ns in _NEED_SYMBOLS[tag]])))
-    keys = tuple(keys)
-    if mode == TRUTH:
-        code = keys, types.FunctionType(run.__code__, run.__globals__, "_run",
-                                        (keys,)), frees
-    else:
-        code = keys, types.FunctionType(run.__code__, run.__globals__, "_run", (
-            keys, tuple(nodes[i] for i in used))), frees, memos
-    code = _Code(code)
+        code = (tuple(emitter.keys), run, tuple(emitter.frees))
+        code = _Code(code if mode == TRUTH else code + (emitter.memos,))
+        _codes.put(key, code)
     try:
         object.__setattr__(node, _CODE[mode], code)
     except (AttributeError, TypeError):

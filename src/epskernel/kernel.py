@@ -506,7 +506,9 @@ def _chk_maj_disjoint(node, sig, cfg, fail):
 
 
 def _chk_most_inst(node, sig, cfg, fail):
-    # experimental: from MOST x:S. P(x) infer P(most:S); off by default
+    # experimental: from MOST x:S. P(x) infer P(most:S); off by default.
+    # P(most:S) reads the model's majority mode, strict by default, so a
+    # weak premise does not give it
     if not cfg.allow_most_instantiation:
         fail("config", "most-inst is experimental and disabled; enable "
              "allow_most_instantiation to use it")
@@ -515,6 +517,9 @@ def _chk_most_inst(node, sig, cfg, fail):
     c = node.sequent.conclusion
     if not (isinstance(p, Quant) and p.kind == sx.MOST):
         fail("shape", "premise must be a most statement")
+        return
+    if p.mode == "weak":
+        fail("shape", "premise must not be a weak most statement")
         return
     if not (isinstance(p.body, Atom) and p.body.args == (p.var,)):
         fail("shape", "most-inst only applies to an atomic body P(x)")

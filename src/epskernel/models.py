@@ -17,7 +17,7 @@ predicates of (hits, total, theta, mode): compiled.COUNT_TESTS, which the
 evaluator and classify_quantifier share.
 
 One evaluator (compiled.py) runs every formula and term from code compiled
-once per node, generated as Python source and shared per shape.  truth
+once per node, generated as Python source and shared by equal nodes.  truth
 runs its mask form, for the value only: a formula in a bound variable is
 the mask of the elements that satisfy it, and a predicate variable holds a
 subset as a mask.  eval_formula and eval_term run the ordered form:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from epskernel import generators as gen
-from epskernel import kernel, parser, semantics
+from epskernel import cli, kernel, models, parser, semantics
 from epskernel import syntax as sx
 from epskernel.kernel import KernelConfig, ProofTree, Sequent, check_proof
 from epskernel.syntax import Atom, And, Binder, Const, Implies, Not, Quant, Var
@@ -222,6 +222,95 @@ def test_most_inst_gated():
     root = ProofTree(Sequent((most,), concl), "most-inst", (t,), line=2)
     assert not accepted(root)
     assert accepted(root, KernelConfig(allow_most_instantiation=True))
+
+
+MOST_INST = KernelConfig(allow_most_instantiation=True)
+MOST_S = sx.Generic(sx.MOST, "s")
+
+
+def failures(tree, cfg=None):
+    """(line, condition, message) of each failure the kernel reports."""
+    v = check_proof(tree, SIG, cfg or KernelConfig())
+    assert v.accepted == (not v.failures)
+    return [(f.line, f.condition, f.message) for f in v.failures]
+
+
+def most_inst(premise, conclusion):
+    return ProofTree(Sequent((premise,), conclusion), "most-inst",
+                     (hyp([premise], premise),), line=2)
+
+
+def test_most_inst_rejects_a_weak_premise(tmp_path, capsys, fixtures):
+    # P(most:s) reads the model's majority mode, strict by default: half of
+    # {a, b} is a weak majority, not a strict one
+    m = parser.parse_model("sort s = {a, b}\npred P : s = {a}")
+    weak = Quant(sx.MOST, X, None, PX, "weak")
+    concl = Atom("P", (MOST_S,))
+    assert models.truth(m, weak) and not models.truth(m, concl)
+    assert failures(most_inst(weak, concl), MOST_INST) == [
+        (2, "shape", "premise must not be a weak most statement")]
+    for mode in (None, "strict"):
+        assert failures(most_inst(Quant(sx.MOST, X, None, PX, mode), concl),
+                        MOST_INST) == []
+    proof = tmp_path / "weak.proof"
+    proof.write_text("1. mostweak x:s. P(x) |- mostweak x:s. P(x) ; hyp\n"
+                     "2. mostweak x:s. P(x) |- P(most:s) ; most-inst(1)\n")
+    assert cli.main(["check", "--signature", str(fixtures / "base.sig"),
+                     "--most-inst", "--proof", str(proof)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "rejected"
+
+
+def test_most_inst_needs_a_most_premise():
+    fa = Quant(sx.FORALL, X, None, PX)
+    assert failures(most_inst(fa, Atom("P", (MOST_S,))), MOST_INST) == [
+        (2, "shape", "premise must be a most statement")]
+
+
+def test_most_inst_needs_an_atomic_body():
+    most = Quant(sx.MOST, X, None, Not(PX))
+    assert failures(most_inst(most, Not(Atom("P", (MOST_S,)))), MOST_INST) == [
+        (2, "shape", "most-inst only applies to an atomic body P(x)")]
+
+
+def test_most_inst_concludes_the_generic_instance():
+    most = Quant(sx.MOST, X, None, PX)
+    assert failures(most_inst(most, Atom("Q", (MOST_S,))), MOST_INST) == [
+        (2, "shape", "conclusion is not the generic-element instance")]
+    # a restricted premise instantiates at the restricted generic element
+    restricted = Quant(sx.MOST, X, Atom("Q", (X,)), PX)
+    g = sx.GenericRestricted(sx.MOST, "s", X, Atom("Q", (X,)))
+    assert failures(most_inst(restricted, Atom("P", (g,))), MOST_INST) == []
+    assert failures(most_inst(restricted, Atom("P", (MOST_S,))), MOST_INST) == [
+        (2, "shape", "conclusion is not the generic-element instance")]
+
+
+def test_or_e_case_premise_must_assume_its_disjunct():
+    d = sx.Or(PC, QC)
+    case1, case2 = hyp([d, PC], d, 2), hyp([d, QC], d, 3)
+    root = ProofTree(Sequent((d,), d), "or-e", (hyp([d], d), case1, case2),
+                     line=4)
+    assert failures(root) == []
+    # each case proves the conclusion, but from d alone
+    for i in (1, 2):
+        cases = [case1, case2]
+        cases[i - 1] = hyp([d], d, i + 1)
+        root = ProofTree(Sequent((d,), d), "or-e", (hyp([d], d), *cases),
+                         line=4)
+        assert failures(root) == [
+            (4, "shape", "case premise %d does not assume its disjunct" % i)]
+
+
+def test_exists_e_case_premise_must_assume_the_instance():
+    ex = Quant(sx.EXISTS, X, None, PX)
+    inst = Atom("P", (Var("y", "s"),))
+    good = ProofTree(Sequent((ex,), ex), "exists-e",
+                     (hyp([ex], ex), hyp([ex, inst], ex, 2)), eigen="y", line=3)
+    assert failures(good) == []
+    # the case premise proves the conclusion without assuming P(y)
+    bad = ProofTree(Sequent((ex,), ex), "exists-e",
+                    (hyp([ex], ex), hyp([ex], ex, 2)), eigen="y", line=3)
+    assert failures(bad) == [
+        (3, "shape", "case premise does not assume the instantiated body")]
 
 
 def test_unknown_rule_and_arity_rejected():
