@@ -109,17 +109,20 @@ def run_eval(args):
     if not sx.is_formula(f):
         raise InputError("eval needs a formula, got a bare term")
     res = models.eval_formula(model, None, f)
-    record = {"kind": "eval", "formula": parser.print_formula(f),
-              "value": res.value, "flags": res.flags}
-    lines = ["%s = %s" % (parser.print_formula(f), str(res.value).lower())]
-    for fl in res.flags:
-        lines.append("flag: %s" % fl)
-    if args.witnesses:
-        record["witnesses"] = [{"term": t, "element": str(e)}
-                               for t, e in res.witnesses]
-        for t, e in res.witnesses:
-            lines.append("witness: %s -> %s" % (t, e))
-    _emit(args, record, "\n".join(lines))
+    text = parser.print_formula(f)
+    if args.format == "records":
+        record = {"kind": "eval", "formula": text, "value": res.value,
+                  "flags": res.flags}
+        if args.witnesses:
+            record["witnesses"] = [{"term": t, "element": str(e)}
+                                   for t, e in res.witnesses]
+        _emit(args, record, None)
+    else:
+        lines = ["%s = %s" % (text, str(res.value).lower())]
+        lines += ["flag: %s" % fl for fl in res.flags]
+        if args.witnesses:
+            lines += ["witness: %s -> %s" % (t, e) for t, e in res.witnesses]
+        _emit(args, None, "\n".join(lines))
     if args.expect_true and not res.value:
         return 1
     return 0

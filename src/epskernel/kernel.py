@@ -108,7 +108,7 @@ class Verdict:
 
 
 def _member(f, fs):
-    return any(alpha_eq(f, g) for g in fs)
+    return any(f is g or alpha_eq(f, g) for g in fs)
 
 
 def _subset(small, big):
@@ -116,7 +116,7 @@ def _subset(small, big):
 
 
 def _minus(fs, f):
-    return tuple(g for g in fs if not alpha_eq(g, f))
+    return tuple(g for g in fs if not (g is f or alpha_eq(g, f)))
 
 
 def _name_free_in(name, fs):
@@ -129,16 +129,18 @@ def check_proof(proof, sig, cfg=None):
 
     Premises are checked before their conclusion.  A node object shared by
     several conclusions, as a proof script's cited lines are, is checked
-    once."""
+    once, and so is the sort of a formula object that several sequents
+    carry, as a proof script's repeated formulas are."""
     cfg = cfg or KernelConfig()
     failures = []
     nodes = []
     done = set()     # ids of nodes seen; all stay alive through `proof`
+    sorted_ok = set()     # ids of formulas found well-sorted, likewise
     todo = [(proof, False)]
     while todo:
         node, ready = todo.pop()
         if ready:
-            _check_node(node, sig, cfg, failures, nodes)
+            _check_node(node, sig, cfg, failures, nodes, sorted_ok)
         elif id(node) not in done:
             done.add(id(node))
             todo.append((node, True))
@@ -146,15 +148,21 @@ def check_proof(proof, sig, cfg=None):
     return Verdict(not failures, failures, nodes)
 
 
-def _check_node(node, sig, cfg, failures, nodes):
+def _check_node(node, sig, cfg, failures, nodes, sorted_ok):
+    """Checks `node` alone; an ill-sorted formula is reported at every node
+    that carries it, and the id of a well-sorted one joins `sorted_ok`."""
     before = len(failures)
 
     def fail(condition, message):
         failures.append(Failure(node.line, node.rule, condition, message))
 
     for f in (*node.sequent.hypotheses, node.sequent.conclusion):
-        for e in sx.well_sorted(f, sig):
-            fail("well-sorted", e)
+        if id(f) not in sorted_ok:
+            errs = sx.well_sorted(f, sig)
+            for e in errs:
+                fail("well-sorted", e)
+            if not errs:
+                sorted_ok.add(id(f))
 
     arity, checker = RULES.get(node.rule, (None, None))
     if checker is None:

@@ -801,9 +801,15 @@ def lexicon_entries(text):
 #   var x : S
 #   n. H1, ..., Hk |- F ; RULE(refs) [x := t | eigen x]
 #
-# The script is tokenized once and read a line at a time.  Each line becomes
-# one ProofTree node, built once and shared by every line that cites it.
-# References point to lower-numbered lines; the last line is the root.
+# The script is tokenized once and read a line at a time.  Lines restate
+# their hypotheses, so each distinct formula text is read and sort-checked
+# once per script and its formula object is shared by every line that
+# carries it.  Each line becomes one ProofTree node, built once and shared by
+# every line that cites it.  References point to lower-numbered lines; the
+# last line is the root.
+
+# what ends a formula of a script line at parenthesis depth 0
+_FORMULA_ENDS = {",", "|-", ";"}
 
 
 def parse_proof_script(text, sig):
@@ -811,7 +817,7 @@ def parse_proof_script(text, sig):
     diags = []
     lines = {}      # number -> what _script_line read
     env = {}        # free variables declared by `var` lines so far
-    read = {}       # hypothesis-list text -> formulas, see _script_line
+    memo = {}       # formula text -> formula, see _script_formula
     root = None
     # unexpected characters are reported alone, by tokenize
     for p in _lines(text, tokenize(text), sig, env):
@@ -820,10 +826,10 @@ def parse_proof_script(text, sig):
                 p.i += 1
                 var = p.binding_var()
                 env[var.name] = var.sort
-                read.clear()
+                memo.clear()        # a text read before may read otherwise now
                 p.end()
                 continue
-            num, line = _script_line(p, read)
+            num, line = _script_line(p, memo)
         except ParseError as e:
             diags.extend(e.diagnostics)
             continue
@@ -858,25 +864,16 @@ def parse_proof_script(text, sig):
     return nodes[root]
 
 
-def _script_line(p, read):
+def _script_line(p, memo):
     """One numbered proof line read by `p`; returns its number token and
-    (hypotheses, conclusion, rule, reference tokens, witness, eigen).
-    Lines repeat their hypotheses, so `read` maps the text of each list
-    read up to its '|-' to its formulas and number of tokens."""
+    (hypotheses, conclusion, rule, reference tokens, witness, eigen).  Its
+    formulas are read through `memo`, see _script_formula."""
     num = _line_number(p)
     p.expect(".")
-    start = p.peek()[2]
-    end = p.src.find("|-", start, p.toks[-1][2])
-    key = p.src[start:end] if end >= 0 else None
-    hyps, n = read.get(key, (None, 0))
-    if hyps is None:
-        i = p.i
-        hyps = [] if p.peek()[1] == "|-" else p.listed(p.sorted_formula)
-        if p.peek()[2] == end:
-            read[key] = hyps, p.i - i
-    p.i += n
+    hyps = [] if p.peek()[1] == "|-" else p.listed(
+        partial(_script_formula, p, memo))
     p.expect("|-")
-    concl = p.sorted_formula()
+    concl = _script_formula(p, memo)
     p.expect(";")
     rule = p.ident("rule name")
     if rule not in RULES:
@@ -899,6 +896,30 @@ def _script_line(p, read):
         p.expect("]")
     p.end()
     return num, (tuple(hyps), concl, rule, refs, witness, eigen)
+
+
+def _script_formula(p, memo):
+    """The sort-checked formula at the cursor of `p`.  `memo` maps the text
+    of each formula read before, from its first token to its last before
+    the ',', '|-' or ';' that ends it at parenthesis depth 0, to that
+    formula: a text read again gives the same object and is not parsed or
+    sort-checked again.  A formula is kept only when its parse ends at that
+    token, so a text that fails is read, and reported, every time."""
+    toks, j, depth = p.toks, p.i, 0
+    while depth or toks[j][1] not in _FORMULA_ENDS:
+        if toks[j][0] == "eof":
+            return p.sorted_formula()
+        depth += (toks[j][1] == "(") - (toks[j][1] == ")")
+        j += 1
+    key = p.src[toks[p.i][2]:toks[j][2]].rstrip()
+    f = memo.get(key)
+    if f is not None:
+        p.i = j
+        return f
+    f = p.sorted_formula()
+    if p.i == j:
+        memo[key] = f
+    return f
 
 
 def _line_number(p):

@@ -144,12 +144,15 @@ def test_formula_fragments_match_the_old_parser(text, sig):
 @given(st.lists(st.sampled_from(SCRIPT_ROWS), min_size=1, max_size=8),
        st.sampled_from(["\n", "\r\n"]))
 @settings(max_examples=300)
-# a hypothesis list's text read again: after a `var` line, after a '|-' in
-# a comment, and on lines without '|-'
+# a formula's text read again: after a `var` line, after a '|-' in a
+# comment, and on lines without '|-'
 @example(["1. P(c) |- P(c) ; hyp", "var P : s", "2. P(c) |- P(c) ; hyp"], "\n")
 @example(["1. P(c) # |- P(c) ; hyp", "2. P(c) |- P(c) ; hyp"], "\n")
 @example(["1. c = c|- P(c) ; hyp", "2. c = cx"], "\n")
 @example(["1. P(c)", "2. Q(c) and"], "\n")
+# each line extends the previous hypothesis list by one formula
+@example(["1. P(c) |- P(c) ; hyp", "2. P(c), Q(c) |- Q(c) ; hyp",
+          "3. P(c), Q(c), P(c) and Q(c) |- P(c) and Q(c) ; hyp"], "\n")
 def test_script_fragments_match_the_old_parser(rows, newline):
     sig = parse_signature((FIXTURES / "base.sig").read_text())
     text = newline.join(rows)

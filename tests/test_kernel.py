@@ -351,3 +351,90 @@ def test_verdict_reports_nodes():
     assert not v.accepted
     assert any(not ok for (_, _, ok) in v.nodes)
     assert v.failures
+
+
+def test_an_ill_sorted_formula_is_reported_at_every_node_that_carries_it():
+    # one object in the hypotheses of both nodes
+    bad = Atom("P", (Const("zzz"),))
+    t = hyp([bad, PC], PC)
+    root = ProofTree(Sequent((bad, PC), And(PC, PC)), "and-i", (t, t), line=2)
+    assert failures(root) == [(1, "well-sorted", "unknown constant zzz"),
+                              (2, "well-sorted", "unknown constant zzz")]
+
+
+def test_premise_hypotheses_are_compared_up_to_alpha():
+    fa_x = Quant(sx.FORALL, X, None, PX)
+    y = Var("y", "s")
+    fa_y = Quant(sx.FORALL, y, None, Atom("P", (y,)))
+    a, a_y = And(fa_x, QC), And(fa_y, QC)
+    # a premise hypothesis the conclusion lacks
+    root = ProofTree(Sequent((a,), fa_x), "and-e1", (hyp([a, PC], a),), line=2)
+    assert failures(root) == [
+        (2, "hypotheses", "premise 1 carries a hypothesis the conclusion does not")]
+    assert not kernel._member(PC, (a,)) and not kernel._subset((a, PC), (a,))
+    # an alpha-variant held in a distinct object
+    root = ProofTree(Sequent((a_y,), fa_y), "and-e1", (hyp([a], a),), line=2)
+    assert failures(root) == []
+    assert a is not a_y and kernel._member(a, (PC, a_y))
+    assert kernel._subset((a, a), (a_y,)) and kernel._subset((a,), (a,))
+    assert kernel._minus((PC, a_y, a), a) == (PC,)
+
+
+# the shape checks of the propositional rules that the corpus and its
+# perturbations do not reach; each names the failure it expects
+
+
+def test_and_i_second_premise_must_prove_the_right_conjunct():
+    root = ProofTree(Sequent((PC, QC), And(PC, QC)), "and-i",
+                     (hyp([PC, QC], PC), hyp([PC, QC], PC, 2)), line=3)
+    assert failures(root) == [
+        (3, "shape", "second premise does not prove the right conjunct")]
+
+
+def test_and_e_premise_must_be_a_conjunction():
+    for rule in ("and-e1", "and-e2"):
+        root = ProofTree(Sequent((PC,), PC), rule, (hyp([PC], PC),), line=2)
+        assert failures(root) == [(2, "shape", "premise is not a conjunction")]
+
+
+def test_or_i_conclusion_must_be_a_disjunction():
+    for rule in ("or-i1", "or-i2"):
+        root = ProofTree(Sequent((PC,), And(PC, PC)), rule, (hyp([PC], PC),),
+                         line=2)
+        assert failures(root) == [(2, "shape", "conclusion is not a disjunction")]
+
+
+def test_or_e_first_premise_must_be_a_disjunction():
+    root = ProofTree(Sequent((PC,), PC), "or-e",
+                     (hyp([PC], PC), hyp([PC], PC, 2), hyp([PC], PC, 3)), line=4)
+    assert failures(root) == [(4, "shape", "first premise is not a disjunction")]
+
+
+def test_imp_e_premises_must_be_an_implication_and_its_antecedent():
+    root = ProofTree(Sequent((PC,), PC), "imp-e",
+                     (hyp([PC], PC), hyp([PC], PC, 2)), line=3)
+    assert failures(root) == [(3, "shape", "first premise is not an implication")]
+    imp = Implies(PC, QC)
+    root = ProofTree(Sequent((imp, QC), QC), "imp-e",
+                     (hyp([imp, QC], imp), hyp([imp, QC], QC, 2)), line=3)
+    assert failures(root) == [
+        (3, "shape", "second premise does not prove the antecedent")]
+
+
+def test_not_i_premises_must_derive_a_contradiction():
+    # the premises discharge P(c), and prove Q(c) and Q(c), or Q(c) and
+    # the negation of another formula
+    for second in (QC, Not(PC)):
+        root = ProofTree(Sequent((QC, second), Not(PC)), "not-i",
+                         (hyp([PC, QC], QC), hyp([PC, second], second, 2)),
+                         line=3)
+        assert failures(root) == [
+            (3, "shape", "premises do not derive a contradiction")]
+
+
+def test_not_e_premises_must_be_a_formula_and_its_negation():
+    for second in (QC, Not(QC)):
+        root = ProofTree(Sequent((PC, second), QC), "not-e",
+                         (hyp([PC], PC), hyp([second], second, 2)), line=3)
+        assert failures(root) == [
+            (3, "shape", "premises are not a formula and its negation")]

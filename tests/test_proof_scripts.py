@@ -150,3 +150,56 @@ def test_repr_names_premises_by_line(sig):
     assert len(text) < 64 * 1024
     assert "rule='and-e1', premises=(line 60), " in text and text.endswith("line=61)")
     assert "premises=(line 59, line 59)" in repr(tree.premises[0])
+
+
+def test_a_recurring_formula_text_is_one_object(sig):
+    text = ("1. P(c), Q(c) |- P(c) ; hyp\n"
+            "2. P(c), Q(c) |- Q(c) ; hyp\n"
+            "3. P(c), Q(c) |- P(c) and Q(c) ; and-i(1, 2)\n"
+            "4. P(c), Q(c), P(c) and Q(c) |- P(c) ; and-e1(3)\n")
+    line_4 = parse_proof_script(text, sig)
+    line_3 = line_4.premises[0]
+    line_1, line_2 = line_3.premises
+    p_c, q_c = line_1.sequent.hypotheses
+    # a hypothesis of line 1 on every later line
+    for line in (line_2, line_3, line_4):
+        assert line.sequent.hypotheses[0] is p_c
+        assert line.sequent.hypotheses[1] is q_c
+    # a conclusion read again as a later hypothesis, and the other way
+    assert line_4.sequent.hypotheses[2] is line_3.sequent.conclusion
+    assert line_1.sequent.conclusion is p_c and line_4.sequent.conclusion is p_c
+    assert line_2.sequent.conclusion is q_c
+    assert kernel.check_proof(line_4, sig).accepted
+
+
+def test_a_var_line_clears_the_memo():
+    two = parse_signature("sort s\nsort t\npred P : s\n")
+    text = ("var x : s\n"
+            "1. P(x) |- P(x) ; hyp\n"
+            "var x : t\n"
+            "2. P(x) |- P(x) ; hyp\n")
+    # the same text P(x), read again with x a t
+    assert parse_error(text, two) == [
+        "error:4:4: argument 1 of P has sort t, expected s"]
+    tree = parse_proof_script(text.rsplit("var", 1)[0], two)
+    assert tree.sequent.conclusion.args[0].sort == "s"
+
+
+def test_a_formula_text_that_fails_is_reported_on_every_line(sig):
+    text = ("1. P(zz) |- P(c) ; hyp\n"
+            "2. P(c), P(zz) |- P(c) ; hyp\n"
+            "3. P(c) |- P(zz) ; hyp\n"
+            "4. Q(c) and |- Q(c) ; hyp\n"
+            "5. P(c), Q(c) and |- P(c) ; hyp\n"
+            "6. P(c) Q(c) |- P(c) ; hyp\n"
+            "7. P(c), P(c) Q(c) |- P(c) ; hyp\n")
+    # texts that fail the sort check, fail to parse, or hold more than
+    # the formula read from them
+    assert parse_error(text, sig) == [
+        "error:1:4: unknown constant zz",
+        "error:2:10: unknown constant zz",
+        "error:3:12: unknown constant zz",
+        "error:4:13: expected a term, found '|-'",
+        "error:5:19: expected a term, found '|-'",
+        "error:6:9: expected '|-', found 'Q'",
+        "error:7:15: expected '|-', found 'Q'"]
