@@ -17,8 +17,8 @@ short-circuit's right operand a function of its own, so the source nests
 boundedly at any depth.  The source reads each need by its key, written in
 it, and names the nodes that witnesses and messages name through a tuple T
 bound in its namespace.  The code cache is keyed by form and formula before
-emitting: one walk writes a node as it is written (_shape_key), and a
-formula equal to one emitted before takes that one's code from the cache
+emitting, by syntax.node_key, the walk that gives nodes their == and hash:
+a formula equal to one emitted before takes that one's code from the cache
 without running the emitter.
 
 The mask form (TRUTH), which truth runs, is first-order.  A formula in the
@@ -377,62 +377,6 @@ class _CodeCache(dict):
 _codes = _CodeCache(CODE_CACHE)
 
 
-def _shape_key(node, head):
-    """node as a flat tuple after `head`: each node's type and its fields,
-    names as they are written, so two formulas with one key are equal.  One
-    walk on an explicit stack, so the key is made and hashed at any
-    depth."""
-    out = list(head)
-    add = out.extend
-    stack = [node]
-    pop, push = stack.pop, stack.append
-    while stack:
-        e = pop()
-        t = type(e)
-        if t is Atom:
-            add((Atom, e.pred, len(e.args)))
-            stack += e.args
-        elif t is Var:
-            add((Var, e.name, e.sort))
-        elif t is Not:
-            out.append(Not)
-            push(e.body)
-        elif t is And or t is Or or t is Implies:
-            out.append(t)
-            push(e.right)
-            push(e.left)
-        elif t is Quant:
-            add((Quant, e.kind, e.mode, e.restriction is None))
-            push(e.body)
-            if e.restriction is not None:
-                push(e.restriction)
-            push(e.var)
-        elif t is Binder:
-            add((Binder, e.kind))
-            push(e.body)
-            push(e.var)
-        elif t is Const:
-            add((Const, e.name))
-        elif t is App:
-            add((App, e.func, len(e.args)))
-            stack += e.args
-        elif t is Generic:
-            add((Generic, e.kind, e.sort))
-        elif t is GenericRestricted:
-            add((GenericRestricted, e.kind, e.sort))
-            push(e.restriction)
-            push(e.var)
-        elif t is Quant2:
-            add((Quant2, e.kind, e.predvar, e.sort))
-            push(e.body)
-        elif t is PredApp:
-            add((PredApp, e.predvar))
-            push(e.arg)
-        else:               # no node: the emitter fails on it
-            add((None, e))
-    return tuple(out)
-
-
 _FREE = 1           # deps bit of a free name, read from env
 
 
@@ -767,16 +711,16 @@ class _Emitter:
         self.vals.append(self.put(reg, template % (left, text), [left, *reads]))
 
     def quant(self, f, scope, reg):
-        if self.orders(f):
-            self.ordered_quant(f, scope, reg)
-            return
+        """Quantifier f: its restriction's mask over the whole domain, then
+        its body's on the restriction's elements, each by satisfy, so in
+        the mask form when it records nothing."""
         slot, inner = self.bind(scope, f.var.name)
         dk = self.need("dom", f.var.sort)
         self.todo.append((self.decide, f, dk, reg))
-        self.todo.append((self.mask, f.body, inner, slot, f.var.sort, reg))
+        self.todo.append((self.quant_body, f, inner, slot, reg))
         if f.restriction is not None:
-            self.todo.append((self.mask, f.restriction, inner, slot, f.var.sort,
-                              reg))
+            self.todo.append((self.satisfy, f.restriction, inner, slot,
+                              f.var.sort, reg))
 
     def decide(self, f, dk, reg):
         """Quantifier f from its body's mask b and its restriction's a; the
@@ -816,18 +760,7 @@ class _Emitter:
                 self.stmt(reg, "_counted(%s)" % ", ".join(flag), *flag)
         self.vals.append(v)
 
-    def ordered_quant(self, f, scope, reg):
-        """Quantifier f in the ordered form: its restriction's mask over the
-        whole domain, then its body's on the restriction's elements."""
-        slot, inner = self.bind(scope, f.var.name)
-        dk = self.need("dom", f.var.sort)
-        self.todo.append((self.decide, f, dk, reg))
-        self.todo.append((self.ordered_body, f, inner, slot, reg))
-        if f.restriction is not None:
-            self.todo.append((self.satisfy, f.restriction, inner, slot,
-                              f.var.sort, reg))
-
-    def ordered_body(self, f, scope, slot, reg):
+    def quant_body(self, f, scope, slot, reg):
         """f's body over the elements of its restriction (the mask on vals,
         or all), until it settles f.  In regime A a starred quantifier
         settles as forall and exists do."""
@@ -1132,10 +1065,11 @@ def compile_formula(node, mode=TRUTH):
     """(needs in order, run, free names) of a formula in form `mode`, or in
     the ordered modes of a formula or term, and then the number of closed
     choice terms too; cached on the node, to live and die with it.  A node
-    equal to one emitted in this mode before gets that one's code, which
-    names that one's nodes.  The mask form's run(d, values) takes the free
-    names' values; the ordered form's takes them and the _Rec last."""
-    key = _shape_key(node, (mode,))
+    equal to one emitted in this mode before, by node_key, so by ==, gets
+    that one's code, which names that one's nodes.  The mask form's run(d,
+    values) takes the free names' values; the ordered form's takes them and
+    the _Rec last."""
+    key = sx.node_key(node, (mode,))
     code = _codes.take(key)
     if code is None:
         emitter = _Emitter(mode)

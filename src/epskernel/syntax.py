@@ -8,14 +8,17 @@ walks keep their pending nodes on an explicit stack and return at any
 depth.  They read how each node is put together from one table, _SHAPES,
 but for _sort, the one walk that decides the sorts of terms and formulas,
 which checks each node's own fields and dispatches on its type.  One
-rewrite, _rewrite, serves substitution and the translations.
+rewrite, _rewrite, serves substitution and the translations.  A node's
+identity is node_key, a walk that writes each node's class and dataclass
+fields: the node classes with children take == and hash from it, and the
+evaluator keys its code cache by it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from operator import is_not
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter, is_not
 
 # quantifier kinds
 FORALL = "forall"
@@ -48,6 +51,22 @@ class SortError(Exception):
 # terms
 
 
+class _Inner:
+    """Base of the node classes with children: == and hash compare and hash
+    node_key's flat tuple, so they return at any depth.  The leaves, Var,
+    Const and Generic, keep their dataclass methods."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or node_key(self) == node_key(other)
+
+    def __hash__(self):
+        return hash(node_key(self))
+
+
 @dataclass(frozen=True)
 class Var:
     name: str
@@ -59,14 +78,14 @@ class Const:
     name: str
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(frozen=True, eq=False)
+class App(_Inner):
     func: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class Binder:
+@dataclass(frozen=True, eq=False)
+class Binder(_Inner):
     """Hilbert-style binder term: eps/tau/iota/eta x:S. body."""
 
     kind: str
@@ -82,8 +101,8 @@ class Generic:
     sort: str
 
 
-@dataclass(frozen=True)
-class GenericRestricted:
+@dataclass(frozen=True, eq=False)
+class GenericRestricted(_Inner):
     """Generic element restricted by a predicate over its sort.
 
     The restriction has exactly one designated free variable (`var`).
@@ -99,45 +118,45 @@ class GenericRestricted:
 # formulas
 
 
-@dataclass(frozen=True)
-class Atom:
+@dataclass(frozen=True, eq=False)
+class Atom(_Inner):
     pred: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class PredApp:
+@dataclass(frozen=True, eq=False)
+class PredApp(_Inner):
     """Application of a unary predicate variable to a term."""
 
     predvar: str
     arg: object
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False)
+class Not(_Inner):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Inner):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Inner):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False)
+class Implies(_Inner):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Quant:
+@dataclass(frozen=True, eq=False)
+class Quant(_Inner):
     """First-order quantifier, optionally restricted to a class.
 
     `mode` is only meaningful for kind "most": None (model default),
@@ -151,8 +170,8 @@ class Quant:
     mode: object = None
 
 
-@dataclass(frozen=True)
-class Quant2:
+@dataclass(frozen=True, eq=False)
+class Quant2(_Inner):
     """Second-order quantifier over unary predicate variables of one sort."""
 
     kind: str  # forall2 / exists2
@@ -254,6 +273,50 @@ def _shape(e):
 def children(e):
     """The child terms and formulas of a node, in field order."""
     return _shape(e)[0](e)
+
+
+def _plain_fields(cls):
+    """A getter of the fields of node class cls that hold no child, with a
+    bound variable read as its name and sort, so that a key holds strings,
+    not Var nodes, which hash and compare in Python.  A field that holds a
+    child is found by giving each field a marker: children() returns the
+    markers of those fields, or the field that holds them (App's and Atom's
+    args)."""
+    kids_of, _, binds, _ = _SHAPES[cls]
+    names = [f.name for f in fields(cls)]
+    marks = [object() for _ in names]
+    kids = kids_of(cls(*marks))
+    held = kids if type(kids) is tuple else (kids,)
+    names = [n for n, m in zip(names, marks) if m not in held]
+    if binds is BINDS_VAR:
+        i = names.index("var")
+        names[i:i + 1] = "var.name", "var.sort"
+    return attrgetter(*names) if names else _leaf
+
+
+# class -> (children, getter of its plain fields), for node_key
+_LAYOUT = {cls: (shape[0], _plain_fields(cls)) for cls, shape in _SHAPES.items()}
+
+
+def node_key(e, head=()):
+    """`e` as one tuple after `head`, with one entry per node in the order
+    of a walk on an explicit stack: the node's class, its fields that hold
+    no child and its number of children, or (None, it) for anything that is
+    no node.  Two nodes are equal when their keys are: the node classes with
+    children compare and hash by it, and the code cache is keyed by it."""
+    out = list(head)
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        t = type(e)
+        layout = _LAYOUT.get(t)
+        if layout is None:
+            out.append((None, e))
+        else:
+            kids = layout[0](e)
+            out.append((t, layout[1](e), len(kids)))
+            todo += kids
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

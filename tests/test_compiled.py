@@ -733,3 +733,23 @@ def test_deep_formulas_are_keyed_and_hit(text):
     finally:
         sys.setrecursionlimit(limit)
     assert want is text.startswith("not")
+
+
+def test_a_deep_chain_of_closed_choice_terms_evaluates():
+    # Q(eps x. Q(x) and not Q(eps y. Q(y) and not Q(... c))), 250 deep:
+    # the emitter looks each closed choice term up by == and hash.  The
+    # picks alternate: b over c = a, then none, so a, and so on
+    t = Const("c")
+    for i in range(250):
+        v = Var("x" if i % 2 else "y", "s")
+        t = Binder(sx.EPS, v, And(Atom("Q", (v,)), Not(Atom("Q", (t,)))))
+    f = Atom("Q", (t,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert truth(M, f) is False
+        got = models.eval_formula(M, None, f)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got.value is False
+    assert [e for _, e in got.witnesses] == ["b", "a"] * 125

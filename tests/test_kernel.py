@@ -438,3 +438,99 @@ def test_not_e_premises_must_be_a_formula_and_its_negation():
                          (hyp([PC], PC), hyp([second], second, 2)), line=3)
         assert failures(root) == [
             (3, "shape", "premises are not a formula and its negation")]
+
+
+# the quantifier, witness, eigenvariable and majority checks that the
+# corpus and its perturbations do not reach; each names the failure it
+# expects
+Y = Var("y", "s")
+EX_PX = Quant(sx.EXISTS, X, None, PX)
+
+
+def test_forall_i_premise_must_be_the_body_at_the_eigenvariable():
+    root = ProofTree(Sequent((QC,), FA_PX), "forall-i", (hyp([QC], QC),),
+                     eigen="y", line=2)
+    assert failures(root) == [
+        (2, "shape", "premise is not the body at the eigenvariable")]
+
+
+def test_forall_i_eigenvariable_must_not_be_free_in_the_conclusion():
+    # from forall z. P(z) and P(z), P(y) and P(y) at y; forall x. P(x) and
+    # P(y) generalises y where it stays free
+    both = Quant(sx.FORALL, Var("z", "s"), None,
+                 And(Atom("P", (Var("z", "s"),)), Atom("P", (Var("z", "s"),))))
+    py = Atom("P", (Y,))
+    inst = ProofTree(Sequent((both,), And(py, py)), "forall-e",
+                     (hyp([both], both),), witness=("z", Y), line=2)
+    root = ProofTree(Sequent((both,), Quant(sx.FORALL, X, None, And(PX, py))),
+                     "forall-i", (inst,), eigen="y", line=3)
+    assert failures(root) == [
+        (3, "eigenvariable", "eigenvariable y occurs free in the conclusion")]
+
+
+def test_forall_e_needs_a_witness_annotation():
+    root = ProofTree(Sequent((FA_PX,), PC), "forall-e", (hyp([FA_PX], FA_PX),),
+                     line=2)
+    assert failures(root) == [
+        (2, "witness", "rule forall-e needs a '[x := t]' annotation")]
+
+
+def test_exists_e_needs_an_eigenvariable_annotation():
+    inst = Atom("P", (Y,))
+    root = ProofTree(Sequent((EX_PX,), EX_PX), "exists-e",
+                     (hyp([EX_PX], EX_PX), hyp([EX_PX, inst], EX_PX, 2)), line=3)
+    assert failures(root) == [
+        (3, "eigenvariable", "exists-e needs an '[eigen x]' annotation")]
+
+
+def test_generic_choice_rules_need_an_eigenvariable_annotation():
+    for rule, conclusion in (
+            ("tau-intro", Atom("P", (Binder(sx.TAU, X, PX),))),
+            ("eps-dual", Atom("P", (Binder(sx.EPS, X, Not(PX)),)))):
+        root = ProofTree(Sequent((), conclusion), rule, (hyp([PX], PX),), line=2)
+        assert failures(root) == [
+            (2, "eigenvariable", "%s needs an '[eigen x]' annotation" % rule)]
+
+
+MINORITY = Quant(sx.MOST, X, None, Not(PX), "strict")
+NOT_WEAK_PX = Not(Quant(sx.MOST, X, None, PX, "weak"))
+
+
+def test_maj_refute_minority_must_conclude_not_mostweak():
+    for conclusion in (PC, Not(Quant(sx.MOST, X, None, PX, "strict"))):
+        root = ProofTree(Sequent((MINORITY,), conclusion), "maj-refute-minority",
+                         (hyp([MINORITY], MINORITY),), line=2)
+        assert failures(root) == [
+            (2, "shape", "conclusion must be 'not mostweak x. P'")]
+
+
+def disjoint(maj, sep, conclusion=NOT_WEAK_PX):
+    g = (maj, sep)
+    return ProofTree(Sequent(g, conclusion), "maj-refute-disjoint",
+                     (hyp(g, maj, 1), hyp(g, sep, 2)), line=3)
+
+
+QX = Atom("Q", (X,))
+SEP = Quant(sx.FORALL, X, None, Not(And(PX, QX)))
+
+
+def test_maj_refute_disjoint_first_premise_must_be_a_strict_majority():
+    for mode in (None, "weak"):
+        assert failures(disjoint(Quant(sx.MOST, X, None, QX, mode), SEP)) == [
+            (3, "shape", "first premise must be a strict majority statement")]
+
+
+def test_maj_refute_disjoint_second_premise_must_be_universal():
+    maj = Quant(sx.MOST, X, None, QX, "strict")
+    assert failures(disjoint(maj, SEP)) == []
+    for sep in (Not(And(PC, QC)), Quant(sx.EXISTS, X, None, Not(And(PX, QX)))):
+        assert failures(disjoint(maj, sep)) == [
+            (3, "shape", "second premise must be a universal disjointness "
+             "statement")]
+
+
+def test_maj_refute_disjoint_premises_must_share_the_restriction_class():
+    # most Q-things of the P-things, against most things
+    maj = Quant(sx.MOST, X, PX, QX, "strict")
+    assert failures(disjoint(maj, SEP)) == [
+        (3, "shape", "premises range over different restriction classes")]

@@ -1,17 +1,20 @@
 """The explicit-stack walks of syntax.py and transform.py against the
 recursive walks they replaced (tests/walk_oracle.py): the same values and
 the same exceptions, with the same messages, on drawn formulas and on
-malformed trees.  Then every walk, translation and the kernel on trees
-10^4 deep, built without the parser, under the default recursion limit."""
+malformed trees.  Then every walk, translation, node == and hash and the
+kernel on trees 10^4 deep, built without the parser, under the default
+recursion limit."""
 
+import dataclasses
 import inspect
+import pickle
 import sys
 import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from epskernel import kernel, parser, transform
+from epskernel import compiled, kernel, parser, transform
 from epskernel import syntax as sx
 from epskernel.syntax import (Atom, And, App, Binder, Const, Implies, Not, Or,
                               Quant, Quant2, Signature, Var)
@@ -116,6 +119,85 @@ def test_malformed_trees_walk_and_translate_as_before(e):
     assert_same(e, Px)
 
 
+# -- == and hash -----------------------------------------------------------
+
+
+def same_as_before(a, b):
+    """== and != agree with the recursive reference, node_key with ==, and
+    equal nodes hash alike."""
+    eq = oracle.node_eq(a, b)
+    assert (a == b) is eq and (a != b) is (not eq)
+    assert (sx.node_key(a) == sx.node_key(b)) is eq
+    if eq:
+        assert hash(a) == hash(b)
+
+
+def nodes(e):
+    return [e, *[n for k in sx.children(e) for n in nodes(k)]]
+
+
+@given(formulas(scope=SCOPE, predvars=("X",)), formulas(depth=1),
+       formulas(depth=1))
+@settings(max_examples=200, deadline=None)
+def test_drawn_formulas_compare_and_hash_as_before(f, g, h):
+    # a copy is equal and distinct; small formulas are often equal
+    same_as_before(f, pickle.loads(pickle.dumps(f)))
+    same_as_before(f, rename_bound(f, names()))
+    same_as_before(g, h)
+    some = nodes(f)[:12]
+    for a in some:
+        for b in some:
+            same_as_before(a, b)
+
+
+def test_malformed_trees_compare_and_hash_as_before():
+    for a in MALFORMED_WALKS:
+        same_as_before(a, pickle.loads(pickle.dumps(a)))
+        for b in MALFORMED_WALKS:
+            same_as_before(a, b)
+
+
+Qx = Atom("Q", (x,))
+SAMPLES = [x, c, sx.Generic("most", "s"), App("f", (x, c)), Binder(sx.EPS, x, Px),
+           sx.GenericRestricted("many", "s", x, Px), Px, sx.PredApp("X", x),
+           Not(Px), And(Px, Qx), Or(Px, Qx), Implies(Px, Qx),
+           Quant(sx.FORALL, x, None, Px), Quant(sx.MOST, x, Qx, Px, "strict"),
+           Quant2(sx.EXISTS2, "X", "s", sx.PredApp("X", x))]
+
+
+def changes(field, value):
+    """Values other than `value` for `field`."""
+    if value is None:
+        return ["weak"] if field == "mode" else [Qx]
+    if isinstance(value, str):
+        return [value + "1"]
+    if type(value) is Var:
+        return [Var("y", value.sort), Var(value.name, "t")]
+    if isinstance(value, tuple):
+        return [value[:-1], value + (c,)]
+    return [Not(value)]
+
+
+def test_the_samples_hold_every_node_class():
+    assert {type(e) for e in SAMPLES} == set(sx._SHAPES)
+
+
+@pytest.mark.parametrize("e", SAMPLES, ids=range(len(SAMPLES)))
+def test_a_change_to_any_one_field_is_seen(e, monkeypatch):
+    # unequal, another key, and not the code cached for e
+    monkeypatch.setattr(compiled, "_codes", compiled._CodeCache(compiled.CODE_CACHE))
+    mode = compiled.TRUTH if sx.is_formula(e) else compiled.RECORD
+    compiled.compile_formula(e, mode)
+    for field in dataclasses.fields(e):
+        for value in changes(field.name, getattr(e, field.name)):
+            other = dataclasses.replace(e, **{field.name: value})
+            assert other != e and not other == e, field.name
+            assert sx.node_key(other) != sx.node_key(e), field.name
+            misses = compiled._codes.misses
+            compiled.compile_formula(other, mode)
+            assert compiled._codes.misses == misses + 1, field.name
+
+
 # -- depth -----------------------------------------------------------------
 
 DEPTH = 10_000
@@ -150,7 +232,7 @@ def public(module):
             and not name.startswith("_")}
 
 
-CALLED = {"is_term", "is_formula", "children", "free_vars",
+CALLED = {"is_term", "is_formula", "children", "node_key", "free_vars",
           "free_predvars", "subterms", "fresh_name", "substitute", "alpha_eq",
           "well_sorted", "term_sort", "frege_embed", "frege_unembed",
           "epsilon_embed", "quantifier_free", "concept_guard",
@@ -169,6 +251,9 @@ def test_walks_return_at_depth(kind):
     try:
         assert sx.is_formula(f) and not sx.is_term(f)
         assert len(sx.children(f)) == (2 if kind == "and" else 1)
+        assert sx.node_key(f, ("h",)) == ("h", *sx.node_key(same))
+        assert sx.node_key(f) != sx.node_key(other)
+        assert f == same and f != other and hash(f) == hash(same)
         assert sx.free_vars(f) == {z} and sx.free_predvars(f) == set()
         assert len(sx.subterms(f)) == {"not": 1, "and": DEPTH + 1, "prefix": 1,
                                        "eps": DEPTH + 1, "term": DEPTH + 1}[kind]

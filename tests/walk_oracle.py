@@ -9,12 +9,14 @@ negation pushing.  Their values and exceptions are the reference; they
 recurse once per level of nesting.  rebuild, which syntax.py no longer
 has, is defined here as it was.  One mend was made in both places:
 _rename_bound renames an inner binder of the new name in turn, so that
-renaming cannot capture.
+renaming cannot capture.  node_eq is the == that the dataclass methods gave
+every node class before the classes with children took theirs from
+syntax.node_key.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 from epskernel import syntax as sx
 from epskernel.syntax import (BINDS_PREDVAR, BINDS_VAR, And, Atom, Binder,
@@ -23,6 +25,18 @@ from epskernel.syntax import (BINDS_PREDVAR, BINDS_VAR, And, Atom, Binder,
 from epskernel.transform import (TAG_NOT_FREGE_REDUCIBLE, TransformError,
                                  Translation, _atomic_guard, _frege_step,
                                  concept_guard)
+
+
+def node_eq(a, b):
+    """== as the dataclass methods defined it: the same class and equal
+    fields, in order, a tuple of fields item by item."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(node_eq, a, b))
+    if is_dataclass(a) and not isinstance(a, type):
+        return type(a) is type(b) and all(
+            node_eq(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return a == b
+
 
 def rebuild(e, kids):
     """A node like `e` with its children replaced by `kids`."""
