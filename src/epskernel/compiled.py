@@ -24,23 +24,26 @@ without running the emitter.
 The mask form (TRUTH), which truth runs, is first-order.  A formula in the
 variable bound at slot k is a mask: bit i is set when the formula holds
 with element i of that sort in slot k.  So forall is A & ~B == 0, exists
-A & B != 0 and the count determiners compare popcounts.  A choice term
-picks from its body's mask: eps and eta the lowest set bit, tau the lowest
-clear bit, iota the only set bit, and with none the sort's least element.
-A second-order quantifier loops over its sort's subsets, and a predicate
-variable holds one as a mask.
+A & B != 0 and the count determiners compare popcounts.  A second-order
+quantifier loops over its sort's subsets, and a predicate variable holds
+one as a mask.
 
 The ordered form, which eval_formula and eval_term run, keeps the order of
 the semantics: elements in domain order, an early exit once a quantifier's
 value is settled, a count's body on every restriction element.  It records
-flags and witnesses (a _Rec) as it goes, and picks a closed choice term once
-per call.  RECORD writes a subformula that has nothing to record (no choice
-or generic term, no count, no second-order node) in the mask form, inside
-the same function; STRICT writes everything ordered.  Whatever the mask form
-or RECORD raises (a partial function's gap, a missing symbol, an empty
-domain, an unbound variable) they may have met where the semantics would
-not look, so the call runs again in STRICT, which raises EvalError where the
-semantics does.
+flags and witnesses (a _Rec) as it goes.  RECORD writes a subformula that
+has nothing to record (no choice or generic term, no count, no
+second-order node) in the mask form, inside the same function; STRICT
+writes everything ordered.  Whatever the mask form or RECORD raises (a
+partial function's gap, a missing symbol, an empty domain, an unbound
+variable) they may have met where the semantics would not look, so the
+call runs again in STRICT, which raises EvalError where the semantics does.
+
+Every form picks a choice or restricted generic term alike, from the mask
+of its satisfiers: eps, eta and a generic term the lowest set bit, tau the
+lowest clear bit, iota the only set bit, and with none the sort's least
+element.  A closed one is picked once: at the mask form's entry, or once
+per call by the ordered form, which replays its witnesses when met again.
 """
 
 from __future__ import annotations
@@ -161,11 +164,6 @@ class _Shape:
 
 
 _shape = functools.lru_cache(maxsize=256)(_Shape)
-
-
-def _low(shape, mask):
-    """Element at the lowest set bit of mask, else the least element."""
-    return shape.elems[(mask & -mask).bit_length() - 1] if mask else shape.elems[0]
 
 
 def _subsets(shape):
@@ -314,6 +312,14 @@ def _raise(message, *nodes):
     raise EvalError(message % nodes if nodes else message)
 
 
+def _least(elems, sort):
+    """STRICT's least element of a sort's domain, whose elements are
+    `elems`: the semantics' pick when nothing else is picked."""
+    if not elems:
+        raise EvalError("empty domain for sort %s" % sort)
+    return elems[0]
+
+
 def _app(table, key, t):
     """Function application t's value at the argument tuple `key`."""
     try:
@@ -343,7 +349,7 @@ def _replay(rec, hit):
 
 _COUNT_NAMES = {kind: "_count%d" % i for i, kind in enumerate(COUNT_TESTS)}
 _GLOBALS = {"_U": _UNSET, "_fail": _fail, "_raise": _raise, "_app": _app,
-            "_counted": _counted, "_replay": _replay, "_low": _low,
+            "_counted": _counted, "_replay": _replay, "_least": _least,
             "_subsets": _subsets,
             **{name: COUNT_TESTS[kind] for kind, name in _COUNT_NAMES.items()}}
 # distinct formulas whose compiled code is kept; a formula past the bound
@@ -429,7 +435,7 @@ class _Emitter:
 
     Each node gets one local, written in the outermost region whose loops
     bind every slot it reads.  Needs, the shapes' attributes and free names
-    are read once, at the entry, as is the mask form's closed choice term;
+    are read once, at the entry, as is each closed pick of the mask form;
     STRICT reads each need where the semantics does instead.  An element
     loop and the right operand of a short-circuit are functions of their
     own; a short-circuit whose value its function returns instead returns
@@ -779,15 +785,22 @@ class _Emitter:
             self.mask(f, scope, slot, sort, reg)
             return
         loop = self.loop_region(reg, slot, True)
-        self.todo.append((self.each, kind, sort, reg, loop, a, early))
+        self.todo.append((self.each, sort, reg, loop, kind, a, early))
         self.todo.append((self.formula, f, scope, loop))
 
-    def each(self, kind, sort, reg, loop, a, early):
-        """Close ordered loop `loop`: the mask of the elements where the
-        boolean on vals holds, returned once it settles `kind` (a starred
-        quantifier when the local `early` holds)."""
+    def each(self, sort, reg, loop, kind=None, a=None, early=None):
+        """Close loop `loop`: the mask of the elements where the boolean on
+        vals holds.  A mask loop whose boolean reads no element is that
+        boolean's mask.  An ordered loop tries the elements in domain order,
+        those in mask a when given, and returns once its value settles
+        quantifier `kind` (a starred one when the local `early` holds)."""
         g = self.vals.pop()
-        pairs = self.read(reg, self.need("dom", sort), ".pairs")
+        dk = self.need("dom", sort)
+        if loop.stop is not loop and not self.deps[g] & _bit(loop.slot):
+            self.vals.append(self.op(reg, "%s if %s else 0",
+                                     self.read(reg, dk, ".full"), g))
+            return
+        pairs = self.read(reg, dk, ".pairs")
         head = ["    out = 0", "    for %s, bit in %s:" % (loop.var, pairs)]
         if a is not None:
             head.append("        if not bit & %s: continue" % a)
@@ -796,7 +809,7 @@ class _Emitter:
         elif kind == sx.EXISTS:
             tail = ["        if %s: return bit" % g]
         else:
-            tail = ["        if %s: out |= bit" % g]
+            tail = ["        if %s:" % g, "            out |= bit"]
             if kind == sx.FORALL_STAR:
                 tail.append("        elif %s: return out" % early)
             elif kind == sx.EXISTS_STAR:
@@ -860,7 +873,7 @@ class _Emitter:
             self.terms(f.args, scope, loop)
         else:
             loop = self.loop_region(reg, slot)
-            todo.append((self.loop, dk, reg, loop))
+            todo.append((self.each, sort, reg, loop))
             todo.append((self.formula, f, scope, loop))
 
     def direct_atom(self, f, scope, sort, dk, reg, loop):
@@ -875,7 +888,7 @@ class _Emitter:
                 or f.pred == sx.EQ and len(args) != 2:
             self.vals += args
             self.atom(f, loop)
-            self.loop(dk, reg, loop)
+            self.each(sort, reg, loop)
             return
         if f.pred == sx.EQ:
             v = self.value(dk, ".full") if not given else \
@@ -891,22 +904,6 @@ class _Emitter:
                     "row" if at[1] else "col", f.pred, sort)), *given)
         self.vals.append(v)
 
-    def loop(self, dk, reg, loop):
-        """The mask of the elements that satisfy the boolean on vals."""
-        g = self.vals.pop()
-        if not self.deps[g] & _bit(loop.slot):
-            self.vals.append(self.op(reg, "%s if %s else 0",
-                                     self.value(dk, ".full"), g))
-            return
-        pairs = self.value(dk, ".pairs")
-        loop.reads[pairs] = None
-        call, params = self.close(
-            loop, ["    out = 0",
-                   "    for %s, bit in %s:" % (loop.var, pairs)],
-            ["        if %s:" % g, "            out |= bit", "    return out"],
-            "        ")
-        self.vals.append(self.put(reg, call, params))
-
     # -- terms as elements -------------------------------------------------
 
     def terms(self, args, scope, reg):
@@ -921,22 +918,10 @@ class _Emitter:
         elif typ is App:
             self.todo.append((self.app, self.need("fn", t.func), t, reg))
             self.terms(t.args, scope, reg)
-        elif (typ is Binder or typ is GenericRestricted) and self.orders(t):
-            self.ordered_choice(t, scope, reg)
-        elif typ is Binder and t in self.closed:
-            self.vals.append(self.closed[t])
-        elif typ is Binder and t.kind in sx.BINDER_KINDS or typ is GenericRestricted:
-            dk = self.need("dom", t.var.sort)
-            slot, inner = self.bind(scope, t.var.name)
-            # written in a region of its own, then moved: to the entry when
-            # it reads no bound slot
-            choice = _Region(reg)
-            self.todo.append((self.choice, t, dk, reg, choice))
-            self.todo.append((self.mask, t.body if typ is Binder else t.restriction,
-                              inner, slot, t.var.sort, choice))
+        elif typ is Binder or typ is GenericRestricted:
+            self.choice(t, scope, reg)
         elif typ is Generic:
-            self.vals.append(self.op(reg, "%s[0]", self.read(
-                reg, self.need("dom", t.sort), ".elems")))
+            self.vals.append(self.put(reg, *self.least(t.sort)))
         else:
             self.bad(reg, "not a term: %r", t)
 
@@ -952,33 +937,21 @@ class _Emitter:
             self.vals.append(self.op(reg, "%s[(" + "%s, " * n + ")]",
                                      self.value(fk), *args))
 
-    def choice(self, t, dk, reg, choice):
-        m = self.vals.pop()
-        elems = self.value(dk, ".elems")
-        pick = "%s[(%s & -%s).bit_length() - 1] if %s else %s[0]"
-        if type(t) is GenericRestricted:    # else its own sort's least element
-            v = self.op(choice, pick, elems, m, m, m, self.value(
-                self.need("dom", t.sort), ".elems"))
-        elif t.kind == sx.IOTA:     # only when exactly one bit is set
-            v = self.op(choice, "%s[(%s & -%s).bit_length() - 1] "
-                        "if %s and not %s & (%s - 1) else %s[0]",
-                        elems, m, m, m, m, m, elems)
-        else:
-            if t.kind == sx.TAU:
-                m = self.op(choice, "%s ^ %s", self.value(dk, ".full"), m)
-            v = self.op(choice, pick, elems, m, m, m, elems)
-        closed = not self.deps[v]
-        for line in choice.lines:
-            self.place(self.root if closed else reg, *line)
-        if closed and type(t) is Binder:
-            self.closed[t] = v
-        self.vals.append(v)
+    def least(self, sort):
+        """(text, locals read) of the least element of `sort`: STRICT reads
+        the domain where the text runs and raises there if it is empty."""
+        if self.strict:
+            dk = self.need("dom", sort)
+            return "_least(d[%r].elems, %r)" % (dk, sort), ("d",)
+        elems = self.value(self.need("dom", sort), ".elems")
+        return elems + "[0]", (elems,)
 
-    def ordered_choice(self, t, scope, reg):
-        """Choice or restricted generic term t in the ordered form: its
-        body's or restriction's satisfiers, then its pick."""
-        if t in self.closed:
-            self.vals.append(self.put(reg, *self.closed[t]))
+    def choice(self, t, scope, reg):
+        """Choice or restricted generic term t: its body's or restriction's
+        satisfiers, written in a region of its own, then its pick."""
+        hit = self.closed.get(t)
+        if hit is not None:
+            self.vals.append(hit if self.mode == TRUTH else self.put(reg, *hit))
             return
         binder = type(t) is Binder
         if binder and t.kind not in sx.BINDER_KINDS:
@@ -986,62 +959,65 @@ class _Emitter:
             return
         slot, inner = self.bind(scope, t.var.name)
         choice = _Region(reg)
-        shape = self.read(choice, self.need("dom", t.var.sort))
-        if binder:
-            self.stmt(choice, "if not %s.full: _raise(%r, T[%d].var.sort)" % (
-                shape, "empty domain for sort %s", self.node(t)), shape)
-        self.todo.append((self.pick, t, shape, reg, choice))
+        dk = self.need("dom", t.var.sort)
+        self.todo.append((self.pick, t, dk, self.read(choice, dk, ".elems"),
+                          reg, choice))
         self.satisfy(t.body if binder else t.restriction, inner, slot,
                      t.var.sort, choice)
 
-    def pick(self, t, shape, reg, choice):
-        """Term t from its satisfiers on vals: a choice term's pick, which
-        it records as a witness, or a generic term's first satisfier, else
-        its sort's least element and a presupposition failure.  One that
-        reads no bound slot or free name is a function of its own that
-        picks once per call: met again, it replays the witnesses its pick
-        recorded."""
+    def pick(self, t, dk, elems, reg, choice):
+        """Term t from the mask of its satisfiers on vals: eps and eta the
+        lowest set bit, tau the lowest clear bit, iota the only set bit, a
+        generic term its first satisfier, and with none the least element of
+        its sort.  The ordered form records a choice term's pick as a
+        witness, and flags an iota term without exactly one satisfier and a
+        generic term without any.  A pick that reads no bound slot or free
+        name is written once: the mask form's at the entry, the ordered
+        form's as a function of its own that picks once per call and, met
+        again, replays the witnesses its pick recorded."""
         m = self.vals.pop()
-        rec = self.rec()
-        if type(t) is GenericRestricted:
-            dk = self.need("dom", t.sort)
-            if self.strict:     # its own sort, read only when nothing satisfies
-                least, reads = "d[%r]" % dk, ("d",)
-            else:
-                least = self.value(dk)
-                reads = least,
-            v = self.put(choice, "_low(%s, %s) if %s else %s.elems[0]" % (
-                shape, m, m, least), (shape, m, *reads))
-            self.stmt(choice, "if not %s: %s.flag(%r)" % (
-                m, rec, FLAG_PRESUPPOSITION), m, rec)
-        else:
-            if t.kind == sx.TAU:
-                m = self.op(choice, "%s ^ %s.full", m, shape)
-            elif t.kind == sx.IOTA:     # only when exactly one bit is set
-                m = self.op(choice, "%s if %s and not %s & (%s - 1) else 0",
-                            m, m, m, m)
+        binder = type(t) is Binder
+        rec = self.rec() if self.mode != TRUTH else None
+        if binder and t.kind == sx.TAU:
+            m = self.op(choice, "%s ^ %s", self.read(choice, dk, ".full"), m)
+        elif binder and t.kind == sx.IOTA:     # only when exactly one bit is set
+            m = self.op(choice, "%s if %s and not %s & (%s - 1) else 0",
+                        m, m, m, m)
+            if rec:
                 self.stmt(choice, "if not %s: %s.flag(%r)" % (m, rec, FLAG_IOTA),
                           m, rec)
-            v = self.op(choice, "_low(%s, %s)", shape, m)
+        # with no satisfier a generic term takes its own sort's least
+        # element, whose domain STRICT reads only then
+        least, reads = self.least(t.var.sort if binder else t.sort)
+        v = self.put(choice, "%s[(%s & -%s).bit_length() - 1] if %s else %s" % (
+            elems, m, m, m, least), (elems, m, *reads))
+        if rec and binder:
             self.stmt(choice, "%s.witnesses.append((T[%d], %s))" % (
                 rec, self.node(t), v), rec, v)
-        if self.deps[v]:        # picked where it is met, in place
-            for line in choice.lines:
-                reg.lines.append(line)
-                if line[0] is not None:
-                    self.home[line[0]] = reg
-            reg.reads.update(choice.reads)
-            self.vals.append(v)
+        elif rec:
+            self.stmt(choice, "if not %s: %s.flag(%r)" % (
+                m, rec, FLAG_PRESUPPOSITION), m, rec)
+        if rec and not self.deps[v]:
+            at, self.memos = self.memos, self.memos + 1
+            choice.reads[rec] = None
+            self.closed[t] = self.close(choice, [
+                "    hit = %s.chosen[%d]" % (rec, at),
+                "    if hit is not _U: return _replay(%s, hit)" % rec,
+                "    start = len(%s.witnesses)" % rec], [
+                "    %s.chosen[%d] = %s, start, len(%s.witnesses)" % (
+                    rec, at, v, rec),
+                "    return " + v])
+            self.vals.append(self.put(reg, *self.closed[t]))
             return
-        at, self.memos = self.memos, self.memos + 1
-        choice.reads[rec] = None
-        self.closed[t] = self.close(choice, [
-            "    hit = %s.chosen[%d]" % (rec, at),
-            "    if hit is not _U: return _replay(%s, hit)" % rec,
-            "    start = len(%s.witnesses)" % rec], [
-            "    %s.chosen[%d] = %s, start, len(%s.witnesses)" % (rec, at, v, rec),
-            "    return " + v])
-        self.vals.append(self.put(reg, *self.closed[t]))
+        home = reg if self.deps[v] else self.root
+        for line in choice.lines:
+            if line[0] is None:
+                self.stmt(home, line[1], *line[2])
+            else:
+                self.place(home, *line)
+        if not self.deps[v]:
+            self.closed[t] = v
+        self.vals.append(v)
 
 
 _CODE = {TRUTH: "_truth_code", RECORD: "_record_code", STRICT: "_strict_code"}

@@ -75,14 +75,20 @@ class _Evaluator:
         if isinstance(t, Binder):
             return self._binder(t, env)
         if isinstance(t, Generic):
-            return self.m.domain(t.sort)[0]
+            return self._least(t.sort)
         if isinstance(t, GenericRestricted):
             sat = self._satisfiers(t.var, t.restriction, env)
             if not sat:
                 self.flag(FLAG_PRESUPPOSITION)
-                return self.m.domain(t.sort)[0]
+                return self._least(t.sort)
             return sat[0]
         raise EvalError("not a term: %r" % (t,))
+
+    def _least(self, sort):
+        dom = self.m.domain(sort)
+        if not dom:
+            raise EvalError("empty domain for sort %s" % sort)
+        return dom[0]
 
     def _satisfiers(self, var, body, env):
         return [e for e in self.m.domain(var.sort)

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from epskernel import generators as gen
 from epskernel import compiled, models, parser, transform
 from epskernel import syntax as sx
+from epskernel.cli import main
 from epskernel.models import Environment, Model, enumerate_models, truth
 from epskernel.syntax import (Atom, And, App, Binder, Const, Generic,
                               GenericRestricted, Implies, Not, Or, PredApp,
@@ -753,3 +754,87 @@ def test_a_deep_chain_of_closed_choice_terms_evaluates():
         sys.setrecursionlimit(limit)
     assert got.value is False
     assert [e for _, e in got.witnesses] == ["b", "a"] * 125
+
+
+# -- a closed choice or generic term met twice -------------------------------
+
+REPEATED = [
+    ("R(most:s(x:s. P(x)), most:s(x:s. P(x)))", 1),
+    # no satisfier when c is not in Q: a presupposition failure
+    ("R(many:s(x:s. Q(x) and x = c), many:s(x:s. Q(x) and x = c))", 1),
+    ("R(iota x:s. P(x), iota x:s. P(x))", 1),
+    ("Q(iota x:s. R(x, c)) and not P(iota x:s. R(x, c))", 1),
+    ("R(eta x:s. Q(x), eta x:s. Q(x))", 1),
+    # the generic term's restriction holds a choice term that is not closed
+    ("forall y:s. R(y, most:s(x:s. Q(eps z:s. R(x, z)))) "
+     "or R(most:s(x:s. Q(eps z:s. R(x, z))), c)", 2),
+    ("exists y:s. R(iota x:s. R(x, x), y) and not R(y, iota x:s. R(x, x))", 1),
+]
+
+
+@pytest.mark.parametrize("text, picks", REPEATED)
+@given(m=small_models())
+@settings(max_examples=40, deadline=None)
+def test_a_repeated_closed_term_agrees_in_every_form(text, picks, m):
+    f = parser.parse_formula(text, SIG)
+    assert_agrees(m, f)
+    want = result(eval_oracle.eval_formula, m, f)
+    assert result(models.eval_formula, m, f) == want
+    assert result(strict, m, f) == want
+
+
+@pytest.mark.parametrize("text, picks", REPEATED)
+def test_a_repeated_closed_term_is_picked_once(text, picks, monkeypatch):
+    # one pick in the mask form's source, and one memo per closed term in
+    # the ordered form's
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+    monkeypatch.setattr(compiled, "compile", spy, raising=False)
+    f = parser.parse_formula(text, SIG)
+    compiled._codes.clear()
+    compiled.compile_formula(f)
+    assert sources[-1].count(".bit_length() - 1]") == picks
+    assert compiled.compile_formula(f, compiled.RECORD)[3] == 1
+
+
+# -- a term over an empty sort ---------------------------------------------
+
+EMPTY_TEXT = ("sort s = {}\nsort t = {a}\npred P : s = {}\npred Q : t = {a}\n"
+              "pred R : s, s = {}\n")
+EMPTY = parser.parse_model(EMPTY_TEXT)
+EMPTY_DOMAIN = ("EvalError", "empty domain for sort s")
+
+
+@pytest.mark.parametrize("text, want", [
+    ("most:s = most:s", EMPTY_DOMAIN),
+    ("R(most:s, most:s(x:s. P(x)))", EMPTY_DOMAIN),
+    ("most:s(x:s. P(x)) = most:s(x:s. not P(x))", EMPTY_DOMAIN),
+    ("P(eps x:s. P(x))", EMPTY_DOMAIN),
+    ("exists y:t. P(tau x:s. P(x))", EMPTY_DOMAIN),
+    # a generic atom is a count quantifier, which reads no element
+    ("P(most:s(x:s. P(x)))", (False, ["empty-restriction"], [])),
+    # the semantics never reaches the generic term
+    ("(exists y:t. Q(y)) or most:s = most:s", (True, [], [])),
+])
+def test_a_term_over_an_empty_sort_is_an_input_error(text, want, tmp_path,
+                                                     capsys):
+    f = parser.parse_formula(text, EMPTY.signature)
+    assert result(eval_oracle.eval_formula, EMPTY, f) == want
+    assert result(models.eval_formula, EMPTY, f) == want
+    assert result(strict, EMPTY, f) == want
+    value = ("error", models.EvalError) if want == EMPTY_DOMAIN else \
+        ("value", want[0])
+    assert outcome(lambda: truth(EMPTY, f)) == value
+    model = tmp_path / "empty.model"
+    model.write_text(EMPTY_TEXT)
+    code = main(["eval", "--model", str(model), text])
+    out = capsys.readouterr()
+    if want == EMPTY_DOMAIN:
+        assert (code, out.out, out.err) == (
+            2, "", "error: empty domain for sort s\n")
+    else:
+        assert code == 0 and out.err == ""
+        assert out.out.splitlines()[0].endswith(" = %s" % str(want[0]).lower())

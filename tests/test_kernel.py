@@ -492,6 +492,20 @@ def test_generic_choice_rules_need_an_eigenvariable_annotation():
             (2, "eigenvariable", "%s needs an '[eigen x]' annotation" % rule)]
 
 
+def test_choice_witness_rules_need_a_witness_annotation():
+    # with no [x := t] the witness failure names the annotation, and the
+    # shape failure after it names what the conclusion should be
+    for rule, conclusion, shape in (
+            ("eps-intro", Atom("P", (Binder(sx.EPS, X, PX),)), "B(eps x. B(x))"),
+            ("tau-dual", Atom("P", (Binder(sx.TAU, X, Not(PX)),)),
+             "B(tau x. not B(x))")):
+        root = ProofTree(Sequent((PC,), conclusion), rule, (hyp([PC], PC),),
+                         line=2)
+        assert failures(root) == [
+            (2, "witness", "%s needs a '[x := t]' annotation" % rule),
+            (2, "shape", "conclusion is not %s for the premise B(t)" % shape)]
+
+
 MINORITY = Quant(sx.MOST, X, None, Not(PX), "strict")
 NOT_WEAK_PX = Not(Quant(sx.MOST, X, None, PX, "weak"))
 
