@@ -2,24 +2,25 @@
 after model.
 
 compile_formula compiles a node and caches the code on the node.  `d` holds
-what the code reads from a model under string keys (its `needs`): the
-_Shape of a sort's domain, a predicate's extension, the mask of a unary
-predicate (a sieve or a slice for a builtin), the rows, columns or diagonal
-of a binary one, constants, function tables and the settings.  Each is
-derived once per model and kept in the model's plain dict: truth runs the
-code on it as it is and fills it only when a read misses (KeyError), then
-runs once more; RECORD fills it before it runs, and STRICT derives each
-value into a dict of its own (_Lazy) where the semantics reads it.
+what the code reads from a model under string keys: the _Shape of a sort's
+domain, a predicate's extension, the mask of a unary predicate (a sieve or
+a slice for a builtin), the rows, columns or diagonal of a binary one,
+constants, function tables and the settings.  Each is derived once per
+model and kept in the model's plain dict, model._derived.  Every form reads
+it through one view, _Lazy(model), which derives a value there when first
+read, so a missing symbol raises its EvalError where it is read.  truth
+alone runs first on the plain dict, and on the view only when a read
+misses (KeyError).
 
 One generator (_Emitter) writes every form as Python source: one flat
 function per node, one local per subnode, with each element loop and each
 short-circuit's right operand a function of its own, so the source nests
-boundedly at any depth.  The source reads each need by its key, written in
-it, and names the nodes that witnesses and messages name through a tuple T
-bound in its namespace.  The code cache is keyed by form and formula before
-emitting, by syntax.node_key, the walk that gives nodes their == and hash:
-a formula equal to one emitted before takes that one's code from the cache
-without running the emitter.
+boundedly at any depth.  The source reads each value of d by its key,
+written in it, and names the nodes that witnesses and messages name
+through a tuple T bound in its namespace.  The code cache is keyed by form
+and formula before emitting, by syntax.node_key, the walk that gives nodes
+their == and hash: a formula equal to one emitted before takes that one's
+code from the cache without running the emitter.
 
 The mask form (TRUTH), which truth runs, is first-order.  A formula in the
 variable bound at slot k is a mask: bit i is set when the formula holds
@@ -202,9 +203,14 @@ def _builtin_mask(name, shape):
     return int(digits[::-1], 2)
 
 
+def _key(*parts):
+    """The key in d of the value that `parts` name."""
+    return _SEP.join(parts)
+
+
 def _derive(model, d, key):
-    """The value of d[key] for model; EvalError, with the message of the
-    semantics, when the model lacks what the key names."""
+    """The value of d[key] for model, d its _Lazy view; EvalError, with the
+    message of the semantics, when the model lacks what the key names."""
     tag, *args = key.split(_SEP)
     if tag == "dom":
         dom = model.domains.get(args[0])
@@ -231,9 +237,8 @@ def _derive(model, d, key):
         return (as_rational(model.most_threshold),
                 as_rational(model.many_threshold),
                 model.majority_mode, model.star_regime)
-    # mask / row / col / diag of predicate args[0] over sort args[1];
-    # compile lists the "ext" and "dom" keys before these
-    ext, shape = d["ext" + _SEP + args[0]], d["dom" + _SEP + args[1]]
+    # mask / row / col / diag of predicate args[0] over sort args[1]
+    ext, shape = d[_key("ext", args[0])], d[_key("dom", args[1])]
     bits = shape.bits
     if isinstance(ext, _Builtin):
         if tag != "mask":
@@ -258,15 +263,24 @@ def _derive(model, d, key):
 
 def extension(model, name):
     """Predicate `name`'s extension in model (a builtin's tests membership)."""
-    return _derive(model, None, "ext" + _SEP + name)
+    return _Lazy(model)[_key("ext", name)]
 
 
 class _Lazy(dict):
-    """STRICT's derived values, of the model in .model: each is derived when
-    first read, so a missing symbol raises its EvalError where it is read."""
+    """A view of model's derived values: a value first read here is taken
+    from model._derived, or derived there, and kept here too.  The view
+    holds the model; the model never holds a view."""
+
+    __slots__ = ("model",)
+
+    def __init__(self, model):
+        self.model = model
 
     def __missing__(self, key):
-        val = self[key] = _derive(self.model, self, key)
+        derived = self.model._derived
+        if key not in derived:
+            derived[key] = _derive(self.model, self, key)
+        val = self[key] = derived[key]
         return val
 
 
@@ -302,13 +316,9 @@ def _generic_quant(f):
 # generated source: what it calls, and the cache of its code by formula
 
 
-def _fail():
-    raise EvalError("left to the ordered form")
-
-
 def _raise(message, *nodes):
-    """STRICT's failure where the semantics meets it; `nodes` fill the
-    message."""
+    """A failure of the semantics, which STRICT raises where the semantics
+    meets it; `nodes` fill the message."""
     raise EvalError(message % nodes if nodes else message)
 
 
@@ -348,7 +358,7 @@ def _replay(rec, hit):
 
 
 _COUNT_NAMES = {kind: "_count%d" % i for i, kind in enumerate(COUNT_TESTS)}
-_GLOBALS = {"_U": _UNSET, "_fail": _fail, "_raise": _raise, "_app": _app,
+_GLOBALS = {"_U": _UNSET, "_raise": _raise, "_app": _app,
             "_counted": _counted, "_replay": _replay, "_least": _least,
             "_subsets": _subsets,
             **{name: COUNT_TESTS[kind] for kind, name in _COUNT_NAMES.items()}}
@@ -398,13 +408,8 @@ def _recording(node):
     """ids of node's nodes that can record a flag or a witness or that bind
     a predicate variable (a choice or generic term, a count quantifier, a
     second-order node), and of those that hold one."""
-    nodes, stack = [], [node]
-    while stack:            # each parent before its children
-        e = stack.pop()
-        nodes.append(e)
-        stack += sx.children(e)
     out = set()
-    for e in reversed(nodes):
+    for e in reversed(list(sx._preorder(node))):     # children first
         if isinstance(e, _RECORDS) or \
                 type(e) is Quant and e.kind not in (sx.FORALL, sx.EXISTS) or \
                 any(id(k) in out for k in sx.children(e)):
@@ -434,9 +439,9 @@ class _Emitter:
     compiles it.
 
     Each node gets one local, written in the outermost region whose loops
-    bind every slot it reads.  Needs, the shapes' attributes and free names
-    are read once, at the entry, as is each closed pick of the mask form;
-    STRICT reads each need where the semantics does instead.  An element
+    bind every slot it reads.  The values of d, the shapes' attributes and
+    free names are read once, at the entry, as is each closed pick of the
+    mask form; STRICT reads each where the semantics does instead.  An element
     loop and the right operand of a short-circuit are functions of their
     own; a short-circuit whose value its function returns instead returns
     early when its left operand settles it, so a right-nested chain is one
@@ -450,9 +455,8 @@ class _Emitter:
         self.mode, self.strict = mode, mode == STRICT
         self.recording = None   # ids of the nodes RECORD writes ordered
         self.named = {}         # id(node) -> (its index in T, node)
-        self.keys = {}          # need keys, in the order first needed
         self.frees = []         # (Environment field, name) per free name
-        self.entry = {}         # need, attribute or env index -> entry local
+        self.entry = {}         # key, attribute or env index -> entry local
         self.root = _Region(None)
         # the run function's parameters, which STRICT reads where it needs
         self.home = dict.fromkeys(("d", "env"), self.root)
@@ -558,24 +562,13 @@ class _Emitter:
         return "%s(%s)" % (name, ", ".join(params)), params
 
     def bad(self, reg, message, node=None):
-        """A node the semantics rejects where it meets it: the mask form and
-        RECORD fail over to STRICT, which raises the semantics' message (with
-        `node` put in)."""
-        if not self.strict:
-            v = self.put(reg, "_fail()", ())
-        elif node is None:
-            v = self.put(reg, "_raise(%r)" % message, ())
-        else:
-            v = self.put(reg, "_raise(%r, T[%d])" % (message, self.node(node)),
-                         ())
-        self.vals.append(v)
+        """A node the semantics rejects, with message (`node` put in): the
+        mask form and RECORD may raise it early, and STRICT runs again and
+        raises it where the semantics meets it."""
+        nodes = "" if node is None else ", T[%d]" % self.node(node)
+        self.vals.append(self.put(reg, "_raise(%r%s)" % (message, nodes), ()))
 
     # -- what the entry reads once ----------------------------------------
-
-    def need(self, *parts):
-        key = _SEP.join(parts)
-        self.keys.setdefault(key)
-        return key
 
     def at_entry(self, key, text, bits=0):
         v = self.entry.get(key)
@@ -586,7 +579,7 @@ class _Emitter:
         return v
 
     def value(self, key, attr=""):
-        """d[key] of a need, or its attribute or item `attr`."""
+        """d[key], or its attribute or item `attr`."""
         if attr:
             return self.at_entry((key, attr), self.value(key) + attr)
         return self.at_entry(key, "d[%r]" % key)
@@ -632,14 +625,14 @@ class _Emitter:
             return self.loops[slot].var
         if self.strict:
             v = self.put(reg, "env[%d]" % slot, ("env",))
-            self.stmt(reg, "if %s is _U: _raise(%r)" % (v, "unbound " + (
-                "predicate variable " + name[1:] if name[0] == _SEP else
-                "variable " + name)), v)
-            return v
-        if slot not in self.entry:
-            v = self.at_entry(slot, "env[%d]" % slot, _FREE)
-            self.root.lines.append((None, "if %s is _U: _fail()" % v, ()))
-        return self.entry[slot]
+        elif slot in self.entry:
+            return self.entry[slot]
+        else:
+            v, reg = self.at_entry(slot, "env[%d]" % slot, _FREE), self.root
+        self.stmt(reg, "if %s is _U: _raise(%r)" % (v, "unbound " + (
+            "predicate variable " + name[1:] if name[0] == _SEP else
+            "variable " + name)), v)
+        return v
 
     # -- formulas as booleans ---------------------------------------------
 
@@ -679,7 +672,7 @@ class _Emitter:
     def atom(self, f, reg):
         args = self.pop(len(f.args))
         if f.pred != sx.EQ:
-            ext = self.read(reg, self.need("ext", f.pred))
+            ext = self.read(reg, _key("ext", f.pred))
             self.vals.append(self.op(reg, "(" + "%s, " * len(args) + ") in %s",
                                      *args, ext))
         elif len(args) == 2:
@@ -721,7 +714,7 @@ class _Emitter:
         its body's on the restriction's elements, each by satisfy, so in
         the mask form when it records nothing."""
         slot, inner = self.bind(scope, f.var.name)
-        dk = self.need("dom", f.var.sort)
+        dk = _key("dom", f.var.sort)
         self.todo.append((self.decide, f, dk, reg))
         self.todo.append((self.quant_body, f, inner, slot, reg))
         if f.restriction is not None:
@@ -732,9 +725,11 @@ class _Emitter:
         """Quantifier f from its body's mask b and its restriction's a; the
         ordered form records a count's flag."""
         b = self.vals.pop()
-        a = self.read(reg, dk, ".full") if f.restriction is None else \
-            self.vals.pop()
         kind, op = f.kind, self.op
+        if f.restriction is not None:
+            a = self.vals.pop()
+        elif kind != sx.EXISTS:             # exists reads b alone
+            a = self.read(reg, dk, ".full")
         if kind == sx.FORALL:
             v = op(reg, "%s == %s", b, a) if f.restriction is None else \
                 op(reg, "not %s & ~%s", a, b)
@@ -744,7 +739,7 @@ class _Emitter:
         else:
             if f.restriction is not None:
                 b = op(reg, "%s & %s", a, b)
-            cfg = self.need("cfg")
+            cfg = _key("cfg")
             counts = _COUNT_NAMES[kind] + "(%s.bit_count(), %s.bit_count(), %s, "
             star = kind in (sx.FORALL_STAR, sx.EXISTS_STAR)
             if star:
@@ -772,7 +767,7 @@ class _Emitter:
         settles as forall and exists do."""
         early = None
         if f.kind in (sx.FORALL_STAR, sx.EXISTS_STAR) and self.orders(f.body):
-            early = self.op(reg, "%s == 'A'", self.read(reg, self.need("cfg"), "[3]"))
+            early = self.op(reg, "%s == 'A'", self.read(reg, _key("cfg"), "[3]"))
         self.satisfy(f.body, scope, slot, f.var.sort, reg, f.kind,
                      f.restriction and self.vals[-1], early)
 
@@ -795,7 +790,7 @@ class _Emitter:
         those in mask a when given, and returns once its value settles
         quantifier `kind` (a starred one when the local `early` holds)."""
         g = self.vals.pop()
-        dk = self.need("dom", sort)
+        dk = _key("dom", sort)
         if loop.stop is not loop and not self.deps[g] & _bit(loop.slot):
             self.vals.append(self.op(reg, "%s if %s else 0",
                                      self.read(reg, dk, ".full"), g))
@@ -822,7 +817,7 @@ class _Emitter:
     def quant2(self, f, scope, reg):
         """Second-order f: its body on each subset of its sort's domain, in
         itertools.combinations order, until one settles it."""
-        dk = self.need("dom", f.sort)
+        dk = _key("dom", f.sort)
         slot, inner = self.bind(scope, _SEP + f.predvar, dk)
         loop = self.loop_region(reg, slot, self.mode != TRUTH)
         self.todo.append((self.subsets, f, dk, reg, loop))
@@ -854,7 +849,7 @@ class _Emitter:
 
     def mask(self, f, scope, slot, sort, reg):
         t, todo = type(f), self.todo
-        dk = self.need("dom", sort)
+        dk = _key("dom", sort)
         if t is Not:
             todo.append((self.combine, reg, "%s ^ %s", 1, self.value(dk, ".full")))
             todo.append((self.mask, f.body, scope, slot, sort, reg))
@@ -893,15 +888,13 @@ class _Emitter:
         if f.pred == sx.EQ:
             v = self.value(dk, ".full") if not given else \
                 self.op(reg, "%s.get(%s, 0)", self.value(dk, ".bits"), *given)
+        elif len(args) == 1:
+            v = self.value(_key("mask", f.pred, sort))
+        elif not given:
+            v = self.value(_key("diag", f.pred, sort))
         else:
-            self.need("ext", f.pred)
-            if len(args) == 1:
-                v = self.value(self.need("mask", f.pred, sort))
-            elif not given:
-                v = self.value(self.need("diag", f.pred, sort))
-            else:
-                v = self.op(reg, "%s.get(%s, 0)", self.value(self.need(
-                    "row" if at[1] else "col", f.pred, sort)), *given)
+            v = self.op(reg, "%s.get(%s, 0)", self.value(_key(
+                "row" if at[1] else "col", f.pred, sort)), *given)
         self.vals.append(v)
 
     # -- terms as elements -------------------------------------------------
@@ -914,9 +907,9 @@ class _Emitter:
         if typ is Var:
             self.vals.append(self.name(scope, t.name, reg))
         elif typ is Const:
-            self.vals.append(self.read(reg, self.need("const", t.name)))
+            self.vals.append(self.read(reg, _key("const", t.name)))
         elif typ is App:
-            self.todo.append((self.app, self.need("fn", t.func), t, reg))
+            self.todo.append((self.app, _key("fn", t.func), t, reg))
             self.terms(t.args, scope, reg)
         elif typ is Binder or typ is GenericRestricted:
             self.choice(t, scope, reg)
@@ -941,9 +934,9 @@ class _Emitter:
         """(text, locals read) of the least element of `sort`: STRICT reads
         the domain where the text runs and raises there if it is empty."""
         if self.strict:
-            dk = self.need("dom", sort)
+            dk = _key("dom", sort)
             return "_least(d[%r].elems, %r)" % (dk, sort), ("d",)
-        elems = self.value(self.need("dom", sort), ".elems")
+        elems = self.value(_key("dom", sort), ".elems")
         return elems + "[0]", (elems,)
 
     def choice(self, t, scope, reg):
@@ -955,11 +948,14 @@ class _Emitter:
             return
         binder = type(t) is Binder
         if binder and t.kind not in sx.BINDER_KINDS:
+            # the semantics reads the domain first: raise where it is empty
+            text, reads = self.least(t.var.sort)
+            self.stmt(reg, text, *reads)
             self.bad(reg, "unknown binder kind %s" % t.kind)
             return
         slot, inner = self.bind(scope, t.var.name)
         choice = _Region(reg)
-        dk = self.need("dom", t.var.sort)
+        dk = _key("dom", t.var.sort)
         self.todo.append((self.pick, t, dk, self.read(choice, dk, ".elems"),
                           reg, choice))
         self.satisfy(t.body if binder else t.restriction, inner, slot,
@@ -1038,20 +1034,19 @@ class _Code(tuple):
 
 
 def compile_formula(node, mode=TRUTH):
-    """(needs in order, run, free names) of a formula in form `mode`, or in
-    the ordered modes of a formula or term, and then the number of closed
-    choice terms too; cached on the node, to live and die with it.  A node
-    equal to one emitted in this mode before, by node_key, so by ==, gets
-    that one's code, which names that one's nodes.  The mask form's run(d,
-    values) takes the free names' values; the ordered form's takes them and
-    the _Rec last."""
+    """(run, free names, number of closed choice terms the ordered form
+    memoizes) of a formula in form `mode`, or of a formula or term in an
+    ordered form; cached on the node, to live and die with it.  A node equal
+    to one emitted in this mode before, by node_key, so by ==, gets that
+    one's code, which names that one's nodes.  run(d, values) takes a
+    model's derived values, or their _Lazy view, and the free names'
+    values, with the ordered form's _Rec last."""
     key = sx.node_key(node, (mode,))
     code = _codes.take(key)
     if code is None:
         emitter = _Emitter(mode)
         run = emitter.emit(node)
-        code = (tuple(emitter.keys), run, tuple(emitter.frees))
-        code = _Code(code if mode == TRUTH else code + (emitter.memos,))
+        code = _Code((run, tuple(emitter.frees), emitter.memos))
         _codes.put(key, code)
     try:
         object.__setattr__(node, _CODE[mode], code)
@@ -1070,53 +1065,36 @@ def _bound(frees, env):
                  for field, name in reversed(frees))
 
 
-def _fill(model, d, needs):
-    """Derive into d the needs it lacks; compile lists each key after the
-    keys its derivation reads."""
-    for key in needs:
-        if key not in d:
-            d[key] = _derive(model, d, key)
-
-
 def truth(model, f, env=None):
-    """Truth of formula f in model by its mask form; what the mask form
-    raises sends the call to the ordered form (STRICT)."""
+    """Truth of formula f in model by its mask form, run on the model's
+    derived values and, when a read misses, once more on their view; what
+    the mask form raises sends the call to the ordered form (STRICT)."""
     code = getattr(f, "_truth_code", _UNSET)
     if code is _UNSET:
         code = compile_formula(f)
-    needs, run_f, frees = code
-    d = model._derived
+    run_f, frees, _ = code
     try:
         # the ordered form's _Rec takes the last place
         values = _bound(frees, env) + (None,) if frees else ()
         try:
-            return run_f(d, values)
+            return run_f(model._derived, values)
         except KeyError:
-            # a need not derived yet, or a gap the second run meets again;
+            # a value not derived yet, or a gap the second run meets again;
             # the code is pure, so running it again is safe
-            _fill(model, d, needs)
-            return run_f(d, values)
+            return run_f(_Lazy(model), values)
     except _RETRY:
         return ordered(model, f, env, STRICT)[0]
 
 
 def ordered(model, node, env, mode):
     """(value, _Rec) of a formula or term by its ordered code in `mode`
-    (RECORD or STRICT)."""
+    (RECORD or STRICT), run on the view of the model's derived values."""
     code = getattr(node, _CODE[mode], _UNSET)
     if code is _UNSET:
         code = compile_formula(node, mode)
-    needs, run_f, frees, memos = code
-    if mode == STRICT:
-        d = _Lazy()
-        d.model = model
-    else:
-        # up front: a RECORD run can miss deep into its work, where running
-        # it again would cost more than the check saves
-        d = model._derived
-        _fill(model, d, needs)
+    run_f, frees, memos = code
     rec = _Rec(memos)
-    return run_f(d, _bound(frees, env) + (rec,)), rec
+    return run_f(_Lazy(model), _bound(frees, env) + (rec,)), rec
 
 
 def record(model, node, env=None):

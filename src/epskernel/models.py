@@ -68,8 +68,8 @@ class Model:
     many_threshold: Fraction = Fraction(2, 5)
     majority_mode: str = "strict"
     star_regime: str = "B"
-    # masks and lookups derived for the evaluator, each once: truth fills
-    # this plain dict when its code misses a key; replace() starts afresh
+    # masks and lookups derived for the evaluator, each once, by the view
+    # compiled._Lazy when a read misses; replace() starts afresh
     _derived: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 

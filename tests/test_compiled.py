@@ -300,6 +300,14 @@ def test_missing_symbols_match_the_tree():
                   preds={"P": frozenset()})
     assert_agrees(empty, parser.parse_formula("forall x:s. P(x)", M.signature))
     assert_agrees(empty, parser.parse_formula("P(eps x:s. P(x))", M.signature))
+    # the semantics reads a choice term's domain before it reads its kind
+    for m, sort, want in [(empty, "s", "empty domain for sort s"),
+                          (bare, "u", "model has no sort u")]:
+        x = Var("x", sort)
+        f = Atom("P", (Binder("zeta", x, Atom("P", (x,))),))
+        assert_agrees(m, f)
+        for evaluate in (eval_oracle.eval_formula, models.eval_formula, strict):
+            assert result(evaluate, m, f) == ("EvalError", want)
 
 
 def test_replaced_models_read_their_own_settings():
@@ -369,7 +377,7 @@ def test_formulas_equal_up_to_names_have_one_truth():
                              "or Q(f(c)) and (most z:s. P(z))", M.signature)
     g = parser.parse_formula("exists x:t (A(x)). B(eps y:t. not A(y) or y = d) "
                              "or B(g(d)) and (most z:t. A(z))", RENAMED.signature)
-    run_f = compiled.compile_formula(f)[1]
+    run_f = compiled.compile_formula(f)[0]
     assert run_f.__code__.co_filename == "<mask form>"
     assert_agrees(M, f)
     assert_agrees(RENAMED, g)
@@ -460,15 +468,28 @@ def test_truth_of_a_bare_choice_term_is_its_element(text):
 
 # -- what truth derives from a model ---------------------------------------
 
+def reads(run):
+    """The keys of the derived values that the mask form's run reads, each
+    written in its code, and of the values they are derived from."""
+    keys = {c for c in run.__code__.co_consts
+            if type(c) is str and (c == "cfg" or compiled._SEP in c)}
+    for key in list(keys):
+        tag, *args = key.split(compiled._SEP)
+        if tag in ("mask", "row", "col", "diag"):
+            keys |= {compiled._key("ext", args[0]), compiled._key("dom", args[1])}
+    return keys
+
+
 def test_truth_derives_each_value_once_per_model(monkeypatch):
     texts = ["exists x:s. P(x)", "forall x:s. P(x) implies Q(x)",
              "P(c) and Q(eps x:s. P(x))", "most x:s (P(x)). Q(x)",
              "Q(c) or (forall x:s. not P(x))"]
     fs = [parser.parse_formula(t, gen.SIG_UNARY) for t in texts]
     ms = list(enumerate_models(gen.SIG_UNARY, 3))
-    # the oracle reads extensions through _derive too: ask it first
-    want = [[eval_oracle._Evaluator(m, record=False).formula(f, Environment())
-             for f in fs] for m in ms]
+    # the oracle derives the extensions it reads too: ask it on copies,
+    # which derive their own
+    want = [[eval_oracle._Evaluator(dataclasses.replace(m), record=False)
+             .formula(f, Environment()) for f in fs] for m in ms]
     derived, derive = {}, compiled._derive
 
     def counting(model, d, key):
@@ -481,10 +502,11 @@ def test_truth_derives_each_value_once_per_model(monkeypatch):
             assert [truth(m, f) for f in fs] == values, m
     assert walks == []
     assert derived and set(derived.values()) == {1}
-    # every model derived the same keys: the union of the formulas' needs
+    # every model derived the same keys: the union of what the formulas
+    # read
     keys = {k for _, k in derived}
     assert len(derived) == len(ms) * len(keys)
-    assert keys == {k for f in fs for k in compiled.compile_formula(f)[0]}
+    assert keys == {k for f in fs for k in reads(compiled.compile_formula(f)[0])}
 
 
 def test_a_gap_sends_each_truth_call_to_the_ordered_form_once(monkeypatch):
@@ -492,7 +514,7 @@ def test_a_gap_sends_each_truth_call_to_the_ordered_form_once(monkeypatch):
     gap = parser.parse_formula("forall x:s. Q(f(x))", M.signature)
     total = parser.parse_formula("forall x:s. P(x) or Q(f(c))", M.signature)
     assert truth(m, total) is True
-    assert m._derived.keys() >= set(compiled.compile_formula(gap)[0])
+    assert m._derived.keys() >= reads(compiled.compile_formula(gap)[0])
     with pytest.raises(models.EvalError) as want:
         eval_oracle._Evaluator(m, record=False).formula(gap, Environment())
     walks = count_tree_walks(monkeypatch)
@@ -521,6 +543,29 @@ def test_a_model_and_its_derived_values_form_no_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_every_form_derives_each_value_once_per_model(monkeypatch):
+    # truth, which misses first, the ordered forms and pred_holds all read
+    # the model's derived values, each derived there once
+    f = parser.parse_formula("exists x:s. P(x) and Q(eps y:s. P(y) or y = f(c))",
+                             M.signature)
+    want = eval_oracle.eval_formula(dataclasses.replace(M), None, f)
+    m = dataclasses.replace(M)
+    derived, derive = [], compiled._derive
+
+    def counting(model, d, key):
+        derived.append(key)
+        return derive(model, d, key)
+    monkeypatch.setattr(compiled, "_derive", counting)
+    assert truth(m, f) is want.value
+    assert models.eval_formula(m, None, f) == want
+    assert strict(m, None, f) == want
+    assert m.pred_holds("P", ("a",)) and not m.pred_holds("Q", ("a",))
+    keys = [("mask", "P", "s"), ("ext", "P"), ("dom", "s"), ("const", "c"),
+            ("fn", "f"), ("ext", "Q")]
+    assert sorted(derived) == sorted(m._derived) == \
+        sorted(compiled._key(*k) for k in keys)
 
 
 # -- where the ordered form stops ------------------------------------------
@@ -617,7 +662,7 @@ def test_a_renamed_formula_gets_the_code_of_a_fresh_emission(f, m):
     codes = compiled._codes
     codes.clear()
     compiled.compile_formula(f)
-    needs, run, frees = compiled.compile_formula(g)
+    run, frees, memos = compiled.compile_formula(g)
     assert_agrees(rm, g)
     # g's ordered code records g's own choice terms and names g's own
     # symbols in its messages
@@ -625,8 +670,8 @@ def test_a_renamed_formula_gets_the_code_of_a_fresh_emission(f, m):
     assert result(models.eval_formula, rm, g) == want
     assert result(strict, rm, g) == want
     codes.clear()
-    fresh_needs, fresh, fresh_frees = compiled.compile_formula(g)
-    assert (needs, frees) == (fresh_needs, fresh_frees)
+    fresh, fresh_frees, fresh_memos = compiled.compile_formula(g)
+    assert (reads(run), frees, memos) == (reads(fresh), fresh_frees, fresh_memos)
     assert run.__code__.co_code == fresh.__code__.co_code
     assert run.__code__ == fresh.__code__ and helpers(run) == helpers(fresh)
 
@@ -783,21 +828,44 @@ def test_a_repeated_closed_term_agrees_in_every_form(text, picks, m):
     assert result(strict, m, f) == want
 
 
-@pytest.mark.parametrize("text, picks", REPEATED)
-def test_a_repeated_closed_term_is_picked_once(text, picks, monkeypatch):
-    # one pick in the mask form's source, and one memo per closed term in
-    # the ordered form's
+def emitted(monkeypatch):
+    """The source of each code emitted from here on, in order."""
     sources = []
 
     def spy(source, *args):
         sources.append(source)
         return compile(source, *args)
     monkeypatch.setattr(compiled, "compile", spy, raising=False)
+    return sources
+
+
+@pytest.mark.parametrize("text, picks", REPEATED)
+def test_a_repeated_closed_term_is_picked_once(text, picks, monkeypatch):
+    # one pick in the mask form's source, and one memo per closed term in
+    # the ordered form's
+    sources = emitted(monkeypatch)
     f = parser.parse_formula(text, SIG)
     compiled._codes.clear()
     compiled.compile_formula(f)
     assert sources[-1].count(".bit_length() - 1]") == picks
-    assert compiled.compile_formula(f, compiled.RECORD)[3] == 1
+    assert compiled.compile_formula(f, compiled.RECORD)[2] == 1
+
+
+@pytest.mark.parametrize("text, fulls", [
+    ("exists x:s. P(x)", 0), ("forall x:s. P(x)", 1), ("most x:s. P(x)", 1),
+    ("exists x:s (Q(x)). P(x)", 0)])
+def test_a_quantifier_reads_the_full_mask_only_when_it_tests_it(text, fulls,
+                                                               monkeypatch):
+    # an unrestricted exists tests its body's mask alone: neither form
+    # reads the domain's full mask for it
+    sources = emitted(monkeypatch)
+    f = parser.parse_formula(text, M.signature)
+    compiled._codes.clear()
+    for mode in (compiled.TRUTH, compiled.STRICT):
+        compiled.compile_formula(f, mode)
+    assert [source.count(".full") for source in sources] == [fulls, fulls]
+    assert_agrees(M, f)
+    assert result(strict, M, f) == result(eval_oracle.eval_formula, M, f)
 
 
 # -- a term over an empty sort ---------------------------------------------
