@@ -33,8 +33,9 @@ class ProofTree:
 
     # A proof script's cited lines are shared nodes.  The generated methods
     # would recurse into premises and so cost the size of the expanded
-    # tree; these visit each pair of nodes, or each node, once, and the
-    # repr names premises by their line.
+    # tree: `==` visits each pair of nodes once, `hash` reads the root's
+    # own fields only (equal trees have equal roots), and the repr names
+    # premises by their line.
 
     def __repr__(self):
         cited = ", ".join("line %s" % p.line if isinstance(p, ProofTree)
@@ -65,21 +66,8 @@ class ProofTree:
         return True
 
     def __hash__(self):
-        hashes = {}      # id(node) -> hash; premises before their conclusion
-        todo = [(self, False)]
-        while todo:
-            node, ready = todo.pop()
-            if ready:
-                hashes[id(node)] = hash((
-                    node.sequent, node.rule, node.witness, node.eigen,
-                    node.line, tuple(hashes[id(p)] if isinstance(p, ProofTree)
-                                     else hash(p) for p in node.premises)))
-            elif id(node) not in hashes:
-                hashes[id(node)] = None
-                todo.append((node, True))
-                todo.extend((p, False) for p in node.premises
-                            if isinstance(p, ProofTree))
-        return hashes[id(self)]
+        return hash((self.sequent, self.rule, self.witness, self.eigen,
+                     self.line, len(self.premises)))
 
 
 @dataclass(frozen=True)
@@ -268,20 +256,24 @@ def _chk_imp_e(node, sig, cfg, fail):
     _premise_hyps_ok(node, fail)
 
 
+def _contradiction(node):
+    """The two premises prove a formula and its negation, in that order."""
+    p1, p2 = (p.sequent.conclusion for p in node.premises)
+    return isinstance(p2, Not) and alpha_eq(p1, p2.body)
+
+
 def _chk_not_i(node, sig, cfg, fail):
     c = node.sequent.conclusion
     if not isinstance(c, Not):
         fail("shape", "conclusion is not a negation")
         return
-    p1, p2 = (p.sequent for p in node.premises)
-    if not (isinstance(p2.conclusion, Not) and alpha_eq(p1.conclusion, p2.conclusion.body)):
+    if not _contradiction(node):
         fail("shape", "premises do not derive a contradiction")
     _premise_hyps_ok(node, fail, {0: (c.body,), 1: (c.body,)})
 
 
 def _chk_not_e(node, sig, cfg, fail):
-    p1, p2 = (p.sequent.conclusion for p in node.premises)
-    if not (isinstance(p2, Not) and alpha_eq(p1, p2.body)):
+    if not _contradiction(node):
         fail("shape", "premises are not a formula and its negation")
     _premise_hyps_ok(node, fail)
 
@@ -293,6 +285,18 @@ def _plain_quant(c, kind, fail):
     return c
 
 
+def _eigen_ok(node, hyps, fail):
+    """The eigenvariable condition of forall-i, exists-e, tau-intro and
+    eps-dual: `node.eigen` is free neither in `hyps` (the premise's open
+    hypotheses), nor in the conclusion's hypotheses, nor in its formula."""
+    x = node.eigen
+    if _name_free_in(x, hyps) or _name_free_in(x, node.sequent.hypotheses):
+        fail("eigenvariable",
+             "no free occurrence of %s allowed in any hypothesis" % x)
+    if _name_free_in(x, (node.sequent.conclusion,)):
+        fail("eigenvariable", "eigenvariable %s occurs free in the conclusion" % x)
+
+
 def _chk_forall_i(node, sig, cfg, fail):
     c = _plain_quant(node.sequent.conclusion, sx.FORALL, fail)
     if c is None:
@@ -302,13 +306,7 @@ def _chk_forall_i(node, sig, cfg, fail):
         x = Var(node.eigen, c.var.sort)
         if not alpha_eq(prem.conclusion, substitute(c.body, c.var, x)):
             fail("shape", "premise is not the body at the eigenvariable")
-        if _name_free_in(node.eigen, prem.hypotheses) \
-                or _name_free_in(node.eigen, node.sequent.hypotheses):
-            fail("eigenvariable", "no free occurrence of %s allowed in any "
-                 "hypothesis" % node.eigen)
-        if _name_free_in(node.eigen, (node.sequent.conclusion,)):
-            fail("eigenvariable", "eigenvariable %s occurs free in the "
-                 "conclusion" % node.eigen)
+        _eigen_ok(node, prem.hypotheses, fail)
     else:
         # generic-element form: the body holds of its own tau term
         generic = Binder(sx.TAU, c.var, c.body)
@@ -334,28 +332,29 @@ def _witness(node, var, sig, fail):
     return t
 
 
-def _chk_forall_e(node, sig, cfg, fail):
-    p = _plain_quant(node.premises[0].sequent.conclusion, sx.FORALL, fail)
-    if p is None:
+def _instance_ok(node, sig, fail, kind, q, inst, message):
+    """forall-e and exists-i: `q` is an unrestricted `kind` formula and
+    `inst` its body at the witness term; `message` names the failure."""
+    q = _plain_quant(q, kind, fail)
+    if q is None:
         return
-    t = _witness(node, p.var, sig, fail)
+    t = _witness(node, q.var, sig, fail)
     if t is None:
         return
-    if not alpha_eq(node.sequent.conclusion, substitute(p.body, p.var, t)):
-        fail("shape", "conclusion is not the instantiated body")
+    if not alpha_eq(inst, substitute(q.body, q.var, t)):
+        fail("shape", message)
     _premise_hyps_ok(node, fail)
+
+
+def _chk_forall_e(node, sig, cfg, fail):
+    _instance_ok(node, sig, fail, sx.FORALL, node.premises[0].sequent.conclusion,
+                 node.sequent.conclusion, "conclusion is not the instantiated body")
 
 
 def _chk_exists_i(node, sig, cfg, fail):
-    c = _plain_quant(node.sequent.conclusion, sx.EXISTS, fail)
-    if c is None:
-        return
-    t = _witness(node, c.var, sig, fail)
-    if t is None:
-        return
-    if not alpha_eq(node.premises[0].sequent.conclusion, substitute(c.body, c.var, t)):
-        fail("shape", "premise is not the body at the witness term")
-    _premise_hyps_ok(node, fail)
+    _instance_ok(node, sig, fail, sx.EXISTS, node.sequent.conclusion,
+                 node.premises[0].sequent.conclusion,
+                 "premise is not the body at the witness term")
 
 
 def _chk_exists_e(node, sig, cfg, fail):
@@ -372,36 +371,27 @@ def _chk_exists_e(node, sig, cfg, fail):
         fail("shape", "case premise does not assume the instantiated body")
     if not alpha_eq(case.conclusion, node.sequent.conclusion):
         fail("shape", "case premise does not prove the conclusion")
-    if _name_free_in(node.eigen, _minus(case.hypotheses, inst)) \
-            or _name_free_in(node.eigen, node.sequent.hypotheses):
-        fail("eigenvariable", "no free occurrence of %s allowed in any "
-             "hypothesis" % node.eigen)
-    if _name_free_in(node.eigen, (node.sequent.conclusion,)):
-        fail("eigenvariable", "no free occurrence of %s allowed in the "
-             "conclusion" % node.eigen)
+    _eigen_ok(node, _minus(case.hypotheses, inst), fail)
     _premise_hyps_ok(node, fail, {1: (inst,)})
 
 
-def _binder_candidates(formula, kind, negated):
-    """(term, A) for each `kind` term in `formula` that reads as
-    kind x. A(x), or as kind x. not A(x) when `negated`."""
-    for t in subterms(formula):
-        if isinstance(t, Binder) and t.kind == kind:
-            if not negated:
-                yield t, t.body
-            elif isinstance(t.body, Not):
-                yield t, t.body.body
+def _choice_instances(c, kind, negated):
+    """(t, B) for each `kind` term t in `c` that reads as kind x. B(x), or
+    as kind x. not B(x) when `negated`, where `c` is B(t)."""
+    for t in subterms(c):
+        if isinstance(t, Binder) and t.kind == kind \
+                and (not negated or isinstance(t.body, Not)):
+            body = t.body.body if negated else t.body
+            if alpha_eq(c, substitute(body, t.var, t)):
+                yield t, body
 
 
 def _chk_choice_witness(kind, negated, shape):
     # eps-intro: from B(t) infer B(eps x. B(x));
     # tau-dual: from B(t) infer B(tau x. not B(x))
     def chk(node, sig, cfg, fail):
-        c = node.sequent.conclusion
         prem = node.premises[0].sequent.conclusion
-        for e, body in _binder_candidates(c, kind, negated):
-            if not alpha_eq(c, substitute(body, e.var, e)):
-                continue
+        for e, body in _choice_instances(node.sequent.conclusion, kind, negated):
             t = _witness(node, e.var, sig, lambda *a: None)
             if t is not None and alpha_eq(prem, substitute(body, e.var, t)):
                 _premise_hyps_ok(node, fail)
@@ -416,20 +406,14 @@ def _chk_choice_generic(kind, negated, shape):
     # tau-intro: from A(x), x generic, infer A(tau x. A(x));
     # eps-dual: from A(x), x generic, infer A(eps x. not A(x))
     def chk(node, sig, cfg, fail):
-        c = node.sequent.conclusion
-        prem = node.premises[0].sequent
         if node.eigen is None:
             fail("eigenvariable", "%s needs an '[eigen x]' annotation" % node.rule)
             return
-        for e, body in _binder_candidates(c, kind, negated):
-            if not alpha_eq(c, substitute(body, e.var, e)):
-                continue
+        prem = node.premises[0].sequent
+        for e, body in _choice_instances(node.sequent.conclusion, kind, negated):
             x = Var(node.eigen, e.var.sort)
             if alpha_eq(prem.conclusion, substitute(body, e.var, x)):
-                if _name_free_in(node.eigen, prem.hypotheses) \
-                        or _name_free_in(node.eigen, node.sequent.hypotheses):
-                    fail("eigenvariable", "no free occurrence of %s allowed in "
-                         "any hypothesis" % node.eigen)
+                _eigen_ok(node, prem.hypotheses, fail)
                 _premise_hyps_ok(node, fail)
                 return
         fail("shape", "conclusion is not %s for the generic premise" % shape)
@@ -464,18 +448,27 @@ def _most_node(f, mode):
     return isinstance(f, Quant) and f.kind == sx.MOST and f.mode == mode
 
 
+def _weak_majority_denied(node, fail):
+    """The majority rules' conclusion, not MOSTweak x:A. P: its negated
+    statement, or None after a failure."""
+    c = node.sequent.conclusion
+    if not isinstance(c, Not) or not _most_node(c.body, "weak"):
+        fail("shape", "conclusion must be 'not mostweak x. P'")
+        return None
+    return c.body
+
+
 def _chk_maj_minority(node, sig, cfg, fail):
     # From MOSTstrict x:A. not P infer not MOSTweak x:A. P
     p = node.premises[0].sequent.conclusion
-    c = node.sequent.conclusion
     if not (_most_node(p, "strict") and isinstance(p.body, Not)):
         fail("shape", "premise must be 'moststrict x. not P'")
         return
-    if not isinstance(c, Not) or not _most_node(c.body, "weak"):
-        fail("shape", "conclusion must be 'not mostweak x. P'")
+    tgt = _weak_majority_denied(node, fail)
+    if tgt is None:
         return
     want = Quant(sx.MOST, p.var, p.restriction, p.body.body, "weak")
-    if not alpha_eq(c.body, want):
+    if not alpha_eq(tgt, want):
         fail("shape", "conclusion negates a different majority statement")
     _premise_hyps_ok(node, fail)
 
@@ -485,14 +478,12 @@ def _chk_maj_disjoint(node, sig, cfg, fail):
     # infer not MOSTweak x:A. P
     maj = node.premises[0].sequent.conclusion
     sep = node.premises[1].sequent.conclusion
-    c = node.sequent.conclusion
     if not _most_node(maj, "strict"):
         fail("shape", "first premise must be a strict majority statement")
         return
-    if not isinstance(c, Not) or not _most_node(c.body, "weak"):
-        fail("shape", "conclusion must be 'not mostweak x. P'")
+    tgt = _weak_majority_denied(node, fail)
+    if tgt is None:
         return
-    tgt = c.body
     if not (isinstance(sep, Quant) and sep.kind == sx.FORALL):
         fail("shape", "second premise must be a universal disjointness statement")
         return

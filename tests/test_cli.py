@@ -326,3 +326,54 @@ def test_bad_builtin_declarations_exit_2(capsys, tmp_path, text, formula,
     code, out, err = run(capsys, "eval", "--model", str(model), formula)
     assert code == 2 and out == ""
     assert diagnostic in err.splitlines()
+
+
+def test_a_model_file_gives_the_signature(capsys, fixtures, tmp_path):
+    model = str(fixtures / "most_counterexample.model")
+    assert run(capsys, "parse", "--model", model, "exists x:ind. student(x)") \
+        == (0, "exists x:ind. student(x)\n", "")
+    assert run(capsys, "translate", "--model", model, "--mode", "nnf",
+               "not forall x:ind. student(x)") \
+        == (0, "exists x:ind. not student(x)\n", "")
+    proof = tmp_path / "student.proof"
+    proof.write_text("1. exists x:ind. student(x) |- exists x:ind. student(x)"
+                     " ; hyp\n")
+    assert run(capsys, "check", "--model", model, "--proof", str(proof)) \
+        == (0, "line 1: hyp: ok\naccepted\n", "")
+
+
+@pytest.mark.parametrize("argv", [["parse", "P(c)"],
+                                  ["translate", "--mode", "nnf", "P(c)"],
+                                  ["check", "--proof", "none.proof"]],
+                         ids=["parse", "translate", "check"])
+def test_a_signature_or_model_file_is_required(capsys, argv):
+    assert run(capsys, *argv) == (
+        2, "", "error: a --signature or --model file is required\n")
+
+
+@pytest.mark.parametrize("mode, value", [("weak", "true"), ("strict", "false")])
+def test_the_majority_mode_decides_a_ratio_at_the_threshold(capsys, fixtures,
+                                                            mode, value):
+    # two students of ten: the ratio 1/5 meets the threshold but does not
+    # exceed it
+    assert run(capsys, "eval", "--model",
+               str(fixtures / "most_counterexample.model"), "--theta", "1/5",
+               "--majority", mode, "most x:ind. student(x)") == (
+        0, "most x:ind. student(x) = %s\nflag: most-ratio 1/5\n" % value, "")
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["translate", "--mode", "nnf"]],
+                         ids=["eval", "translate"])
+def test_a_bare_term_is_not_evaluated_or_translated(capsys, fixtures, argv):
+    model = str(fixtures / "most_counterexample.model")
+    assert run(capsys, *argv, "--model", model, "eps x:ind. student(x)") == (
+        2, "", "error: %s needs a formula, got a bare term\n" % argv[0])
+
+
+def test_a_count_measure_is_read_as_the_default_measure(capsys, tmp_path):
+    plain = "sort s = {a, b, c}\npred P : s = {a, b}\n"
+    for text in (plain, plain + "measure s = count\n"):
+        model = tmp_path / "count.model"
+        model.write_text(text)
+        assert run(capsys, "eval", "--model", str(model), "most x:s. P(x)") \
+            == (0, "most x:s. P(x) = true\nflag: most-ratio 2/3\n", "")

@@ -468,6 +468,45 @@ def test_forall_i_eigenvariable_must_not_be_free_in_the_conclusion():
         (3, "eigenvariable", "eigenvariable y occurs free in the conclusion")]
 
 
+def test_exists_e_eigenvariable_must_not_be_free_in_the_conclusion():
+    # the wording is forall-i's: every eigenvariable rule states the
+    # condition through one check
+    t1, t2 = hyp([EX_PX], EX_PX), hyp([PX], PX, 2)
+    root = ProofTree(Sequent((EX_PX,), PX), "exists-e", (t1, t2), eigen="x",
+                     line=3)
+    assert failures(root) == [
+        (3, "eigenvariable", "eigenvariable x occurs free in the conclusion")]
+
+
+# a choice rule whose term keeps its eigenvariable free: from Q(x, x), got
+# from forall y. Q(y, y), line 3 concludes a formula that is false at x := a
+# where Q is the identity on {a, b}
+SIG_Q = parser.parse_signature("sort s\npred Q : s, s\n")
+IDENTITY = parser.parse_model("sort s = {a, b}\npred Q : s, s = {(a, a), (b, b)}\n")
+REFLEXIVE = ("var x : s\n"
+             "1. forall y:s. Q(y, y) |- forall y:s. Q(y, y) ; hyp\n"
+             "2. forall y:s. Q(y, y) |- Q(x, x) ; forall-e(1) [y := x]\n")
+
+
+def choice_rule_failures(conclusion, rule):
+    closure = "forall x:s. ((forall y:s. Q(y, y)) implies %s)" % conclusion
+    assert models.truth(IDENTITY, parser.parse_formula(closure, SIG_Q)) is False
+    text = REFLEXIVE + "3. forall y:s. Q(y, y) |- %s ; %s(2) [eigen x]\n" % (
+        conclusion, rule)
+    v = check_proof(parser.parse_proof_script(text, SIG_Q), SIG_Q)
+    return [(f.line, f.condition, f.message) for f in v.failures]
+
+
+def test_tau_intro_eigenvariable_must_not_be_free_in_the_conclusion():
+    assert choice_rule_failures("Q(tau z:s. Q(z, x), x)", "tau-intro") == [
+        (3, "eigenvariable", "eigenvariable x occurs free in the conclusion")]
+
+
+def test_eps_dual_eigenvariable_must_not_be_free_in_the_conclusion():
+    assert choice_rule_failures("Q(eps z:s. not Q(z, x), x)", "eps-dual") == [
+        (3, "eigenvariable", "eigenvariable x occurs free in the conclusion")]
+
+
 def test_forall_e_needs_a_witness_annotation():
     root = ProofTree(Sequent((FA_PX,), PC), "forall-e", (hyp([FA_PX], FA_PX),),
                      line=2)

@@ -179,3 +179,43 @@ def test_plural_stripping(lex):
     f, _ = form("most dogs bite", lex)
     g, _ = form("most dog bite", lex)
     assert alpha_eq(f, g)
+
+
+def test_a_relative_clause_restricts_the_choice_term(lex):
+    for det, kind in (("a", "eta"), ("the", "eps")):
+        f, _ = form("%s man that whistles enters" % det, lex)
+        assert parser.print_formula(f) == (
+            "enter(%s x:man. man(x) and whistle(x))" % kind)
+
+
+PLANETS = parse_lexicon("""
+noun planet : planet
+noun dog : dog
+verb shine : shine(planet)
+verb bite : bite(dog)
+tverb orbit : orbit(planet, planet)
+pron it : planet
+""")
+
+
+def test_a_pronoun_object_takes_the_referent_of_its_sort():
+    # `it` passes over the more salient dog to the shining planet
+    f, state = form("a planet that shines shines . a dog bites . "
+                    "a planet orbits it", PLANETS)
+    shining = "eta x:planet. planet(x) and shine(x)"
+    assert parser.print_formula(f.right) == (
+        "orbit(eta x:planet. planet(x), %s)" % shining)
+    assert [parser.print_term(t) for t, _, _ in state.referents] == [
+        "eta x:planet. planet(x)", shining, "eta x:dog. dog(x)"]
+
+
+@pytest.mark.parametrize("sentence, message", [
+    ("a planet orbits", "transitive verb 'orbit' needs an object"),
+    ("a planet shines a planet", "verb 'shine' does not take an object"),
+    ("every planet that orbits a planet shines",
+     "relative clauses with objects are not supported in restrictions"),
+])
+def test_a_verb_and_its_object_must_agree(sentence, message):
+    with pytest.raises(SemanticsError) as e:
+        form(sentence, PLANETS)
+    assert str(e.value) == message
