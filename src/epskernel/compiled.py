@@ -45,6 +45,15 @@ of its satisfiers: eps, eta and a generic term the lowest set bit, tau the
 lowest clear bit, iota the only set bit, and with none the sort's least
 element.  A closed one is picked once: at the mask form's entry, or once
 per call by the ordered form, which replays its witnesses when met again.
+The mask form writes such a term once for each binding of its free names,
+however often it is copied: the generator gives equal subtrees one value
+number, and a copy whose number was written under the same loops that bind
+its free names, in the region it is met in or one enclosing it, reads that
+local.  A copy in a short-circuit's right operand shares with no copy
+outside it, and one under another binder of the same name with none under
+the first.  A connective both of whose operands loop over a slot's
+elements is one loop in the mask form, so the copies in both meet in one
+function.
 """
 
 from __future__ import annotations
@@ -417,6 +426,79 @@ def _recording(node):
     return out
 
 
+class _Numbers:
+    """Value numbers: equal subtrees get one number.  Per number it keeps
+    the mask of the names free in it (`frees`; `bits` holds each name's
+    bit, a predicate variable's name with _SEP before it) and the mask of
+    the names over which the mask form writes it with an element loop
+    (`loops`): those it reads, but through not and the connectives, and
+    in an atom of one or two arguments only those that an argument other
+    than a bare variable reads (a mask, row, column, diagonal or equality
+    test reads the others)."""
+
+    __slots__ = ("number", "table", "bits", "frees", "loops")
+
+    def __init__(self):
+        self.number = {}        # id(node) -> its number
+        self.table = {}         # (class, fields, children's numbers) -> number
+        self.bits, self.frees, self.loops = {}, [], []
+
+    def of(self, node):
+        """node's number; the nodes of a subtree met first are numbered in
+        one walk on an explicit stack, children first."""
+        number = self.number
+        n = number.get(id(node))
+        if n is not None:
+            return n
+        order, todo = [], [node]
+        while todo:
+            e = todo.pop()
+            if id(e) not in number:
+                order.append(e)
+                layout = sx._LAYOUT.get(type(e))
+                if layout is not None:
+                    todo += layout[0](e)
+        table, bits, frees, loops = self.table, self.bits, self.frees, self.loops
+        for e in reversed(order):
+            if id(e) in number:
+                continue
+            t = type(e)
+            layout = sx._LAYOUT.get(t)
+            # anything that is no node gets a number of its own
+            kids = [*map(number.__getitem__, map(id, layout[0](e)))] \
+                if layout else []
+            key = (t, layout[1](e), *kids) if layout else id(e)
+            n = table.get(key)
+            if n is None:
+                n = table[key] = len(frees)
+                names = 0
+                for k in kids:
+                    names |= frees[k]
+                loop = names
+                if t is Atom and len(kids) <= 2:
+                    loop = 0
+                    for a, k in zip(e.args, kids):
+                        if type(a) is not Var:
+                            loop |= frees[k]
+                elif t is Var:
+                    names = loop = bits.setdefault(e.name, 1 << len(bits))
+                elif t is Not:
+                    loop = loops[kids[0]]
+                elif t is And or t is Or or t is Implies:
+                    loop = loops[kids[0]] | loops[kids[1]]
+                elif t is PredApp:
+                    names = loop = names | bits.setdefault(_SEP + e.predvar,
+                                                           1 << len(bits))
+                elif t is Quant2:
+                    names = loop = names & ~bits.get(_SEP + e.predvar, 0)
+                elif t in sx._VAR_BINDERS:
+                    names = loop = names & ~bits.get(e.var.name, 0)
+                frees.append(names)
+                loops.append(loop)
+            number[id(e)] = n
+        return number[id(node)]
+
+
 class _Region:
     """One generated function: the entry, an element loop over `slot` (its
     element, or a predicate variable's subset mask, is the local `var`), a
@@ -426,12 +508,22 @@ class _Region:
     it does not read, but not past `stop`, the nearest region that is not a
     mask loop: an ordered loop runs its lines on each element in turn."""
 
-    __slots__ = ("slot", "var", "lines", "reads", "depth", "stop")
+    __slots__ = ("parent", "slot", "var", "lines", "reads", "depth", "stop")
 
     def __init__(self, parent, slot=None, var=None, ordered=False):
-        self.slot, self.var, self.lines, self.reads = slot, var, [], {}
+        self.parent, self.slot, self.var = parent, slot, var
+        self.lines, self.reads = [], {}
         self.depth = parent.depth + 1 if parent else 0
         self.stop = self if slot is None or ordered else parent.stop
+
+    def within(self, reg):
+        """Whether this region is reg or nested in it."""
+        if reg.parent is None:
+            return True         # the entry holds every region
+        inner = self
+        while inner.depth > reg.depth:
+            inner = inner.parent
+        return inner is reg
 
 
 class _Emitter:
@@ -447,6 +539,11 @@ class _Emitter:
     early when its left operand settles it, so a right-nested chain is one
     function.  Flags and witnesses are statements, written where the
     ordered form reaches them, and nothing moves out of an ordered loop.
+    A choice term is keyed by its value number (_Numbers) and the loops
+    that bind its free names, so the mask form writes a copy once for
+    each binding; a connective of two operands that each need an element
+    loop over the slot is written in one loop, its right operand a
+    short-circuit there, so copies in both operands meet.
     The walk keeps its pending work on one stack (todo) and the locals of
     finished nodes on another (vals).  A scope is a chain of links (name,
     slot, domain key of a predicate variable's subsets, outer scope)."""
@@ -462,7 +559,11 @@ class _Emitter:
         self.home = dict.fromkeys(("d", "env"), self.root)
         self.deps = {"d": 0, "env": _FREE}      # local -> slots read
         self.defs = []          # source of each helper function
-        self.closed = {}        # closed choice term -> its local, or its call
+        # (value number, loop regions binding its free names) of a choice
+        # term written -> its local in the mask form, or the ordered
+        # form's memo call of a closed one
+        self.shared = {}
+        self.values = _Numbers()
         self.loops = {}         # inner slot -> the loop region binding it
         self.memos = 0          # closed choice terms of the ordered form
         self.count = 0
@@ -615,6 +716,18 @@ class _Emitter:
         if key not in self.frees:
             self.frees.append(key)
         return -2 - self.frees.index(key), None
+
+    def binding(self, scope, names):
+        """The loop regions that bind the names in mask `names` that scope
+        binds, innermost first."""
+        out, bits = [], self.values.bits
+        while scope and names:
+            bit = bits.get(scope[0], 0)
+            if names & bit:
+                out.append(self.loops[scope[1]])
+                names &= ~bit
+            scope = scope[3]
+        return tuple(out)
 
     def name(self, scope, name, reg):
         """Local of a variable or a predicate variable: a bound slot's,
@@ -853,7 +966,10 @@ class _Emitter:
         if t is Not:
             todo.append((self.combine, reg, "%s ^ %s", 1, self.value(dk, ".full")))
             todo.append((self.mask, f.body, scope, slot, sort, reg))
-        elif t is And or t is Or or t is Implies:
+        elif (t is And or t is Or or t is Implies) and not (
+                self.looped(f.left, scope[0]) and self.looped(f.right, scope[0])):
+            # a connective of two element loops over the slot is one
+            # loop, in the last branch, so copies in both meet in it
             if t is Implies:
                 todo.append((self.combine, reg, "(%s ^ %s) | %s", 2,
                              self.value(dk, ".full")))
@@ -870,6 +986,15 @@ class _Emitter:
             loop = self.loop_region(reg, slot)
             todo.append((self.each, sort, reg, loop))
             todo.append((self.formula, f, scope, loop))
+
+    def looped(self, f, name):
+        """Whether mask writes f over the variable `name` with an element
+        loop; an atom whose arguments are variables never loops."""
+        if type(f) is Atom and len(f.args) <= 2 and \
+                all(type(a) is Var for a in f.args):
+            return False
+        values = self.values
+        return bool(values.loops[values.of(f)] & values.bits.get(name, 0))
 
     def direct_atom(self, f, scope, sort, dk, reg, loop):
         """An atom whose arguments are the slot's variable or do not read
@@ -941,10 +1066,18 @@ class _Emitter:
 
     def choice(self, t, scope, reg):
         """Choice or restricted generic term t: its body's or restriction's
-        satisfiers, written in a region of its own, then its pick."""
-        hit = self.closed.get(t)
-        if hit is not None:
-            self.vals.append(hit if self.mode == TRUTH else self.put(reg, *hit))
+        satisfiers, written in a region of its own, then its pick.  The
+        mask form reads the local of a copy written under the same binding
+        in reg or a region enclosing it, and the ordered form calls the memo
+        of a closed one."""
+        n = self.values.of(t)
+        key = n, self.binding(scope, self.values.frees[n])
+        hit = self.shared.get(key)
+        if hit is not None and self.mode != TRUTH:
+            self.vals.append(self.put(reg, *hit))
+            return
+        if hit is not None and reg.within(self.home[hit]):
+            self.vals.append(hit)
             return
         binder = type(t) is Binder
         if binder and t.kind not in sx.BINDER_KINDS:
@@ -956,21 +1089,22 @@ class _Emitter:
         slot, inner = self.bind(scope, t.var.name)
         choice = _Region(reg)
         dk = _key("dom", t.var.sort)
-        self.todo.append((self.pick, t, dk, self.read(choice, dk, ".elems"),
-                          reg, choice))
+        self.todo.append((self.pick, t, key, dk,
+                          self.read(choice, dk, ".elems"), reg, choice))
         self.satisfy(t.body if binder else t.restriction, inner, slot,
                      t.var.sort, choice)
 
-    def pick(self, t, dk, elems, reg, choice):
+    def pick(self, t, key, dk, elems, reg, choice):
         """Term t from the mask of its satisfiers on vals: eps and eta the
         lowest set bit, tau the lowest clear bit, iota the only set bit, a
         generic term its first satisfier, and with none the least element of
         its sort.  The ordered form records a choice term's pick as a
         witness, and flags an iota term without exactly one satisfier and a
-        generic term without any.  A pick that reads no bound slot or free
-        name is written once: the mask form's at the entry, the ordered
-        form's as a function of its own that picks once per call and, met
-        again, replays the witnesses its pick recorded."""
+        generic term without any.  The mask form keeps the pick's local
+        under `key` and writes one that reads no bound slot or free name at
+        the entry.  The ordered form keeps only such a pick, as a function
+        of its own that picks once per call and, met again, replays the
+        witnesses its pick recorded."""
         m = self.vals.pop()
         binder = type(t) is Binder
         rec = self.rec() if self.mode != TRUTH else None
@@ -996,14 +1130,14 @@ class _Emitter:
         if rec and not self.deps[v]:
             at, self.memos = self.memos, self.memos + 1
             choice.reads[rec] = None
-            self.closed[t] = self.close(choice, [
+            self.shared[key] = self.close(choice, [
                 "    hit = %s.chosen[%d]" % (rec, at),
                 "    if hit is not _U: return _replay(%s, hit)" % rec,
                 "    start = len(%s.witnesses)" % rec], [
                 "    %s.chosen[%d] = %s, start, len(%s.witnesses)" % (
                     rec, at, v, rec),
                 "    return " + v])
-            self.vals.append(self.put(reg, *self.closed[t]))
+            self.vals.append(self.put(reg, *self.shared[key]))
             return
         home = reg if self.deps[v] else self.root
         for line in choice.lines:
@@ -1011,8 +1145,8 @@ class _Emitter:
                 self.stmt(home, line[1], *line[2])
             else:
                 self.place(home, *line)
-        if not self.deps[v]:
-            self.closed[t] = v
+        if not rec:
+            self.shared[key] = v
         self.vals.append(v)
 
 
@@ -1069,10 +1203,11 @@ def truth(model, f, env=None):
     """Truth of formula f in model by its mask form, run on the model's
     derived values and, when a read misses, once more on their view; what
     the mask form raises sends the call to the ordered form (STRICT)."""
-    code = getattr(f, "_truth_code", _UNSET)
-    if code is _UNSET:
-        code = compile_formula(f)
-    run_f, frees, _ = code
+    try:
+        run_f, frees, _ = f._truth_code
+    except (AttributeError, TypeError):
+        # not compiled yet, or a pickled node's "not compiled" mark
+        run_f, frees, _ = compile_formula(f)
     try:
         # the ordered form's _Rec takes the last place
         values = _bound(frees, env) + (None,) if frees else ()

@@ -320,7 +320,11 @@ def _witness(node, var, sig, fail):
     if node.witness is None:
         fail("witness", "rule %s needs a '[x := t]' annotation" % node.rule)
         return None
-    _, t = node.witness
+    name, t = node.witness
+    if name != var.name:
+        fail("witness", "annotation names %s, but the rule instantiates %s"
+             % (name, var.name))
+        return None
     try:
         ts = term_sort(t, sig)
     except sx.SortError as e:

@@ -12,6 +12,7 @@ import gc
 import itertools
 import pickle
 import random
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -783,8 +784,8 @@ def test_deep_formulas_are_keyed_and_hit(text):
 
 def test_a_deep_chain_of_closed_choice_terms_evaluates():
     # Q(eps x. Q(x) and not Q(eps y. Q(y) and not Q(... c))), 250 deep:
-    # the emitter looks each closed choice term up by == and hash.  The
-    # picks alternate: b over c = a, then none, so a, and so on
+    # every form compiles and runs it.  The picks alternate: b over c = a,
+    # then none, so a, and so on
     t = Const("c")
     for i in range(250):
         v = Var("x" if i % 2 else "y", "s")
@@ -906,3 +907,136 @@ def test_a_term_over_an_empty_sort_is_an_input_error(text, want, tmp_path,
     else:
         assert code == 0 and out.err == ""
         assert out.out.splitlines()[0].endswith(" = %s" % str(want[0]).lower())
+
+
+# -- a copied choice term that reads an enclosing variable ----------------
+
+COPY_SIG = Signature(frozenset({"s"}), {"c": "s"}, {},
+                     {"P": ("s",), "Q": ("s",), "R": ("s", "s")})
+
+
+def copy_models():
+    """Every model of COPY_SIG up to size 2, and a fixed sample of size 3."""
+    rng = random.Random(24)
+    elems = ["a", "b", "c"]
+    cells = list(itertools.product(elems, elems))
+    sample = [Model(signature=COPY_SIG, domains={"s": elems},
+                    preds={"P": frozenset((e,) for e in elems if rng.random() < .5),
+                           "Q": frozenset((e,) for e in elems if rng.random() < .5),
+                           "R": frozenset(c for c in cells if rng.random() < .5)},
+                    consts={"c": rng.choice(elems)})
+              for _ in range(40)]
+    return list(enumerate_models(COPY_SIG, 2)) + sample
+
+
+def copied_term(rng, x, depth=1):
+    """A choice or restricted generic term that reads variable x, its body
+    perhaps holding another such term."""
+    y = Var("y" if depth else "z", "s")
+    inner = copied_term(rng, x, depth - 1) if depth and rng.random() < .4 else x
+    body = rng.choice([Atom("R", (inner, y)),
+                       And(Atom("P", (y,)), Atom("R", (y, x))),
+                       Or(Atom("Q", (y,)), Atom("R", (x, y))),
+                       Not(Atom("R", (y, inner))), Atom(sx.EQ, (y, inner))])
+    kind = rng.choice([sx.EPS, sx.TAU, sx.IOTA, sx.ETA, "most", "many"])
+    if kind in sx.BINDER_KINDS:
+        return Binder(kind, y, body)
+    return GenericRestricted(kind, "s", y, body)
+
+
+def holding(rng, x, t, depth):
+    """A formula over x in which term t occurs, in an atom, under not, a
+    connective (the last operand of one a short-circuit's right operand),
+    a quantifier over another variable (t in its restriction too) or a
+    quantifier that binds x again."""
+    kind = rng.choice(["atom", "atom", "not", "two", "one", "restricted",
+                       "rebind"] if depth else ["atom"])
+    if kind == "atom":
+        return rng.choice([Atom("P", (t,)), Atom("R", (x, t)), Atom("R", (t, x)),
+                           Atom(sx.EQ, (t, x)), Atom("R", (t, t))])
+    if kind == "not":
+        return Not(holding(rng, x, t, depth - 1))
+    cls = rng.choice([And, Or, Implies])
+    if kind == "two":
+        return cls(holding(rng, x, t, depth - 1), holding(rng, x, t, depth - 1))
+    if kind == "one":
+        return cls(rng.choice([Atom("P", (x,)), Atom("Q", (Const("c"),))]),
+                   holding(rng, x, t, depth - 1))
+    q = rng.choice([sx.FORALL, sx.EXISTS, sx.MOST])
+    if kind == "rebind":
+        return Quant(q, x, None, holding(rng, x, t, depth - 1))
+    w = Var("w", "s")
+    return Quant(q, w, rng.choice([Atom("R", (w, t)), Atom("P", (w,))]),
+                 And(Atom("R", (w, x)), holding(rng, x, t, depth - 1)))
+
+
+def drawn_copies(n, seed=24):
+    """n formulas, each with a term that reads x copied under one binder of
+    x, and half of them with the term under a second binder of x too."""
+    rng = random.Random(seed)
+    x = Var("x", "s")
+    out = []
+    while len(out) < n:
+        t = copied_term(rng, x)
+        f = Quant(rng.choice([sx.FORALL, sx.EXISTS]), x, None,
+                  rng.choice([And, Or, Implies])(holding(rng, x, t, 2),
+                                                 holding(rng, x, t, 2)))
+        if rng.random() < .5:
+            f = Or(f, Quant(rng.choice(sx.QUANT_KINDS), x, None,
+                            holding(rng, x, t, 1)))
+        out.append(f)
+    return out
+
+
+COPIED = [
+    # both operands of a connective loop over x: one loop, one pick each
+    "forall x:s. P(eps y:s. R(x, y)) or R(x, eps y:s. R(x, y))",
+    "exists x:s. Q(tau y:s. R(y, x)) and not P(tau y:s. R(y, x))",
+    "forall x:s. P(iota y:s. R(x, y)) implies Q(iota y:s. R(x, y))",
+    "exists x:s. P(most:s(y:s. R(x, y))) and R(most:s(y:s. R(x, y)), x)",
+    # a copy first written in a short-circuit's right operand, then after it
+    "forall x:s. (P(x) or Q(eps y:s. R(x, y))) and R(eps y:s. R(x, y), x)",
+    # copies in a quantifier's restriction and body
+    "exists x:s. forall w:s (R(w, eps y:s. R(x, y))). P(eps y:s. R(x, y))",
+    # one term under two binders of x, and under one that binds x again
+    "(exists x:s. P(eps y:s. R(x, y))) and (forall x:s. Q(eps y:s. R(x, y)))",
+    "forall x:s. P(eps y:s. R(x, y)) and (exists x:s. not P(eps y:s. R(x, y)))",
+]
+
+
+def test_copied_choice_terms_agree_with_the_oracle():
+    ms = copy_models()
+    for f in [parser.parse_formula(text, COPY_SIG) for text in COPIED] + \
+            drawn_copies(24):
+        for m in ms:
+            assert_agrees(m, f)
+
+
+def test_a_copied_choice_term_is_written_once(monkeypatch):
+    # the satisfier loop of eps x2, copied into both disjuncts of eps x1's
+    # body, tests R(x1, x2) on two loop elements once
+    sources = emitted(monkeypatch)
+    sig, _ = _prefix_family()
+    f = transform.epsilon_embed(parser.parse_formula(
+        "exists x1:s. forall x2:s. exists x3:s. P(x3) or R(x1, x2)", sig))
+    compiled._codes.clear()
+    compiled.compile_formula(f)
+    assert len(re.findall(r"\(e\d+, e\d+, \) in ", sources[-1])) == 1
+    for m in enumerate_models(sig, 2):
+        assert_agrees(m, f)
+
+
+def test_a_deep_closed_chain_is_keyed_once_per_form(monkeypatch):
+    # the emitter finds a closed choice term met again by its value number:
+    # node_key runs once per form, for the code cache's key
+    t = Const("c")
+    for i in range(1200):
+        v = Var("x" if i % 2 else "y", "s")
+        t = Binder(sx.EPS, v, And(Atom("Q", (v,)), Not(Atom("Q", (t,)))))
+    calls = []
+    key = sx.node_key
+    monkeypatch.setattr(sx, "node_key", lambda *a: calls.append(a) or key(*a))
+    compiled._codes.clear()
+    for mode in (compiled.TRUTH, compiled.RECORD, compiled.STRICT):
+        compiled.compile_formula(Atom("Q", (t,)), mode)
+    assert len(calls) == 3

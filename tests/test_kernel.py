@@ -149,6 +149,19 @@ def test_a_witness_of_the_wrong_sort_is_rejected():
         (2, "witness", "witness term has sort t, expected s")]
 
 
+def test_a_witness_annotation_that_names_another_variable_is_rejected():
+    # forall x:s. P(x) instantiates x: an annotation [zz := c] names no
+    # variable of the premise, though c is of the right sort
+    root = ProofTree(Sequent((FA_PX,), PC), "forall-e",
+                     (hyp([FA_PX], FA_PX),), witness=("zz", Const("c")), line=2)
+    v = check_proof(root, SIG_TWO, KernelConfig())
+    assert [(f.line, f.condition, f.message) for f in v.failures] == [
+        (2, "witness", "annotation names zz, but the rule instantiates x")]
+    fixed = ProofTree(Sequent((FA_PX,), PC), "forall-e",
+                      (hyp([FA_PX], FA_PX),), witness=("x", Const("c")), line=2)
+    assert check_proof(fixed, SIG_TWO, KernelConfig()).accepted
+
+
 def test_eps_intro_needs_witness():
     eps = Binder(sx.EPS, X, PX)
     t = hyp([PC], PC)

@@ -127,6 +127,14 @@ def test_annotations_and_free_variables(sig):
     assert kernel.check_proof(tree, sig).accepted
 
 
+def test_a_witness_annotation_names_the_instantiated_variable(sig):
+    text = ("1. forall x:s. P(x) |- forall x:s. P(x) ; hyp\n"
+            "2. forall x:s. P(x) |- P(c) ; forall-e(1) [%s := c]\n")
+    assert kernel.check_proof(parse_proof_script(text % "x", sig), sig).accepted
+    verdict = kernel.check_proof(parse_proof_script(text % "zz", sig), sig)
+    assert [(f.line, f.condition) for f in verdict.failures] == [(2, "witness")]
+
+
 def test_shared_trees_compare_and_hash_in_linear_time(sig):
     # outcomes are kept as booleans: a failing assert on the trees would
     # print them, and their repr expands every shared line
