@@ -33,12 +33,13 @@ The ordered form, which eval_formula and eval_term run, keeps the order of
 the semantics: elements in domain order, an early exit once a quantifier's
 value is settled, a count's body on every restriction element.  It records
 flags and witnesses (a _Rec) as it goes.  RECORD writes a subformula that
-has nothing to record (no choice or generic term, no count, no
-second-order node) in the mask form, inside the same function; STRICT
-writes everything ordered.  Whatever the mask form or RECORD raises (a
-partial function's gap, a missing symbol, an empty domain, an unbound
-variable) they may have met where the semantics would not look, so the
-call runs again in STRICT, which raises EvalError where the semantics does.
+has nothing to record (no choice or generic term, no count) in the mask
+form, inside the same function, so a formula with nothing to record gets
+TRUTH's source; STRICT writes everything ordered.  Whatever the mask form
+or RECORD raises (a partial function's gap, a missing symbol, an empty
+domain, an unbound variable) they may have met where the semantics would
+not look, so the call runs again in STRICT, which raises EvalError where
+the semantics does.
 
 Every form picks a choice or restricted generic term alike, from the mask
 of its satisfiers: eps, eta and a generic term the lowest set bit, tau the
@@ -410,38 +411,29 @@ def _bit(slot):
     return 2 << slot
 
 
-_RECORDS = (Binder, Generic, GenericRestricted, Quant2, PredApp)
-
-
-def _recording(node):
-    """ids of node's nodes that can record a flag or a witness or that bind
-    a predicate variable (a choice or generic term, a count quantifier, a
-    second-order node), and of those that hold one."""
-    out = set()
-    for e in reversed(list(sx._preorder(node))):     # children first
-        if isinstance(e, _RECORDS) or \
-                type(e) is Quant and e.kind not in (sx.FORALL, sx.EXISTS) or \
-                any(id(k) in out for k in sx.children(e)):
-            out.add(id(e))
-    return out
+_RECORDS = (Binder, Generic, GenericRestricted)
 
 
 class _Numbers:
     """Value numbers: equal subtrees get one number.  Per number it keeps
     the mask of the names free in it (`frees`; `bits` holds each name's
-    bit, a predicate variable's name with _SEP before it) and the mask of
+    bit, a predicate variable's name with _SEP before it), the mask of
     the names over which the mask form writes it with an element loop
     (`loops`): those it reads, but through not and the connectives, and
     in an atom of one or two arguments only those that an argument other
     than a bare variable reads (a mask, row, column, diagonal or equality
-    test reads the others)."""
+    test reads the others), and whether it records (`records`): it is or
+    holds a choice or generic term or a count quantifier.  It keeps the
+    nodes it numbers, so that no id is reused while it lives."""
 
-    __slots__ = ("number", "table", "bits", "frees", "loops")
+    __slots__ = ("number", "table", "bits", "frees", "loops", "records",
+                 "kept")
 
     def __init__(self):
         self.number = {}        # id(node) -> its number
         self.table = {}         # (class, fields, children's numbers) -> number
-        self.bits, self.frees, self.loops = {}, [], []
+        self.bits, self.frees, self.loops, self.records = {}, [], [], []
+        self.kept = []
 
     def of(self, node):
         """node's number; the nodes of a subtree met first are numbered in
@@ -458,6 +450,7 @@ class _Numbers:
                 layout = sx._LAYOUT.get(type(e))
                 if layout is not None:
                     todo += layout[0](e)
+        self.kept += order
         table, bits, frees, loops = self.table, self.bits, self.frees, self.loops
         for e in reversed(order):
             if id(e) in number:
@@ -495,6 +488,9 @@ class _Numbers:
                     names = loop = names & ~bits.get(e.var.name, 0)
                 frees.append(names)
                 loops.append(loop)
+                rec = self.records
+                rec.append(t in _RECORDS or any(map(rec.__getitem__, kids)) or
+                           t is Quant and e.kind not in (sx.FORALL, sx.EXISTS))
             number[id(e)] = n
         return number[id(node)]
 
@@ -550,7 +546,6 @@ class _Emitter:
 
     def __init__(self, mode):
         self.mode, self.strict = mode, mode == STRICT
-        self.recording = None   # ids of the nodes RECORD writes ordered
         self.named = {}         # id(node) -> (its index in T, node)
         self.frees = []         # (Environment field, name) per free name
         self.entry = {}         # key, attribute or env index -> entry local
@@ -573,8 +568,6 @@ class _Emitter:
         """_run(d, env) of form self.mode: env holds the free names' values
         (name i at index -2 - i, the ordered form's _Rec at -1), and T, in
         its namespace, the nodes that witnesses and messages name."""
-        if self.mode == RECORD:
-            self.recording = _recording(node)
         if self.mode == TRUTH or sx.is_formula(node):
             self.formula(node, None, self.root, True)
         else:
@@ -594,12 +587,11 @@ class _Emitter:
 
     def orders(self, e):
         """Whether e is written in the ordered form: every node in STRICT,
-        in RECORD one that records or holds one (a generic atom's count
-        quantifier too), none in TRUTH."""
-        if self.recording is None:
+        in RECORD one that records (_Numbers), none in TRUTH.  So RECORD
+        writes a formula with nothing to record as TRUTH does."""
+        if self.mode != RECORD:
             return self.strict
-        return id(e) in self.recording or \
-            type(e) is Quant and e.kind not in (sx.FORALL, sx.EXISTS)
+        return self.values.records[self.values.of(e)]
 
     # -- locals and regions -----------------------------------------------
 
@@ -869,7 +861,7 @@ class _Emitter:
                 else:
                     v = op(reg, counts + "%s)", b, a, theta,
                            self.read(reg, cfg, "[2]"))
-            if self.mode != TRUTH:
+            if self.orders(f):
                 flag = (self.rec(), b, a) + ((regime,) if star else ())
                 self.stmt(reg, "_counted(%s)" % ", ".join(flag), *flag)
         self.vals.append(v)
@@ -932,7 +924,7 @@ class _Emitter:
         itertools.combinations order, until one settles it."""
         dk = _key("dom", f.sort)
         slot, inner = self.bind(scope, _SEP + f.predvar, dk)
-        loop = self.loop_region(reg, slot, self.mode != TRUTH)
+        loop = self.loop_region(reg, slot, self.orders(f))
         self.todo.append((self.subsets, f, dk, reg, loop))
         self.todo.append((self.formula, f.body, inner, loop))
 
@@ -988,11 +980,7 @@ class _Emitter:
             todo.append((self.formula, f, scope, loop))
 
     def looped(self, f, name):
-        """Whether mask writes f over the variable `name` with an element
-        loop; an atom whose arguments are variables never loops."""
-        if type(f) is Atom and len(f.args) <= 2 and \
-                all(type(a) is Var for a in f.args):
-            return False
+        """Whether mask writes f with a loop over the elements of `name`."""
         values = self.values
         return bool(values.loops[values.of(f)] & values.bits.get(name, 0))
 
@@ -1073,7 +1061,7 @@ class _Emitter:
         n = self.values.of(t)
         key = n, self.binding(scope, self.values.frees[n])
         hit = self.shared.get(key)
-        if hit is not None and self.mode != TRUTH:
+        if hit is not None and self.orders(t):
             self.vals.append(self.put(reg, *hit))
             return
         if hit is not None and reg.within(self.home[hit]):
@@ -1107,7 +1095,7 @@ class _Emitter:
         witnesses its pick recorded."""
         m = self.vals.pop()
         binder = type(t) is Binder
-        rec = self.rec() if self.mode != TRUTH else None
+        rec = self.rec() if self.orders(t) else None
         if binder and t.kind == sx.TAU:
             m = self.op(choice, "%s ^ %s", self.read(choice, dk, ".full"), m)
         elif binder and t.kind == sx.IOTA:     # only when exactly one bit is set

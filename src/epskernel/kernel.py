@@ -392,16 +392,22 @@ def _choice_instances(c, kind, negated):
 
 def _chk_choice_witness(kind, negated, shape):
     # eps-intro: from B(t) infer B(eps x. B(x));
-    # tau-dual: from B(t) infer B(tau x. not B(x))
+    # tau-dual: from B(t) infer B(tau x. not B(x)); an annotation that
+    # _witness rejects for every candidate term fails as it reports
     def chk(node, sig, cfg, fail):
         prem = node.premises[0].sequent.conclusion
+        bad, passed = [], False
         for e, body in _choice_instances(node.sequent.conclusion, kind, negated):
-            t = _witness(node, e.var, sig, lambda *a: None)
+            t = _witness(node, e.var, sig, lambda *a: bad.append(a))
             if t is not None and alpha_eq(prem, substitute(body, e.var, t)):
                 _premise_hyps_ok(node, fail)
                 return
+            passed = passed or t is not None
         if node.witness is None:
             fail("witness", "%s needs a '[x := t]' annotation" % node.rule)
+        elif bad and not passed:
+            fail(*bad[0])
+            return
         fail("shape", "conclusion is not %s for the premise B(t)" % shape)
     return chk
 

@@ -444,9 +444,9 @@ def test_predicate_variables_are_left_to_the_ordered_form(f, env, monkeypatch):
 
 
 def test_eval_formula_runs_concept_lifted_formulas_in_record(monkeypatch):
-    # RECORD writes second-order nodes in the ordered form and the
-    # first-order parts that record nothing in the mask form, in one
-    # function that nothing fails in
+    # RECORD writes the nodes that record or hold a choice term in the
+    # ordered form, second-order ones too, and the parts that record
+    # nothing in the mask form, in one function that nothing fails in
     sig = M.signature
     f = transform.lift_to_concepts(parser.parse_formula(
         "forall x:s. P(x) implies Q(eps y:s. P(y)) or (exists z:s. Q(z))", sig))
@@ -455,6 +455,63 @@ def test_eval_formula_runs_concept_lifted_formulas_in_record(monkeypatch):
     got = models.eval_formula(M, None, f)
     assert walks == [compiled.RECORD]
     assert got == eval_oracle.eval_formula(M, None, f)
+
+
+@pytest.mark.parametrize("text", ["Q(many:s) or P(most:s)",
+                                  "P(most:s(y:s. Q(y))) or P(most:s)",
+                                  "Q(c) or P(most:s) or P(most:s(y:s. Q(y)))"])
+def test_each_generic_atom_records_its_count(text):
+    # the emitter reads a generic atom as a count quantifier it builds,
+    # which it must tell apart from the one it built before
+    sig = gen.SIG_UNARY
+    f = parser.parse_formula(text, sig)
+    compiled._codes.clear()
+    for m in enumerate_models(sig, 2):
+        assert result(models.eval_formula, m, f) == \
+            result(eval_oracle.eval_formula, m, f), m
+
+
+RECORD_FREE = ["forall x:s. P(x) implies Q(x)", "exists x:s. P(x) and not Q(c)",
+               "forall2 X:s. (forall x:s. X(x) implies P(x)) or exists x:s. X(x)",
+               "exists2 X:s. X(c) and forall x:s. X(x) implies Q(x)"]
+
+
+def records(f):
+    """Whether f holds a choice or generic term or a count quantifier."""
+    return any(isinstance(e, (Binder, Generic, GenericRestricted)) or
+               type(e) is Quant and e.kind not in (sx.FORALL, sx.EXISTS)
+               for e in sx._preorder(f))
+
+
+def test_record_writes_a_formula_with_nothing_to_record_as_truth_does(
+        monkeypatch):
+    # written and drawn formulas and their concept-lifted forms: RECORD's
+    # source is TRUTH's, second-order nodes included, and eval_formula
+    # agrees with the oracle
+    sources = emitted(monkeypatch)
+    sig = gen.SIG_UNARY
+    rng = random.Random(25)
+    drawn = [gen.random_closed_formula(rng, sig, 2) for _ in range(60)]
+    fs = [parser.parse_formula(text, sig) for text in RECORD_FREE]
+    for f in drawn:
+        fs.append(f)
+        try:
+            fs.append(transform.lift_to_concepts(f))
+        except transform.TransformError:
+            pass                # a restricted quantifier does not lift
+    fs = [f for f in fs if not records(f)]
+    assert sum(isinstance(f, Quant2) for f in fs) > 10
+    ms = list(enumerate_models(sig, 2))
+    for f in fs:
+        written = []
+        for mode in (compiled.TRUTH, compiled.RECORD):
+            compiled._codes.clear()
+            compiled.compile_formula(f, mode)
+            written.append(sources[-1])
+        assert written[0] == written[1], parser.print_formula(f)
+        for m in ms:
+            assert result(models.eval_formula, m, f) == \
+                result(eval_oracle.eval_formula, m, f), parser.print_formula(f)
 
 
 @pytest.mark.parametrize("text", ["eps x:s. Q(x)", "tau x:s. P(x)",

@@ -137,6 +137,9 @@ def test_tokens_and_unexpected_characters_match_the_old_lexer(pieces):
 @example("most:s = c and P(c)", gen.SIG_FULL)   # a leading term, then more
 @example("most:s(y:s. Q(y)) = c", None)
 @example("tau y:s. P(y) or Z", gen.SIG_FULL)
+@example("(P(c) and Q(c)", gen.SIG_FULL)    # an open parenthesis at the end
+@example("not (P(c)", gen.SIG_FULL)
+@example("((P(c)) or Z", gen.SIG_FULL)
 def test_formula_fragments_match_the_old_parser(text, sig):
     assert outcome(parse_formula, text, sig) == outcome(oracle_formula, text, sig)
 

@@ -558,6 +558,50 @@ def test_choice_witness_rules_need_a_witness_annotation():
             (2, "shape", "conclusion is not %s for the premise B(t)" % shape)]
 
 
+CHOICE_WITNESS_RULES = [
+    ("eps-intro", Atom("P", (Binder(sx.EPS, X, PX),))),
+    ("tau-dual", Atom("P", (Binder(sx.TAU, X, Not(PX)),)))]
+
+
+def choice_witness_failures(rule, conclusion, witness):
+    """The failures of `rule` from P(c) to `conclusion` at `witness`."""
+    root = ProofTree(Sequent((PC,), conclusion), rule, (hyp([PC], PC),),
+                     witness=witness, line=2)
+    return [(f.line, f.condition, f.message)
+            for f in check_proof(root, SIG_TWO, KernelConfig()).failures]
+
+
+@pytest.mark.parametrize("rule, conclusion", CHOICE_WITNESS_RULES)
+def test_a_choice_rule_annotation_that_names_another_variable_is_rejected(
+        rule, conclusion):
+    # the choice term binds x: [zz := c] and [y := c] name no variable it
+    # binds, though c is of the right sort
+    assert choice_witness_failures(rule, conclusion, ("x", Const("c"))) == []
+    for name in ("zz", "y"):
+        assert choice_witness_failures(rule, conclusion, (name, Const("c"))) == [
+            (2, "witness", "annotation names %s, but the rule instantiates x"
+             % name)]
+
+
+@pytest.mark.parametrize("rule, conclusion", CHOICE_WITNESS_RULES)
+def test_a_choice_rule_witness_must_be_well_sorted(rule, conclusion):
+    assert choice_witness_failures(rule, conclusion, ("x", Const("zz"))) == [
+        (2, "witness", "unknown constant zz")]
+    assert choice_witness_failures(rule, conclusion, ("x", Const("d"))) == [
+        (2, "witness", "witness term has sort t, expected s")]
+
+
+def test_a_choice_rule_reports_the_shape_when_the_witness_is_taken():
+    # [x := c] names the term's variable and sort, and the premise is not
+    # P(c); with no choice term in the conclusion no annotation is tried
+    root = ProofTree(Sequent((Not(PC),), CHOICE_WITNESS_RULES[0][1]), "eps-intro",
+                     (hyp([Not(PC)], Not(PC)),), witness=("x", Const("c")),
+                     line=2)
+    shape = (2, "shape", "conclusion is not B(eps x. B(x)) for the premise B(t)")
+    assert failures(root) == [shape]
+    assert choice_witness_failures("eps-intro", PC, ("zz", Const("c"))) == [shape]
+
+
 MINORITY = Quant(sx.MOST, X, None, Not(PX), "strict")
 NOT_WEAK_PX = Not(Quant(sx.MOST, X, None, PX, "weak"))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -242,6 +243,29 @@ def test_enumeration_counts():
     sig2 = Signature(frozenset({"s"}), {}, {}, {"P": ("s",), "Q": ("s",)})
     assert len(list(enumerate_models(sig2, 2))) == 20
     assert models.count_models(sig2, 2) == 20
+
+
+FUN_SIG = parser.parse_signature("sort s\nsort t\nconst c : s\npred P : s\n"
+                                 "fun f : s -> t\nfun g : s, t -> s\n")
+
+
+def test_enumeration_with_function_symbols():
+    # every total table of f and g, by domain sizes: 2 models at size 1,
+    # and 550 up to size 2
+    for size, count in ((1, 2), (2, 550)):
+        ms = list(enumerate_models(FUN_SIG, size))
+        assert models.count_models(FUN_SIG, size) == len(ms) == count
+    for m in ms:
+        for name, (args, _) in FUN_SIG.functions.items():
+            cells = itertools.product(*(m.domains[s] for s in args))
+            assert sorted(m.funcs[name]) == sorted(cells), (name, m)
+    f = parser.parse_formula(
+        "forall x:s. exists y:t. g(x, y) = x or P(g(c, f(c)))", FUN_SIG)
+    values = [eval_oracle.truth(m, f) for m in ms]
+    assert (values.count(True), values.count(False)) == (426, 124)
+    assert [models.truth(m, f) for m in ms] == values
+    assert [eval_formula(m, None, f) for m in ms] == \
+        [eval_oracle.eval_formula(m, None, f) for m in ms]
 
 
 def test_enumeration_budget():

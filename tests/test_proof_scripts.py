@@ -135,6 +135,23 @@ def test_a_witness_annotation_names_the_instantiated_variable(sig):
     assert [(f.line, f.condition) for f in verdict.failures] == [(2, "witness")]
 
 
+@pytest.mark.parametrize("step, witness, message", [
+    ("P(eps x:s. P(x)) ; eps-intro", "x := c", None),
+    ("P(eps x:s. P(x)) ; eps-intro", "zz := c",
+     "annotation names zz, but the rule instantiates x"),
+    ("P(eps x:s. P(x)) ; eps-intro", "x := zz", "unknown constant zz"),
+    ("P(tau x:s. not P(x)) ; tau-dual", "x := c", None),
+    ("P(tau x:s. not P(x)) ; tau-dual", "y := c",
+     "annotation names y, but the rule instantiates x"),
+    ("P(tau x:s. not P(x)) ; tau-dual", "x := zz", "unknown constant zz")])
+def test_a_choice_rule_annotation_is_checked_as_a_witness(sig, step, witness,
+                                                          message):
+    text = "1. P(c) |- P(c) ; hyp\n2. P(c) |- %s(1) [%s]\n" % (step, witness)
+    verdict = kernel.check_proof(parse_proof_script(text, sig), sig)
+    assert [(f.line, f.condition, f.message) for f in verdict.failures] == (
+        [] if message is None else [(2, "witness", message)])
+
+
 def test_shared_trees_compare_and_hash_in_linear_time(sig):
     # outcomes are kept as booleans: a failing assert on the trees would
     # print them, and their repr expands every shared line
