@@ -3,14 +3,17 @@ after model.
 
 compile_formula compiles a node and caches the code on the node.  `d` holds
 what the code reads from a model under string keys: the _Shape of a sort's
-domain, a predicate's extension, the mask of a unary predicate (a sieve or
-a slice for a builtin), the rows, columns or diagonal of a binary one,
-constants, function tables and the settings.  Each is derived once per
-model and kept in the model's plain dict, model._derived.  Every form reads
-it through one view, _Lazy(model), which derives a value there when first
-read, so a missing symbol raises its EvalError where it is read.  truth
-alone runs first on the plain dict, and on the view only when a read
-misses (KeyError).
+domain, a predicate's extension, constants, function tables and the
+settings, which the ordered form reads, and what the mask form reads, keyed
+by bit: the mask of a unary predicate (a sieve or a slice for a builtin),
+the rows, columns or diagonal of a binary one, the tuples of bits of
+another arity, a constant's bit and a function's table from its arguments'
+bits to its value's (_derive).  Each is derived once per model and kept in
+the model's plain dict, model._derived.  Every form reads it through one
+view, _Lazy(model), which derives a value there when first read, so a
+missing symbol raises its EvalError where it is read.  truth alone runs
+first on the plain dict, and on the view only when a read misses
+(KeyError).
 
 One generator (_Emitter) writes every form as Python source: one flat
 function per node, one local per subnode, with each element loop and each
@@ -22,39 +25,48 @@ and formula before emitting, by syntax.node_key, the walk that gives nodes
 their == and hash: a formula equal to one emitted before takes that one's
 code from the cache without running the emitter.
 
-The mask form (TRUTH), which truth runs, is first-order.  A formula in the
-variable bound at slot k is a mask: bit i is set when the formula holds
-with element i of that sort in slot k.  So forall is A & ~B == 0, exists
-A & B != 0 and the count determiners compare popcounts.  A second-order
-quantifier loops over its sort's subsets, and a predicate variable holds
-one as a mask.
+The mask form (TRUTH), which truth runs, is first-order and computes with
+bits.  A formula in the variable bound at slot k is a mask: bit i is set
+when the formula holds with element i of that sort in slot k.  So forall is
+A & ~B == 0, exists A & B != 0 and the count determiners compare popcounts.
+A term is the one-hot bit of its element's position: a loop runs over the
+bits, a unary atom is mask & t, a binary one row[t] & u, an equation
+t == u, a predicate variable's subset mask & t.  Each term's bit is over
+the domain of its sort: a variable's or choice term's own, and for a
+constant or application the sort of what it meets, or else the one the
+model's signature gives it.  Only a domain that lists each element once
+has these bits (its `dom` shape); another, which only the API builds,
+raises, and STRICT runs.  A second-order quantifier loops over its sort's
+subsets, and a predicate variable holds one as a mask.
 
 The ordered form, which eval_formula and eval_term run, keeps the order of
 the semantics: elements in domain order, an early exit once a quantifier's
 value is settled, a count's body on every restriction element.  It records
-flags and witnesses (a _Rec) as it goes.  RECORD writes a subformula that
-has nothing to record (no choice or generic term, no count) in the mask
-form, inside the same function, so a formula with nothing to record gets
-TRUTH's source; STRICT writes everything ordered.  Whatever the mask form
-or RECORD raises (a partial function's gap, a missing symbol, an empty
-domain, an unbound variable) they may have met where the semantics would
-not look, so the call runs again in STRICT, which raises EvalError where
-the semantics does.
+flags and witnesses (a _Rec) as it goes, and its terms are elements.  An
+ordered loop binds each element and its bit.  RECORD writes a subformula
+that has nothing to record (no choice or generic term, no count) in the
+mask form, inside the same function, so a formula with nothing to record
+gets TRUTH's source; STRICT writes everything ordered.  Whatever the mask
+form or RECORD raises (a partial function's gap, a missing symbol, an
+empty domain, an unbound variable, a domain without bits, a term read at
+another sort) they may have met where the semantics would not look, so the
+call runs again in STRICT, which raises EvalError where the semantics does.
 
 Every form picks a choice or restricted generic term alike, from the mask
 of its satisfiers: eps, eta and a generic term the lowest set bit, tau the
 lowest clear bit, iota the only set bit, and with none the sort's least
-element.  A closed one is picked once: at the mask form's entry, or once
-per call by the ordered form, which replays its witnesses when met again.
-The mask form writes such a term once for each binding of its free names,
-however often it is copied: the generator gives equal subtrees one value
-number, and a copy whose number was written under the same loops that bind
-its free names, in the region it is met in or one enclosing it, reads that
-local.  A copy in a short-circuit's right operand shares with no copy
-outside it, and one under another binder of the same name with none under
-the first.  A connective both of whose operands loop over a slot's
-elements is one loop in the mask form, so the copies in both meet in one
-function.
+element; the mask form keeps the bit (m & -m), the ordered form takes the
+element at its position.  A closed one is picked once: at the mask form's
+entry, or once per call by the ordered form, which replays its witnesses
+when met again.  The mask form writes such a term once for each binding
+of its free names, however often it is copied: the generator gives equal
+subtrees one value number, and a copy whose number was written under the
+same loops that bind its free names, in the region it is met in or one
+enclosing it, reads that local.  A copy in a short-circuit's right operand
+shares with no copy outside it, and one under another binder of the same
+name with none under the first.  A connective both of whose operands loop
+over a slot's elements is one loop in the mask form, so the copies in both
+meet in one function.
 """
 
 from __future__ import annotations
@@ -64,7 +76,6 @@ import itertools
 import math
 from fractions import Fraction
 from numbers import Rational
-from types import SimpleNamespace
 
 from . import syntax as sx
 from .syntax import (Atom, And, App, Binder, Const, Generic, GenericRestricted,
@@ -138,50 +149,91 @@ _SEP = "\x1f"
 TRUTH, RECORD, STRICT = "truth", "record", "strict"
 
 
-class _Pairs:
-    """The (element, bit) pairs of an integer range, made as they are read."""
+class _Remade:
+    """An iterable that `make` makes anew each time it is iterated: an
+    integer range's bits or (element, bit) pairs, made as they are read."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __iter__(self):
+        return self.make()
+
+
+class _RangeBits:
+    """An integer range's element -> bit of its position, by arithmetic."""
 
     __slots__ = ("elems",)
 
     def __init__(self, elems):
         self.elems = elems
 
-    def __iter__(self):
-        return zip(self.elems, map((1).__lshift__, range(len(self.elems))))
+    def get(self, e, default=None):
+        return 1 << self.elems.index(e) if type(e) is int and e in self.elems \
+            else default
+
+    def __getitem__(self, e):
+        b = self.get(e)
+        if b is None:
+            raise KeyError(e)
+        return b
 
 
 class _Shape:
     """A domain's elements, element -> mask of its positions (`bits`), the
-    (element, bit of its position) pairs in order (`pairs`) and the mask of
-    all positions (`full`).  A listed domain's tables are shared by every
-    model with the same element list; an integer range keeps no
-    per-element table at all."""
+    one-hot bit of each position in order (`ones`), over which a mask loop
+    runs, the (element, bit) pairs in order (`pairs`), over which an
+    ordered loop runs, and the mask of all positions (`full`).  Where each
+    element is listed once, `bits` maps it to its term's bit.  A listed
+    domain's tables are shared by every model with the same element list;
+    an integer range keeps no per-element table at all."""
 
-    __slots__ = ("elems", "bits", "full", "pairs")
+    __slots__ = ("elems", "bits", "full", "ones", "pairs")
 
     def __init__(self, elems):
         self.elems = elems
-        self.full = (1 << len(elems)) - 1
+        n = len(elems)
+        self.full = (1 << n) - 1
         if isinstance(elems, range):
-            # an int's bit is its position's, by arithmetic
-            self.bits = SimpleNamespace(get=lambda e, default=None: (
-                1 << elems.index(e) if type(e) is int and e in elems else default))
-            self.pairs = _Pairs(elems)
+            def ones():
+                return map((1).__lshift__, range(n))
+            self.bits = _RangeBits(elems)
+            self.ones = _Remade(ones)
+            self.pairs = _Remade(lambda: zip(elems, ones()))
         else:
+            self.ones = tuple(1 << i for i in range(n))
             self.bits = {}
-            for i, e in enumerate(elems):
-                self.bits[e] = self.bits.get(e, 0) | 1 << i
-            self.pairs = tuple((e, 1 << i) for i, e in enumerate(elems))
+            for e, b in zip(elems, self.ones):
+                self.bits[e] = self.bits.get(e, 0) | b
+            self.pairs = tuple(zip(elems, self.ones))
 
 
 _shape = functools.lru_cache(maxsize=256)(_Shape)
+
+
+def _mask(bits, elements):
+    """The mask of the positions of `elements` in a domain whose element ->
+    mask of its positions is `bits`; an element outside it adds none."""
+    return functools.reduce(int.__or__, (bits.get(e, 0) for e in elements), 0)
+
+
+def _bits_of(bits, elements):
+    """The tuple of the bits of `elements`, each over the domain whose
+    element -> bit is the matching item of `bits`; None when there are not
+    as many or one lies outside its domain."""
+    if len(elements) != len(bits):
+        return None
+    out = tuple(b.get(e) for b, e in zip(bits, elements))
+    return None if None in out else out
 
 
 def _subsets(shape):
     """The mask of each subset of a domain, in itertools.combinations order."""
     for r in range(len(shape.elems) + 1):
         for c in itertools.combinations(shape.elems, r):
-            yield functools.reduce(int.__or__, map(shape.bits.get, c), 0)
+            yield _mask(shape.bits, c)
 
 
 class _Builtin(str):
@@ -218,15 +270,51 @@ def _key(*parts):
     return _SEP.join(parts)
 
 
+def _sort(model, sort):
+    """The sort that `sort` names: itself, or, written "c:NAME" or
+    "f:NAME", the sort that the model's signature gives constant NAME or
+    the values of function NAME."""
+    if sort[:2] == "c:":
+        named = model.signature.constants.get(sort[2:])
+    elif sort[:2] == "f:":
+        named = model.signature.functions.get(sort[2:], (None, None))[1]
+    else:
+        return sort
+    if named is None:
+        raise EvalError("model's signature gives %s no sort" % sort[2:])
+    return named
+
+
 def _derive(model, d, key):
     """The value of d[key] for model, d its _Lazy view; EvalError, with the
-    message of the semantics, when the model lacks what the key names."""
+    message of the semantics, when the model lacks what the key names.
+
+    A sort's shape is `dom`, which raises on a domain that lists an
+    element twice, or `seq`, which STRICT reads, for any domain.  What the
+    mask form reads is keyed by bit: a constant's `bit`, a function's `map`
+    from its arguments' bits to its value's, and a predicate's `mask`,
+    `diag`, `row`, `col` and `tuples`, each over the sorts its key names.
+    A value outside the domain of its sort has no bit, so reading it raises
+    KeyError.  A key over a sort that a constant or function names (_sort)
+    takes the value over the sort it names."""
     tag, *args = key.split(_SEP)
-    if tag == "dom":
+    if ":" in key:
+        lead = 0 if tag == "dom" or tag == "seq" else 1
+        named = args[:lead] + [_sort(model, s) for s in args[lead:]]
+        if named != args:
+            return d[_key(tag, *named)]
+    if tag == "dom" or tag == "seq":
         dom = model.domains.get(args[0])
         if dom is None:
             raise EvalError("model has no sort %s" % args[0])
-        return _Shape(dom) if isinstance(dom, range) else _shape(tuple(dom))
+        if isinstance(dom, range):
+            return _Shape(dom)
+        shape = _shape(tuple(dom))
+        # a term is the bit of its element's position, which an element
+        # listed twice does not have
+        if tag == "dom" and len(shape.bits) < len(dom):
+            raise EvalError("domain of sort %s lists an element twice" % args[0])
+        return shape
     if tag == "ext":
         if args[0] in model.builtins:
             name = model.builtins[args[0]]
@@ -247,28 +335,44 @@ def _derive(model, d, key):
         return (as_rational(model.most_threshold),
                 as_rational(model.many_threshold),
                 model.majority_mode, model.star_regime)
-    # mask / row / col / diag of predicate args[0] over sort args[1]
-    ext, shape = d[_key("ext", args[0])], d[_key("dom", args[1])]
-    bits = shape.bits
+    if tag == "bit":        # of constant args[0] over sort args[1]
+        return d[_key("dom", args[1])].bits[d[_key("const", args[0])]]
+    if tag == "map":
+        # function args[0], its arguments' sorts args[1:-1], its value's
+        # args[-1]: keyed by the argument's bit, or by the tuple of them
+        *given, value = [d[_key("dom", s)].bits for s in args[1:]]
+        out = {}
+        for key, val in d[_key("fn", args[0])].items():
+            k, v = _bits_of(given, key), value.get(val)
+            if k is not None and v is not None:
+                out[k[0] if len(k) == 1 else k] = v
+        return out
+    # mask / diag / row / col / tuples of predicate args[0] over sorts args[1:]
+    ext = d[_key("ext", args[0])]
     if isinstance(ext, _Builtin):
         if tag != "mask":
             raise EvalError("builtin @%s is unary" % ext)
-        return _builtin_mask(ext, shape)
-    if tag == "mask":
-        return functools.reduce(int.__or__, (bits.get(t[0], 0) for t in ext
-                                             if len(t) == 1), 0)
-    if tag == "diag":
+        return _builtin_mask(ext, d[_key("dom", args[1])])
+    if tag == "mask" or tag == "diag":
+        bits = d[_key("dom", args[1])].bits
+        if tag == "mask":
+            return functools.reduce(int.__or__, (bits.get(t[0], 0) for t in ext
+                                                 if len(t) == 1), 0)
         return functools.reduce(int.__or__, (bits.get(t[0], 0) for t in ext
                                              if len(t) == 2 and t[0] == t[1]), 0)
-    # row: first argument given, mask of second arguments; col: the other
-    # way round
+    bits = [d[_key("dom", s)].bits for s in args[1:]]
+    if tag == "tuples":
+        keys = (_bits_of(bits, t) for t in ext)
+        return frozenset(k for k in keys if k is not None)
+    # row: keyed by the first argument's bit, the mask of second arguments;
+    # col the other way round.  Every position has its entry.
     given, free = (0, 1) if tag == "row" else (1, 0)
-    val = {}
+    out = dict.fromkeys(d[_key("dom", args[1 + given])].ones, 0)
     for t in ext:
-        b = bits.get(t[free], 0) if len(t) == 2 else 0
-        if b:
-            val[t[given]] = val.get(t[given], 0) | b
-    return val
+        g = bits[given].get(t[given]) if len(t) == 2 else None
+        if g is not None:
+            out[g] |= bits[free].get(t[free], 0)
+    return out
 
 
 def extension(model, name):
@@ -370,7 +474,7 @@ def _replay(rec, hit):
 _COUNT_NAMES = {kind: "_count%d" % i for i, kind in enumerate(COUNT_TESTS)}
 _GLOBALS = {"_U": _UNSET, "_raise": _raise, "_app": _app,
             "_counted": _counted, "_replay": _replay, "_least": _least,
-            "_subsets": _subsets,
+            "_subsets": _subsets, "_mask": _mask,
             **{name: COUNT_TESTS[kind] for kind, name in _COUNT_NAMES.items()}}
 # distinct formulas whose compiled code is kept; a formula past the bound
 # is emitted again when it comes back
@@ -496,18 +600,20 @@ class _Numbers:
 
 
 class _Region:
-    """One generated function: the entry, an element loop over `slot` (its
-    element, or a predicate variable's subset mask, is the local `var`), a
+    """One generated function: the entry, an element loop over `slot` (the
+    ordered form reads its element, or a predicate variable's subset mask,
+    as the local `var`, and the mask form its bit as `bit`), a
     short-circuit's right operand or a choice term being written.  Its lines
     are (local or None, text, locals read); the locals it reads and does not
     define are its parameters.  A line moves out of a mask loop whose slot
     it does not read, but not past `stop`, the nearest region that is not a
     mask loop: an ordered loop runs its lines on each element in turn."""
 
-    __slots__ = ("parent", "slot", "var", "lines", "reads", "depth", "stop")
+    __slots__ = ("parent", "slot", "var", "bit", "lines", "reads", "depth",
+                 "stop")
 
-    def __init__(self, parent, slot=None, var=None, ordered=False):
-        self.parent, self.slot, self.var = parent, slot, var
+    def __init__(self, parent, slot=None, var=None, bit=None, ordered=False):
+        self.parent, self.slot, self.var, self.bit = parent, slot, var, bit
         self.lines, self.reads = [], {}
         self.depth = parent.depth + 1 if parent else 0
         self.stop = self if slot is None or ordered else parent.stop
@@ -540,12 +646,18 @@ class _Emitter:
     each binding; a connective of two operands that each need an element
     loop over the slot is written in one loop, its right operand a
     short-circuit there, so copies in both operands meet.
+    The mask form writes a term as the bit of its element's position in
+    the domain of a sort the reader names (term), the ordered form as the
+    element.
     The walk keeps its pending work on one stack (todo) and the locals of
     finished nodes on another (vals).  A scope is a chain of links (name,
-    slot, domain key of a predicate variable's subsets, outer scope)."""
+    slot, sort of the elements or of a predicate variable's subsets, outer
+    scope)."""
 
     def __init__(self, mode):
         self.mode, self.strict = mode, mode == STRICT
+        # how the keys of the shapes it reads start (dom)
+        self.shape_key = ("seq" if self.strict else "dom") + _SEP
         self.named = {}         # id(node) -> (its index in T, node)
         self.frees = []         # (Environment field, name) per free name
         self.entry = {}         # key, attribute or env index -> entry local
@@ -591,6 +703,14 @@ class _Emitter:
         writes a formula with nothing to record as TRUTH does."""
         if self.mode != RECORD:
             return self.strict
+        if type(e) is Atom:
+            # the most common atom, of variables and constants, is not
+            # numbered to ask
+            for a in e.args:
+                if type(a) is not Var and type(a) is not Const:
+                    break
+            else:
+                return False
         return self.values.records[self.values.of(e)]
 
     # -- locals and regions -----------------------------------------------
@@ -640,8 +760,13 @@ class _Emitter:
         return out
 
     def loop_region(self, reg, slot, ordered=False):
-        loop = self.loops[slot] = _Region(reg, slot, self.new("e"), ordered)
-        self.home[loop.var], self.deps[loop.var] = loop, _bit(slot)
+        """A loop over slot's elements: an ordered one binds the element and
+        its bit, a mask loop the bit (or a subset's mask) alone."""
+        bit = self.new("b")
+        var = self.new("e") if ordered else bit
+        loop = self.loops[slot] = _Region(reg, slot, var, bit, ordered)
+        self.home[var] = self.home[bit] = loop
+        self.deps[var] = self.deps[bit] = _bit(slot)
         return loop
 
     def close(self, reg, head, tail, pad="    "):
@@ -691,15 +816,16 @@ class _Emitter:
         """The index in T of node e, which a witness or a message names."""
         return self.named.setdefault(id(e), (len(self.named), e))[0]
 
-    def bind(self, scope, name, dk=None):
-        """(slot, inner scope) of a binding of `name`; a predicate variable's
-        name starts with _SEP and carries the domain key of its subsets."""
+    def bind(self, scope, name, sort):
+        """(slot, inner scope) of a binding of `name` to an element of
+        `sort`, or, for a predicate variable, whose name starts with _SEP,
+        to a subset of its domain."""
         slot = scope[1] + 1 if scope else 0
-        return slot, (name, slot, dk, scope)
+        return slot, (name, slot, sort, scope)
 
     def lookup(self, scope, name):
-        """(slot, domain key) of name's innermost binding; a free name gets
-        the negative index of its value in env."""
+        """(slot, sort) of name's innermost binding; a free name gets the
+        negative index of its value in env, and no sort."""
         while scope:
             if scope[0] == name:
                 return scope[1], scope[2]
@@ -720,6 +846,39 @@ class _Emitter:
                 names &= ~bit
             scope = scope[3]
         return tuple(out)
+
+    def dom(self, sort):
+        """The key of sort's shape: STRICT reads any domain (`seq`), the
+        other forms one that lists each element once (`dom`), whose
+        positions are the bits they write terms as."""
+        return self.shape_key + sort
+
+    def sort_of(self, t, scope, named=True):
+        """The sort over whose domain the mask form writes term t: a bound
+        variable's binding's, a variable's, choice or generic term's own,
+        else, with `named`, the one that the model's signature gives a
+        constant or an application (_sort); "" for what is no term."""
+        typ = type(t)
+        if typ is Var:
+            slot, sort = self.lookup(scope, t.name)
+            return sort if slot >= 0 else t.sort
+        if typ is Binder:
+            return t.var.sort
+        if typ is Generic or typ is GenericRestricted:
+            return t.sort
+        if not named:
+            return None
+        return "c:" + t.name if typ is Const else "f:" + t.func \
+            if typ is App else ""
+
+    def sorts(self, f, scope):
+        """The sorts over which the mask form writes atom f's arguments: each
+        its own, but both sides of an equation over one."""
+        if f.pred == sx.EQ and len(f.args) == 2:
+            a, b = f.args
+            sort = self.sort_of(a, scope, False) or self.sort_of(b, scope)
+            return sort, sort
+        return [self.sort_of(a, scope) for a in f.args]
 
     def name(self, scope, name, reg):
         """Local of a variable or a predicate variable: a bound slot's,
@@ -748,8 +907,9 @@ class _Emitter:
         if t is Atom and _is_generic_atom(f):
             self.quant(_generic_quant(f), scope, reg)
         elif t is Atom:
-            todo.append((self.atom, f, reg))
-            self.terms(f.args, scope, reg)
+            sorts = None if self.orders(f) else self.sorts(f, scope)
+            todo.append((self.atom, f, reg, sorts))
+            self.terms(f.args, scope, reg, sorts)
         elif t is Not:
             todo.append((self.combine, reg, "not %s", 1))
             todo.append((self.formula, f.body, scope, reg))
@@ -769,21 +929,42 @@ class _Emitter:
         elif t is Quant2:
             self.quant2(f, scope, reg)
         elif t is PredApp:
-            todo.append((self.member, f, scope, reg))
-            todo.append((self.term, f.arg, scope, reg))
+            over = None
+            if not self.orders(f):
+                # a bound predicate variable's subsets are of its sort
+                slot, over = self.lookup(scope, _SEP + f.predvar)
+                if slot < 0:
+                    over = self.sort_of(f.arg, scope)
+            todo.append((self.member, f, scope, reg, over))
+            todo.append((self.term, f.arg, scope, reg, over))
         else:
             self.bad(reg, "not a formula: %r", f)
 
-    def atom(self, f, reg):
+    def atom(self, f, reg, sorts=None):
+        """Atom f from its arguments' locals: elements, or in the mask form
+        (`sorts` given) their bits over those sorts, which a unary
+        predicate's mask, a binary one's row or the tuples of another
+        arity test."""
         args = self.pop(len(f.args))
-        if f.pred != sx.EQ:
+        n = len(args)
+        if f.pred == sx.EQ:
+            if n == 2:
+                self.vals.append(self.op(reg, "%s == %s", *args))
+            else:
+                self.bad(reg, "= takes two arguments")
+        elif sorts is None:
             ext = self.read(reg, _key("ext", f.pred))
-            self.vals.append(self.op(reg, "(" + "%s, " * len(args) + ") in %s",
+            self.vals.append(self.op(reg, "(" + "%s, " * n + ") in %s",
                                      *args, ext))
-        elif len(args) == 2:
-            self.vals.append(self.op(reg, "%s == %s", *args))
+        elif n == 1:
+            self.vals.append(self.op(reg, "%s & %s != 0", self.value(
+                _key("mask", f.pred, *sorts)), *args))
+        elif n == 2:
+            self.vals.append(self.op(reg, "%s[%s] & %s != 0", self.value(
+                _key("row", f.pred, *sorts)), *args))
         else:
-            self.bad(reg, "= takes two arguments")
+            self.vals.append(self.op(reg, "(" + "%s, " * n + ") in %s", *args,
+                                     self.value(_key("tuples", f.pred, *sorts))))
 
     def guard(self, f, reg):
         left = self.vals.pop()
@@ -818,8 +999,8 @@ class _Emitter:
         """Quantifier f: its restriction's mask over the whole domain, then
         its body's on the restriction's elements, each by satisfy, so in
         the mask form when it records nothing."""
-        slot, inner = self.bind(scope, f.var.name)
-        dk = _key("dom", f.var.sort)
+        slot, inner = self.bind(scope, f.var.name, f.var.sort)
+        dk = self.dom(f.var.sort)
         self.todo.append((self.decide, f, dk, reg))
         self.todo.append((self.quant_body, f, inner, slot, reg))
         if f.restriction is not None:
@@ -895,26 +1076,30 @@ class _Emitter:
         those in mask a when given, and returns once its value settles
         quantifier `kind` (a starred one when the local `early` holds)."""
         g = self.vals.pop()
-        dk = _key("dom", sort)
-        if loop.stop is not loop and not self.deps[g] & _bit(loop.slot):
-            self.vals.append(self.op(reg, "%s if %s else 0",
-                                     self.read(reg, dk, ".full"), g))
-            return
-        pairs = self.read(reg, dk, ".pairs")
-        head = ["    out = 0", "    for %s, bit in %s:" % (loop.var, pairs)]
-        if a is not None:
-            head.append("        if not bit & %s: continue" % a)
-        if kind == sx.FORALL:
-            tail = ["        if not %s: return out" % g, "        out |= bit"]
-        elif kind == sx.EXISTS:
-            tail = ["        if %s: return bit" % g]
+        dk, bit = self.dom(sort), loop.bit
+        if loop.stop is loop:
+            seq = self.read(reg, dk, ".pairs")
+            head = ["    out = 0", "    for %s, %s in %s:" % (loop.var, bit, seq)]
+        elif self.deps[g] & _bit(loop.slot):
+            seq = self.value(dk, ".ones")
+            head = ["    out = 0", "    for %s in %s:" % (bit, seq)]
         else:
-            tail = ["        if %s:" % g, "            out |= bit"]
+            self.vals.append(self.op(reg, "%s if %s else 0",
+                                     self.value(dk, ".full"), g))
+            return
+        if a is not None:
+            head.append("        if not %s & %s: continue" % (bit, a))
+        if kind == sx.FORALL:
+            tail = ["        if not %s: return out" % g, "        out |= " + bit]
+        elif kind == sx.EXISTS:
+            tail = ["        if %s: return %s" % (g, bit)]
+        else:
+            tail = ["        if %s:" % g, "            out |= " + bit]
             if kind == sx.FORALL_STAR:
                 tail.append("        elif %s: return out" % early)
             elif kind == sx.EXISTS_STAR:
                 tail.append("        if %s and %s: return out" % (g, early))
-        loop.reads.update(dict.fromkeys(v for v in (pairs, a, g, early) if v))
+        loop.reads.update(dict.fromkeys(v for v in (seq, a, g, early) if v))
         call, params = self.close(loop, head, tail + ["    return out"],
                                   "        ")
         self.vals.append(self.put(reg, call, params))
@@ -922,8 +1107,8 @@ class _Emitter:
     def quant2(self, f, scope, reg):
         """Second-order f: its body on each subset of its sort's domain, in
         itertools.combinations order, until one settles it."""
-        dk = _key("dom", f.sort)
-        slot, inner = self.bind(scope, _SEP + f.predvar, dk)
+        dk = self.dom(f.sort)
+        slot, inner = self.bind(scope, _SEP + f.predvar, f.sort)
         loop = self.loop_region(reg, slot, self.orders(f))
         self.todo.append((self.subsets, f, dk, reg, loop))
         self.todo.append((self.formula, f.body, inner, loop))
@@ -939,22 +1124,31 @@ class _Emitter:
              "    return %s" % every], "        ")
         self.vals.append(self.put(reg, call, params))
 
-    def member(self, f, scope, reg):
-        """Predicate variable application f, its argument's local on vals."""
+    def member(self, f, scope, reg, over):
+        """Predicate variable application f, its argument's local on vals:
+        the mask form (`over` given) tests the argument's bit against the
+        subset's mask, over `over`'s domain for a free one."""
         e = self.vals.pop()
-        slot, dk = self.lookup(scope, _SEP + f.predvar)
-        if dk is not None:
+        name = _SEP + f.predvar
+        slot, sort = self.lookup(scope, name)
+        subset = self.name(scope, name, reg)
+        if over is not None:
+            if slot < 0:
+                subset = self.at_entry((subset, over), "_mask(%s, %s)" % (
+                    self.value(self.dom(over), ".bits"), subset), _FREE)
+            v = self.op(reg, "%s & %s != 0", subset, e)
+        elif slot >= 0:
             v = self.op(reg, "%s.get(%s, 0) & %s != 0",
-                        self.read(reg, dk, ".bits"), e, self.loops[slot].var)
+                        self.read(reg, self.dom(sort), ".bits"), e, subset)
         else:
-            v = self.op(reg, "%s in %s", e, self.name(scope, _SEP + f.predvar, reg))
+            v = self.op(reg, "%s in %s", e, subset)
         self.vals.append(v)
 
     # -- formulas as masks over the variable in `slot` ---------------------
 
     def mask(self, f, scope, slot, sort, reg):
         t, todo = type(f), self.todo
-        dk = _key("dom", sort)
+        dk = self.dom(sort)
         if t is Not:
             todo.append((self.combine, reg, "%s ^ %s", 1, self.value(dk, ".full")))
             todo.append((self.mask, f.body, scope, slot, sort, reg))
@@ -972,8 +1166,9 @@ class _Emitter:
             todo.append((self.mask, f.left, scope, slot, sort, reg))
         elif t is Atom and 0 < len(f.args) <= 2 and not _is_generic_atom(f):
             loop = self.loop_region(reg, slot)
-            todo.append((self.direct_atom, f, scope, sort, dk, reg, loop))
-            self.terms(f.args, scope, loop)
+            sorts = self.sorts(f, scope)
+            todo.append((self.direct_atom, f, scope, sort, reg, loop, sorts))
+            self.terms(f.args, scope, loop, sorts)
         else:
             loop = self.loop_region(reg, slot)
             todo.append((self.each, sort, reg, loop))
@@ -984,10 +1179,10 @@ class _Emitter:
         values = self.values
         return bool(values.loops[values.of(f)] & values.bits.get(name, 0))
 
-    def direct_atom(self, f, scope, sort, dk, reg, loop):
+    def direct_atom(self, f, scope, sort, reg, loop, sorts):
         """An atom whose arguments are the slot's variable or do not read
-        it is a predicate mask, row, column or diagonal, or an equality;
-        any other is tried on each element."""
+        it is a predicate mask, row, column or diagonal, or an equality (the
+        other side's bit); any other is tried on each element."""
         args = self.pop(len(f.args))
         at = [type(a) is Var and self.lookup(scope, a.name)[0] == loop.slot
               for a in f.args]
@@ -995,61 +1190,91 @@ class _Emitter:
         if not any(at) or any(self.deps[v] & _bit(loop.slot) for v in given) \
                 or f.pred == sx.EQ and len(args) != 2:
             self.vals += args
-            self.atom(f, loop)
+            self.atom(f, loop, sorts)
             self.each(sort, reg, loop)
             return
         if f.pred == sx.EQ:
-            v = self.value(dk, ".full") if not given else \
-                self.op(reg, "%s.get(%s, 0)", self.value(dk, ".bits"), *given)
+            v = given[0] if given else self.value(self.dom(sort), ".full")
         elif len(args) == 1:
             v = self.value(_key("mask", f.pred, sort))
         elif not given:
             v = self.value(_key("diag", f.pred, sort))
         else:
-            v = self.op(reg, "%s.get(%s, 0)", self.value(_key(
-                "row" if at[1] else "col", f.pred, sort)), *given)
+            v = self.op(reg, "%s[%s]", self.value(_key(
+                "row" if at[1] else "col", f.pred, *sorts)), *given)
         self.vals.append(v)
 
-    # -- terms as elements -------------------------------------------------
+    # -- terms as elements or bits ------------------------------------------
 
-    def terms(self, args, scope, reg):
-        self.todo.extend((self.term, a, scope, reg) for a in reversed(args))
+    def terms(self, args, scope, reg, sorts=None):
+        todo, term = self.todo, self.term
+        for i in range(len(args) - 1, -1, -1):
+            todo.append((term, args[i], scope, reg, sorts and sorts[i]))
 
-    def term(self, t, scope, reg):
+    def term(self, t, scope, reg, over=None):
+        """Push the local of term t: its element, or in the mask form
+        (`over` given) the bit of its element's position in the domain of
+        sort `over`.  A term of another sort fails there."""
         typ = type(t)
         if typ is Var:
-            self.vals.append(self.name(scope, t.name, reg))
+            slot, sort = self.lookup(scope, t.name)
+            if over is not None and (sort if slot >= 0 else t.sort) != over:
+                self.bad(reg, "a term of another sort than %s" % over)
+            elif over is not None and slot >= 0:
+                self.vals.append(self.loops[slot].bit)
+            else:
+                v = self.name(scope, t.name, reg)
+                if over is not None:    # a free variable's element
+                    v = self.at_entry((v, over), "%s[%s]" % (
+                        self.value(self.dom(over), ".bits"), v), _FREE)
+                self.vals.append(v)
+        elif over is not None and self.sort_of(t, scope, False) not in (None, over):
+            self.bad(reg, "a term of another sort than %s" % over)
         elif typ is Const:
-            self.vals.append(self.read(reg, _key("const", t.name)))
+            self.vals.append(self.read(reg, _key("const", t.name)) if over is None
+                             else self.value(_key("bit", t.name, over)))
         elif typ is App:
-            self.todo.append((self.app, _key("fn", t.func), t, reg))
-            self.terms(t.args, scope, reg)
+            sorts = None if over is None else [self.sort_of(a, scope)
+                                               for a in t.args]
+            self.todo.append((self.app, t, reg, over, sorts))
+            self.terms(t.args, scope, reg, sorts)
         elif typ is Binder or typ is GenericRestricted:
             self.choice(t, scope, reg)
         elif typ is Generic:
-            self.vals.append(self.put(reg, *self.least(t.sort)))
+            self.vals.append(self.put(reg, *self.least(t.sort, over is not None)))
         else:
             self.bad(reg, "not a term: %r", t)
 
-    def app(self, fk, t, reg):
-        """Function application t from its arguments' locals; STRICT names
-        the gap it meets."""
+    def app(self, t, reg, over, sorts):
+        """Function application t from its arguments' locals: the mask form
+        reads a table keyed by their bits, over `sorts`; STRICT names the
+        gap it meets."""
         n = len(t.args)
         args = self.pop(n)
-        if self.strict:
+        if over is not None:
+            table = self.value(_key("map", t.func, *sorts, over))
+            self.vals.append(self.op(reg, "%s[%s]" if n == 1 else
+                                     "%s[(" + "%s, " * n + ")]", table, *args))
+        elif self.strict:
             self.vals.append(self.put(reg, "_app(d[%r], (%s), T[%d])" % (
-                fk, "%s, " * n % tuple(args), self.node(t)), ("d", *args)))
+                _key("fn", t.func), "%s, " * n % tuple(args), self.node(t)),
+                ("d", *args)))
         else:
             self.vals.append(self.op(reg, "%s[(" + "%s, " * n + ")]",
-                                     self.value(fk), *args))
+                                     self.value(_key("fn", t.func)), *args))
 
-    def least(self, sort):
-        """(text, locals read) of the least element of `sort`: STRICT reads
-        the domain where the text runs and raises there if it is empty."""
+    def least(self, sort, bits=False):
+        """(text, locals read) of the least element of `sort`, or with
+        `bits` its bit, which on an empty domain raises where the text runs;
+        STRICT reads the domain there too."""
+        dk = self.dom(sort)
+        if bits:
+            full = self.value(dk, ".full")
+            return "%s & 1 or _raise(%r)" % (
+                full, "empty domain for sort %s" % sort), (full,)
         if self.strict:
-            dk = _key("dom", sort)
             return "_least(d[%r].elems, %r)" % (dk, sort), ("d",)
-        elems = self.value(_key("dom", sort), ".elems")
+        elems = self.value(dk, ".elems")
         return elems + "[0]", (elems,)
 
     def choice(self, t, scope, reg):
@@ -1067,18 +1292,18 @@ class _Emitter:
         if hit is not None and reg.within(self.home[hit]):
             self.vals.append(hit)
             return
-        binder = type(t) is Binder
+        binder, ordered = type(t) is Binder, self.orders(t)
         if binder and t.kind not in sx.BINDER_KINDS:
             # the semantics reads the domain first: raise where it is empty
-            text, reads = self.least(t.var.sort)
+            text, reads = self.least(t.var.sort, not ordered)
             self.stmt(reg, text, *reads)
             self.bad(reg, "unknown binder kind %s" % t.kind)
             return
-        slot, inner = self.bind(scope, t.var.name)
+        slot, inner = self.bind(scope, t.var.name, t.var.sort)
         choice = _Region(reg)
-        dk = _key("dom", t.var.sort)
-        self.todo.append((self.pick, t, key, dk,
-                          self.read(choice, dk, ".elems"), reg, choice))
+        dk = self.dom(t.var.sort)
+        self.todo.append((self.pick, t, key, dk, self.read(
+            choice, dk, ".elems") if ordered else None, reg, choice))
         self.satisfy(t.body if binder else t.restriction, inner, slot,
                      t.var.sort, choice)
 
@@ -1086,9 +1311,10 @@ class _Emitter:
         """Term t from the mask of its satisfiers on vals: eps and eta the
         lowest set bit, tau the lowest clear bit, iota the only set bit, a
         generic term its first satisfier, and with none the least element of
-        its sort.  The ordered form records a choice term's pick as a
-        witness, and flags an iota term without exactly one satisfier and a
-        generic term without any.  The mask form keeps the pick's local
+        its sort.  The mask form picks the bit; the ordered form, which
+        reads the domain's elements as the local `elems`, picks the element,
+        records a choice term's pick as a witness, and flags an iota term
+        without exactly one satisfier and a generic term without any.  The mask form keeps the pick's local
         under `key` and writes one that reads no bound slot or free name at
         the entry.  The ordered form keeps only such a pick, as a function
         of its own that picks once per call and, met again, replays the
@@ -1096,19 +1322,26 @@ class _Emitter:
         m = self.vals.pop()
         binder = type(t) is Binder
         rec = self.rec() if self.orders(t) else None
+        # with no satisfier a generic term takes its own sort's least
+        # element, whose domain STRICT reads only then
+        least, reads = self.least(t.var.sort if binder else t.sort, not elems)
+        iota = binder and t.kind == sx.IOTA
         if binder and t.kind == sx.TAU:
             m = self.op(choice, "%s ^ %s", self.read(choice, dk, ".full"), m)
-        elif binder and t.kind == sx.IOTA:     # only when exactly one bit is set
+        elif iota and elems:    # only when exactly one bit is set
             m = self.op(choice, "%s if %s and not %s & (%s - 1) else 0",
                         m, m, m, m)
             if rec:
                 self.stmt(choice, "if not %s: %s.flag(%r)" % (m, rec, FLAG_IOTA),
                           m, rec)
-        # with no satisfier a generic term takes its own sort's least
-        # element, whose domain STRICT reads only then
-        least, reads = self.least(t.var.sort if binder else t.sort)
-        v = self.put(choice, "%s[(%s & -%s).bit_length() - 1] if %s else %s" % (
-            elems, m, m, m, least), (elems, m, *reads))
+        if elems:
+            v = self.put(choice, "%s[(%s & -%s).bit_length() - 1] if %s else %s"
+                         % (elems, m, m, m, least), (elems, m, *reads))
+        elif iota:              # the only set bit is the pick
+            v = self.put(choice, "%s if %s and not %s & (%s - 1) else %s" % (
+                m, m, m, m, least), (m, *reads))
+        else:                   # the lowest set bit
+            v = self.put(choice, "%s & -%s or %s" % (m, m, least), (m, *reads))
         if rec and binder:
             self.stmt(choice, "%s.witnesses.append((T[%d], %s))" % (
                 rec, self.node(t), v), rec, v)

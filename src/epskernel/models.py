@@ -19,8 +19,8 @@ evaluator and classify_quantifier share.
 One evaluator (compiled.py) runs every formula and term from code compiled
 once per node, generated as Python source and shared by equal nodes.  truth
 runs its mask form, for the value only: a formula in a bound variable is
-the mask of the elements that satisfy it, and a predicate variable holds a
-subset as a mask.  eval_formula and eval_term run the ordered form:
+the mask of the elements that satisfy it, a term the one-hot bit of its
+element, and a predicate variable holds a subset as a mask.  eval_formula and eval_term run the ordered form:
 elements in domain order, connectives left to right with short-circuit, a
 restriction over its whole domain before the body, a quantifier left once
 its value is settled, a count's body on every restriction element.  It

@@ -526,15 +526,27 @@ def test_truth_of_a_bare_choice_term_is_its_element(text):
 
 # -- what truth derives from a model ---------------------------------------
 
-def reads(run):
+def reads(run, m):
     """The keys of the derived values that the mask form's run reads, each
-    written in its code, and of the values they are derived from."""
-    keys = {c for c in run.__code__.co_consts
-            if type(c) is str and (c == "cfg" or compiled._SEP in c)}
-    for key in list(keys):
+    written in its code, and of the values they are derived from in model
+    m, whose signature gives a constant's or a function's sort."""
+    todo = [c for c in run.__code__.co_consts
+            if type(c) is str and (c == "cfg" or compiled._SEP in c)]
+    keys = set()
+    while todo:
+        key = todo.pop()
+        keys.add(key)
         tag, *args = key.split(compiled._SEP)
-        if tag in ("mask", "row", "col", "diag"):
-            keys |= {compiled._key("ext", args[0]), compiled._key("dom", args[1])}
+        if tag == "dom" and compiled._sort(m, args[0]) != args[0]:
+            todo.append(compiled._key("dom", compiled._sort(m, args[0])))
+        elif tag in ("mask", "row", "col", "diag", "tuples", "bit", "map"):
+            # a value over a sort that a constant or function names is the
+            # one over the sort it names
+            sorts = [compiled._sort(m, s) for s in args[1:]]
+            source = {"bit": "const", "map": "fn"}.get(tag, "ext")
+            todo += [compiled._key(tag, args[0], *sorts)] if sorts != args[1:] \
+                else [compiled._key(source, args[0]),
+                      *(compiled._key("dom", s) for s in sorts)]
     return keys
 
 
@@ -564,15 +576,19 @@ def test_truth_derives_each_value_once_per_model(monkeypatch):
     # read
     keys = {k for _, k in derived}
     assert len(derived) == len(ms) * len(keys)
-    assert keys == {k for f in fs for k in reads(compiled.compile_formula(f)[0])}
+    assert keys == {k for f in fs
+                    for k in reads(compiled.compile_formula(f)[0], ms[0])}
 
 
 def test_a_gap_sends_each_truth_call_to_the_ordered_form_once(monkeypatch):
     m = dataclasses.replace(M)              # its own, empty, derived values
     gap = parser.parse_formula("forall x:s. Q(f(x))", M.signature)
-    total = parser.parse_formula("forall x:s. P(x) or Q(f(c))", M.signature)
+    # reads the tables gap reads, but never f(b): a right operand's values
+    # are read at the entry
+    total = parser.parse_formula(
+        "((exists x:s. P(x)) or forall x:s. Q(f(x))) and P(c)", M.signature)
     assert truth(m, total) is True
-    assert m._derived.keys() >= reads(compiled.compile_formula(gap)[0])
+    assert m._derived.keys() >= reads(compiled.compile_formula(gap)[0], m)
     with pytest.raises(models.EvalError) as want:
         eval_oracle._Evaluator(m, record=False).formula(gap, Environment())
     walks = count_tree_walks(monkeypatch)
@@ -620,8 +636,13 @@ def test_every_form_derives_each_value_once_per_model(monkeypatch):
     assert models.eval_formula(m, None, f) == want
     assert strict(m, None, f) == want
     assert m.pred_holds("P", ("a",)) and not m.pred_holds("Q", ("a",))
-    keys = [("mask", "P", "s"), ("ext", "P"), ("dom", "s"), ("const", "c"),
-            ("fn", "f"), ("ext", "Q")]
+    # the mask form reads bits: P's and Q's masks, and c's bit and f's map
+    # over the sort the signature gives c, which are those over s; RECORD
+    # reads what these are derived from too, and STRICT its own shape, seq
+    keys = [("mask", "P", "s"), ("ext", "P"), ("dom", "s"), ("seq", "s"),
+            ("bit", "c", "c:c"), ("bit", "c", "s"), ("const", "c"),
+            ("map", "f", "c:c", "s"), ("map", "f", "s", "s"), ("fn", "f"),
+            ("mask", "Q", "s"), ("ext", "Q")]
     assert sorted(derived) == sorted(m._derived) == \
         sorted(compiled._key(*k) for k in keys)
 
@@ -729,7 +750,8 @@ def test_a_renamed_formula_gets_the_code_of_a_fresh_emission(f, m):
     assert result(strict, rm, g) == want
     codes.clear()
     fresh, fresh_frees, fresh_memos = compiled.compile_formula(g)
-    assert (reads(run), frees, memos) == (reads(fresh), fresh_frees, fresh_memos)
+    assert (reads(run, rm), frees, memos) == \
+        (reads(fresh, rm), fresh_frees, fresh_memos)
     assert run.__code__.co_code == fresh.__code__.co_code
     assert run.__code__ == fresh.__code__ and helpers(run) == helpers(fresh)
 
@@ -900,12 +922,14 @@ def emitted(monkeypatch):
 @pytest.mark.parametrize("text, picks", REPEATED)
 def test_a_repeated_closed_term_is_picked_once(text, picks, monkeypatch):
     # one pick in the mask form's source, and one memo per closed term in
-    # the ordered form's
+    # the ordered form's.  Each pick of the mask form falls back once on the
+    # bit of its sort's least element
     sources = emitted(monkeypatch)
     f = parser.parse_formula(text, SIG)
     compiled._codes.clear()
     compiled.compile_formula(f)
-    assert sources[-1].count(".bit_length() - 1]") == picks
+    assert len(re.findall(r"n\d+ & 1 or _raise\(.empty domain",
+                          sources[-1])) == picks
     assert compiled.compile_formula(f, compiled.RECORD)[2] == 1
 
 
@@ -1071,14 +1095,15 @@ def test_copied_choice_terms_agree_with_the_oracle():
 
 def test_a_copied_choice_term_is_written_once(monkeypatch):
     # the satisfier loop of eps x2, copied into both disjuncts of eps x1's
-    # body, tests R(x1, x2) on two loop elements once
+    # body, tests R(x1, x2) on two loop bits once: R's row at x1's bit
+    # against x2's
     sources = emitted(monkeypatch)
     sig, _ = _prefix_family()
     f = transform.epsilon_embed(parser.parse_formula(
         "exists x1:s. forall x2:s. exists x3:s. P(x3) or R(x1, x2)", sig))
     compiled._codes.clear()
     compiled.compile_formula(f)
-    assert len(re.findall(r"\(e\d+, e\d+, \) in ", sources[-1])) == 1
+    assert len(re.findall(r"n\d+\[b\d+\] & b\d+ != 0", sources[-1])) == 1
     for m in enumerate_models(sig, 2):
         assert_agrees(m, f)
 
@@ -1097,3 +1122,182 @@ def test_a_deep_closed_chain_is_keyed_once_per_form(monkeypatch):
     for mode in (compiled.TRUTH, compiled.RECORD, compiled.STRICT):
         compiled.compile_formula(Atom("Q", (t,)), mode)
     assert len(calls) == 3
+
+
+# -- the mask form computes with bits ----------------------------------------
+
+def counted(f):
+    """Whether f holds a count quantifier."""
+    return any(type(e) is Quant and e.kind not in (sx.FORALL, sx.EXISTS)
+               for e in sx._preorder(f))
+
+
+def test_the_mask_form_computes_with_bits(monkeypatch):
+    # a term is its element's bit: the mask form of the criterion-5
+    # formulas, their embeddings and the corpus formulas without a count
+    # quantifier builds no argument tuple and reads no element list
+    sources = emitted(monkeypatch)
+    _, family = _prefix_family()
+    corpus = gen.proof_corpus(random.Random(20260825), 220)
+    fs = family + [transform.epsilon_embed(f) for f in family] + [
+        f for p in corpus for f in (*p.sequent.hypotheses, p.sequent.conclusion)
+        if not counted(f)]
+    assert len(fs) > 400
+    for f in fs:
+        compiled._codes.clear()
+        compiled.compile_formula(f)
+        assert not re.search(r"\((?:\w+, )+\)|\.elems\b", sources[-1]), \
+            (parser.print_formula(f), sources[-1])
+
+
+WIDE = parser.parse_model(
+    "sort s = {a, b, c}\nsort t = {u, v}\nsort e = {}\nsort n = int\n"
+    "measure n = density(12)\n"
+    "const c : s = b\nconst d : t = v\nconst k : n = 7\n"
+    "fun f : s -> t = {a: u, c: v}\n"
+    "fun g : s, t -> s = {(a, u): b, (b, u): c, (b, v): a, (c, v): c}\n"
+    "fun h : n -> s = {1: a, 2: b, 7: c}\n"
+    "pred P : s = {a, c}\npred R : s, t = {(a, u), (c, u), (c, v)}\n"
+    "pred S : s, s = {(a, a), (b, c), (c, a)}\n"
+    "pred T : s, s, t = {(a, b, u), (c, c, v)}\n"
+    "pred E : e = {}\npred prime : n = @prime\npred O : n = {2, 9, 7}\n")
+WIDE_RESULTS = {"s": [("f", "t", ("s",)), ("g", "s", ("s", "t")),
+                      ("h", "s", ("n",))],
+                "t": [("f", "t", ("s",))]}
+WIDE_CONSTS = {"s": "c", "t": "d", "n": "k"}
+
+
+def wide_term(rng, sort, scope, depth):
+    """A term of `sort` over WIDE's signature: a variable, a constant, an
+    application, a choice or a generic term."""
+    kinds = ["var"] * 3 * bool([n for n, s in scope if s == sort])
+    kinds += ["const"] * (sort in WIDE_CONSTS)
+    if depth > 0:
+        kinds += ["choice", "choice", "generic"]
+        kinds += ["app"] * bool([r for r in WIDE_RESULTS.get(sort, ())
+                                 if r[1] == sort])
+    kind = rng.choice(kinds or ["generic"])
+    if kind == "var":
+        return Var(rng.choice([n for n, s in scope if s == sort]), sort)
+    if kind == "const":
+        return Const(WIDE_CONSTS[sort])
+    if kind == "app":
+        name, _, args = rng.choice([r for r in WIDE_RESULTS[sort] if r[1] == sort])
+        return App(name, tuple(wide_term(rng, a, scope, depth - 1) for a in args))
+    g = rng.choice(["most", "many"])
+    if kind == "generic" and (depth < 1 or rng.random() < .3):
+        return Generic(g, sort)
+    v = Var(rng.choice("yz"), sort)
+    body = wide_formula(rng, scope + ((v.name, sort),), depth - 1)
+    if kind == "choice":
+        return Binder(rng.choice(sx.BINDER_KINDS), v, body)
+    return GenericRestricted(g, sort, v, body)
+
+
+def wide_formula(rng, scope, depth, predvars=("Y",)):
+    """A formula over WIDE's signature whose free names are in scope and
+    predvars (each predicate variable over s)."""
+    kinds = ["atom", "atom", "eq", "predapp"]
+    if depth > 0:
+        kinds += ["not", "two", "two", "quant", "quant", "quant2"]
+    kind = rng.choice(kinds)
+    sub = depth - 1
+    if kind == "atom":
+        pred, sorts = rng.choice(sorted(WIDE.signature.predicates.items()))
+        return Atom(pred, tuple(wide_term(rng, s, scope, sub) for s in sorts))
+    if kind == "eq":
+        sort = rng.choice("sten")
+        return Atom(sx.EQ, (wide_term(rng, sort, scope, sub),
+                            wide_term(rng, sort, scope, sub)))
+    if kind == "predapp":
+        return PredApp(rng.choice(predvars), wide_term(rng, "s", scope, sub))
+    if kind == "not":
+        return Not(wide_formula(rng, scope, sub, predvars))
+    if kind == "two":
+        return rng.choice([And, Or, Implies])(wide_formula(rng, scope, sub, predvars),
+                                              wide_formula(rng, scope, sub, predvars))
+    if kind == "quant2":
+        return Quant2(rng.choice([sx.FORALL2, sx.EXISTS2]), "X", "s",
+                      wide_formula(rng, scope, sub, predvars + ("X",)))
+    v = Var(rng.choice("xyz"), rng.choice("sten"))
+    inner = scope + ((v.name, v.sort),)
+    restriction = wide_formula(rng, inner, sub, predvars) \
+        if rng.random() < .3 else None
+    return Quant(rng.choice(sx.QUANT_KINDS), v, restriction,
+                 wide_formula(rng, inner, sub, predvars))
+
+
+def wide_models():
+    """WIDE in both star regimes, with other thresholds, and built through
+    the API with an element of s listed twice."""
+    return [WIDE, dataclasses.replace(WIDE, star_regime="A", majority_mode="weak",
+                                      most_threshold=Fraction(1, 3)),
+            dataclasses.replace(WIDE, domains={**WIDE.domains,
+                                               "s": ["a", "b", "a", "c"]})]
+
+
+def test_every_form_agrees_with_the_oracle_on_every_table():
+    # drawn formulas over models with a constant in each non-empty sort, a
+    # partial function, a binary function, a ternary predicate, an empty
+    # sort, an integer sort with @prime and a predicate variable: the mask
+    # form, RECORD and STRICT agree with the oracle in value, flags,
+    # witnesses and errors
+    rng = random.Random(26)
+    ms = wide_models()
+    env = Environment().bind("x", "c").bind_pred("Y", ["a", "c"])
+    errors = set()
+    # two that the domain listing a twice gets wrong where bits compare
+    # positions, not elements
+    written = [parser.parse_formula(text, WIDE.signature) for text in [
+        "forall y:s. exists z:s. not z = y and S(z, z)",
+        "exists y:s. forall z:s. z = y or not z = eps w:s. w = y"]]
+    for f in written + [wide_formula(rng, (("x", "s"),), 3) for _ in range(400)]:
+        for m in ms:
+            want = result(eval_oracle.eval_formula, m, f, env)
+            assert outcome(lambda: truth(m, f, env)) == \
+                reference(m, f, env), (parser.print_formula(f), m.domains)
+            assert result(models.eval_formula, m, f, env) == want, \
+                parser.print_formula(f)
+            assert result(strict, m, f, env) == want, parser.print_formula(f)
+            errors.add(want[1] if want[0] == "EvalError" else None)
+    # every table the mask form reads was derived, and an empty domain and
+    # a gap were met
+    tags = {key.split(compiled._SEP)[0] for m in ms[:2] for key in m._derived}
+    assert tags >= {"dom", "mask", "diag", "row", "col", "tuples", "bit", "map"}
+    assert compiled._key("mask", "prime", "n") in ms[0]._derived
+    assert "empty domain for sort e" in errors
+    assert any(e and e.startswith("function f undefined") for e in errors)
+    # the domain that lists a twice has no bits: every form but STRICT
+    # raises on it, and STRICT runs again
+    dup = ms[2]
+    assert compiled._key("seq", "s") in dup._derived
+    assert compiled._key("dom", "s") not in dup._derived
+
+
+OVERLAP = Model(signature=Signature(frozenset({"s", "t"}), {"c": "s"}, {},
+                                    {"P": ("s",), "Q": ("t",)}),
+                domains={"s": ["a", "b"], "t": ["b", "c"]},
+                preds={"P": frozenset({("b",)}), "Q": frozenset({("c",)})},
+                consts={"c": "b"})
+YS, ZT = Var("y", "s"), Var("z", "t")
+
+
+@pytest.mark.parametrize("f", [
+    # an element of s and one of t that are equal
+    Quant(sx.EXISTS, YS, None, Quant(sx.EXISTS, ZT, None, Atom(sx.EQ, (YS, ZT)))),
+    Quant(sx.EXISTS, ZT, None, Atom(sx.EQ, (Const("c"), ZT))),
+    # a predicate of s on an element of t, and of t on one of s
+    Quant(sx.EXISTS, ZT, None, Atom("P", (ZT,))),
+    Quant(sx.FORALL, YS, None, Atom("Q", (Binder(sx.EPS, ZT, Atom("P", (ZT,))),))),
+    Atom("Q", (Const("c"),)),
+    # a subset of s tested on an element of t
+    Quant2(sx.EXISTS2, "X", "s", Quant(sx.EXISTS, ZT, None, PredApp("X", ZT))),
+])
+def test_a_term_read_at_another_sort_agrees_with_the_oracle(f):
+    # ill-sorted over the signature: the semantics compares elements, so
+    # the mask form either reads the element's bit over its own sort or
+    # leaves the call to STRICT
+    assert_agrees(OVERLAP, f)
+    want = result(eval_oracle.eval_formula, OVERLAP, f)
+    assert result(models.eval_formula, OVERLAP, f) == want
+    assert result(strict, OVERLAP, f) == want
